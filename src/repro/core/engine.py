@@ -178,8 +178,7 @@ class ActiveRoutingEngine(Component):
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
             self._n_store_writes += 1
-            self.sim.schedule_at(finish, lambda: self._commit_store(packet, arrival),
-                                 label=f"{self.name}.store")
+            self.sim.schedule_at(finish, lambda: self._commit_store(packet, arrival))
             return
         # mov: fetch the source operand, then write the target locally.
         entry = self.operand_buffers.reserve(packet.flow_id, packet.root_node,
@@ -222,8 +221,7 @@ class ActiveRoutingEngine(Component):
         self.sim.schedule_at(
             commit_time,
             lambda: self._commit_reduce(packet, arrival, arrival, value,
-                                        response_end=commit_time),
-            label=f"{self.name}.commit1op")
+                                        response_end=commit_time))
 
     def _issue_operand_fetches(self, entry: OperandBufferEntry) -> None:
         entry.operand_issue_time = self.sim.now
@@ -244,8 +242,7 @@ class ActiveRoutingEngine(Component):
                 slot, op_index, op_value = entry.slot, index, value
                 self.sim.schedule_at(
                     finish,
-                    lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v),
-                    label=f"{self.name}.local_operand")
+                    lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v))
             else:
                 request = OperandRequestPacket.acquire(
                     src=self.node_id, dst=owner, addr=addr,
@@ -281,7 +278,7 @@ class ActiveRoutingEngine(Component):
                 value=value, flow_id=flow_id)
             self.network.inject(response, self.node_id)
 
-        self.sim.schedule_at(finish, _respond, label=f"{self.name}.operand_resp")
+        self.sim.schedule_at(finish, _respond)
 
     def _handle_operand_response(self, packet: OperandResponsePacket, from_node: int) -> None:
         if packet.dst != self.node_id:
@@ -317,8 +314,7 @@ class ActiveRoutingEngine(Component):
                                             self.config.store_write_bytes, is_write=True)
             self._n_store_writes += 1
             self.sim.schedule_at(finish,
-                                 lambda: self._commit_store(packet, arrival),
-                                 label=f"{self.name}.store")
+                                 lambda: self._commit_store(packet, arrival))
         else:
             value = self.alu.combine(packet.opcode, value1, value2)
             self._commit_reduce(packet, arrival, operand_issue, value)

@@ -6,11 +6,11 @@ The pool is finite: when it is exhausted, newly arriving Updates queue at the
 engine and the wait is charged to the *stall* component of the round-trip
 latency (Figures 5.2/5.3).
 
-The pool models a fixed hardware structure, so the entry objects are
-preallocated once (one slotted instance per slot) and re-initialised in place
-on every reservation; reserve/release never allocates.  Consequence for
-callers: an entry's fields are only valid until its slot is released — copy
-out anything needed after that point.
+The pool models a fixed hardware structure, so each slot's entry object is
+allocated on the slot's first reservation (most runs touch few of the slots)
+and re-initialised in place on every later one; after that reserve/release
+never allocates.  Consequence for callers: an entry's fields are only valid
+until its slot is released — copy out anything needed after that point.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ class OperandBufferPool(Component):
             raise ValueError("operand buffer capacity must be positive")
         self.capacity = capacity
         self._free: List[int] = list(range(capacity))
-        # One preallocated entry per slot, reused in place across reservations;
-        # ``entries`` maps only the slots currently in use.
-        self._slots: List[OperandBufferEntry] = [OperandBufferEntry(s)
-                                                 for s in range(capacity)]
+        # One entry per slot, allocated on first reservation and reused in
+        # place after; ``entries`` maps only the slots currently in use.
+        self._slots: List[Optional[OperandBufferEntry]] = [None] * capacity
         self.entries: Dict[int, OperandBufferEntry] = {}
         self._peak_used = 0
         # reserve()/release() run once per buffered Update; batch the counts
@@ -110,6 +109,8 @@ class OperandBufferPool(Component):
             return None
         slot = self._free.pop()
         entry = self._slots[slot]
+        if entry is None:
+            entry = self._slots[slot] = OperandBufferEntry(slot)
         entry.reset(flow_id, root, opcode, update, arrival_time, num_operands)
         self.entries[slot] = entry
         self._n_reservations += 1

@@ -13,7 +13,7 @@ merge concurrent misses to the same block.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..mem import AccessType, MemoryRequest
 from ..sim import Component, SharedResource, Simulator
@@ -317,17 +317,23 @@ class CacheHierarchy(Component):
             if latency is not None:
                 self.sim.schedule(latency, lambda: on_complete(self.now - issue_time))
 
-        self.sim.schedule_at(start, _do_access, label=f"{self.name}.atomic")
+        self.sim.schedule_at(start, _do_access)
 
     # -- statistics -------------------------------------------------------------------
-    def l1_hit_rate(self) -> float:
-        hits = self.stat("l1_hits")
-        total = self.stat("l1_accesses")
-        return hits / total if total else 0.0
+    def l1_hit_rate(self, counters: Optional[Mapping[str, float]] = None) -> float:
+        return self._hit_rate("l1", counters)
 
-    def l2_hit_rate(self) -> float:
-        hits = self.stat("l2_hits")
-        total = self.stat("l2_accesses")
+    def l2_hit_rate(self, counters: Optional[Mapping[str, float]] = None) -> float:
+        return self._hit_rate("l2", counters)
+
+    def _hit_rate(self, level: str, counters: Optional[Mapping[str, float]]) -> float:
+        """Hits over accesses at ``level``, read from ``counters`` (a registry
+        read the caller already made) or from one fresh read."""
+        prefix = f"{self.name}.{level}_"
+        if counters is None:
+            counters = self.sim.stats.counters(prefix)
+        hits = counters.get(f"{prefix}hits", 0.0)
+        total = counters.get(f"{prefix}accesses", 0.0)
         return hits / total if total else 0.0
 
     @property

@@ -8,7 +8,7 @@ commands to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..isa import ProgramTrace
 from ..sim import Component, Simulator
@@ -102,10 +102,25 @@ class ChipMultiprocessor(Component):
             merged.append((cycle, running))
         return merged
 
-    def stall_breakdown(self) -> Dict[str, float]:
-        """Stall cycles summed over all cores, keyed by reason."""
+    def stall_breakdown(self, counters: Optional[Mapping[str, float]] = None
+                        ) -> Dict[str, float]:
+        """Stall cycles summed over all cores (in core order), keyed by reason.
+
+        ``counters`` is a registry read the caller already made; without one
+        the registry is read (and flushed) once.  One pass files every
+        ``core<i>.stall.<reason>`` cell under its core.
+        """
+        if counters is None:
+            counters = self.sim.stats.counters()
+        per_core: Dict[str, Dict[str, float]] = {core.name: {} for core in self.cores}
+        for name, value in counters.items():
+            owner, stall, reason = name.partition(".stall.")
+            if stall:
+                reasons = per_core.get(owner)
+                if reasons is not None:
+                    reasons[reason] = value
         totals: Dict[str, float] = {}
-        for core in self.cores:
-            for reason, cycles in core.stall_breakdown().items():
+        for reasons in per_core.values():
+            for reason, cycles in reasons.items():
                 totals[reason] = totals.get(reason, 0.0) + cycles
         return totals

@@ -94,7 +94,7 @@ class Core(Component):
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        self.schedule(delay, self._advance, label=f"{self.name}.advance")
+        self.schedule(delay, self._advance)
 
     def _block(self, reason: str) -> None:
         self.blocked_reason = reason
@@ -252,8 +252,7 @@ class Core(Component):
                     # distinct stall reason so open-loop idle time never
                     # pollutes the contention stall breakdown.
                     self._block("arrival")
-                    self.schedule(op.at - self.now, self._unblock,
-                                  label=f"{self.name}.arrival")
+                    self.schedule(op.at - self.now, self._unblock)
                     return
                 continue
 
@@ -286,7 +285,7 @@ class Core(Component):
 
         # Trace exhausted: wait for outstanding memory, then finish.
         if used > 0:
-            self.schedule(used, self._maybe_finish, label=f"{self.name}.drain")
+            self.schedule(used, self._maybe_finish)
         else:
             self._maybe_finish()
 

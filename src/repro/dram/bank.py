@@ -8,22 +8,36 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..sim import SharedResource, Simulator
+from ..sim import Simulator
 from .timing import DRAMTiming
 
+#: Registry stats of a bank, in the order :meth:`DRAMBank.flush` folds them.
+BANK_STATS = ("row_closed", "row_hit", "row_miss", "accesses",
+              "busy_cycles", "queue_wait_cycles")
 
-class DRAMBank(SharedResource):
+
+class DRAMBank:
     """One bank: tracks the open row and serializes accesses.
 
+    Plain slotted state rather than a :class:`~repro.sim.Component`: runs
+    create banks by the tens of thousands, lazily, on first access.
     ``access()`` runs once per DRAM access on the hot path, so it inlines the
-    row-state decision and the ``reserve()`` arithmetic and counts into plain
-    accumulators folded in by the ``flush()`` protocol.
+    row-state decision and the ``busy_until`` reservation and counts into
+    plain accumulators.  :meth:`flush` folds them into the registry cells
+    ``<name>.<stat>`` (:data:`BANK_STATS`), binding all of them in one
+    registry call the first time it has anything to fold.
     """
 
+    __slots__ = ("sim", "name", "open_row", "busy_until", "_row_closed_cycles",
+                 "_row_hit_cycles", "_row_miss_cycles", "_n_row_closed",
+                 "_n_row_hit", "_n_row_miss", "_n_accesses", "_n_busy",
+                 "_n_queue_wait", "_cells")
+
     def __init__(self, sim: Simulator, name: str, timing: DRAMTiming) -> None:
-        super().__init__(sim, name)
-        self.timing = timing
+        self.sim = sim
+        self.name = name
         self.open_row: Optional[int] = None
+        self.busy_until = 0.0
         self._row_closed_cycles = timing.row_closed_cycles
         self._row_hit_cycles = timing.row_hit_cycles
         self._row_miss_cycles = timing.row_miss_cycles
@@ -33,26 +47,29 @@ class DRAMBank(SharedResource):
         self._n_accesses = 0
         self._n_busy = 0.0
         self._n_queue_wait = 0.0
-        self._register_batched_counters(
-            ("_n_row_closed", self.counter_handle("row_closed")),
-            ("_n_row_hit", self.counter_handle("row_hit")),
-            ("_n_row_miss", self.counter_handle("row_miss")),
-            ("_n_accesses", self.counter_handle("accesses")),
-            ("_n_busy", self._busy_cycles),
-            ("_n_queue_wait", self._queue_wait_cycles))
+        self._cells = None
+        sim.stats.register_flushable(self)
 
-    def access_latency(self, row: int) -> float:
-        """Service time of the next access to ``row`` given the open-row state."""
-        if self.open_row is None:
-            latency = self._row_closed_cycles
-            self._n_row_closed += 1
-        elif self.open_row == row:
-            latency = self._row_hit_cycles
-            self._n_row_hit += 1
-        else:
-            latency = self._row_miss_cycles
-            self._n_row_miss += 1
-        return latency
+    def flush(self) -> None:
+        """Fold the pending accumulators into the registry cells."""
+        if not self._n_accesses:
+            return
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = self.sim.stats.counter_handles(self.name, BANK_STATS)
+        closed, hit, miss, accesses, busy, queue_wait = cells
+        closed.value += self._n_row_closed
+        hit.value += self._n_row_hit
+        miss.value += self._n_row_miss
+        accesses.value += self._n_accesses
+        busy.value += self._n_busy
+        queue_wait.value += self._n_queue_wait
+        self._n_row_closed = 0
+        self._n_row_hit = 0
+        self._n_row_miss = 0
+        self._n_accesses = 0
+        self._n_busy = 0.0
+        self._n_queue_wait = 0.0
 
     def access(self, row: int, earliest: Optional[float] = None) -> Tuple[float, float]:
         """Reserve the bank for an access to ``row``.
@@ -70,7 +87,6 @@ class DRAMBank(SharedResource):
         else:
             latency = self._row_miss_cycles
             self._n_row_miss += 1
-        # Inlined SharedResource.reserve (latency is always non-negative).
         if earliest is None:
             earliest = self.sim.now
         start = self.busy_until

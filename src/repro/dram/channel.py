@@ -52,7 +52,3 @@ class DDRChannel(Component):
         self.count("writes" if is_write else "reads")
         self.count("bytes", size)
         return bus_finish
-
-    @property
-    def num_banks_touched(self) -> int:
-        return len(self._banks)

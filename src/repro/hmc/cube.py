@@ -8,7 +8,7 @@ Active-Routing engine when one is installed (ART/ARF configurations).
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Mapping, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping
 from ..network.packet import (
@@ -119,8 +119,15 @@ class HMCCube(Component):
                                              addr=addr, is_read=is_read, req_id=req_id)
             self.network.inject(response, self.node_id)
 
-        self.sim.schedule_at(finish, _respond, label=f"{self.name}.respond")
+        self.sim.schedule_at(finish, _respond)
 
     # -- statistics -----------------------------------------------------------
-    def total_vault_accesses(self) -> float:
-        return sum(self.sim.stats.counter(f"{v.name}.accesses") for v in self.vaults)
+    def total_vault_accesses(self, counters: Optional[Mapping[str, float]] = None) -> float:
+        """Accesses served by this cube's vaults, summed in vault order.
+
+        ``counters`` is a registry read the caller already made; without one
+        the registry is read (and flushed) once.
+        """
+        if counters is None:
+            counters = self.sim.stats.counters(f"{self.name}.vault")
+        return sum(counters.get(f"{vault.name}.accesses", 0.0) for vault in self.vaults)

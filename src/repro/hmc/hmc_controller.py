@@ -94,8 +94,7 @@ class HMCController(Component):
             self._n_reads += 1
         self._outstanding[request.req_id] = request
         self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id),
-                          label=f"{self.name}.inject")
+                          lambda: self.network.inject(packet, self.node_id))
 
     # -- active offload traffic -------------------------------------------------
     def inject(self, packet: Packet) -> None:
@@ -103,8 +102,7 @@ class HMCController(Component):
         assert self.network is not None, "controller is not connected to a network"
         self._n_active_injected += 1
         self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id),
-                          label=f"{self.name}.inject_active")
+                          lambda: self.network.inject(packet, self.node_id))
 
     # -- network endpoint --------------------------------------------------------
     def receive_packet(self, packet: Packet, from_node: int) -> None:

@@ -2,34 +2,50 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List, Optional
 
 from ..mem import HMCAddressMapping
-from ..sim import Component, SharedResource, Simulator
+from ..sim import Simulator
 from ..dram.bank import DRAMBank
 from .config import HMCConfig
 
+#: Registry stats of a vault, in the order :meth:`VaultController.flush`
+#: folds them.  The TSV data path keeps its ``<vault>.tsv.*`` names.
+VAULT_STATS = ("accesses", "reads", "writes", "bytes", "energy_pj",
+               "tsv.busy_cycles", "tsv.queue_wait_cycles")
 
-class VaultController(Component):
+
+class VaultController:
     """One of the 32 vaults on a cube's logic layer.
 
     The vault controller serializes accesses to its banks (open-row policy)
     and its TSV bundle, and reports access energy using the HMC per-bit cost.
+
+    Plain slotted state rather than a :class:`~repro.sim.Component`: every
+    HMC build creates hundreds of vaults and most of them are never accessed.
+    The TSV is an inlined ``tsv_busy_until`` reservation, banks are created
+    on first access, and the counters (accesses and energy derived from the
+    batched bytes) are bound in one registry call the first time
+    :meth:`flush` has anything to fold.
     """
+
+    __slots__ = ("sim", "name", "cube_id", "vault_id", "tsv_busy_until",
+                 "_banks", "_timing", "_bank_stride", "_banks_per_vault",
+                 "_row_stride", "_blocks_per_row", "_bytes_per_cycle",
+                 "_controller_latency", "_energy_pj_per_bit", "_n_reads",
+                 "_n_writes", "_n_bytes", "_n_tsv_busy", "_n_tsv_wait", "_cells")
 
     def __init__(self, sim: Simulator, cube_id: int, vault_id: int,
                  mapping: HMCAddressMapping, config: HMCConfig) -> None:
-        super().__init__(sim, f"hmc.cube{cube_id}.vault{vault_id}")
+        self.sim = sim
+        self.name = f"hmc.cube{cube_id}.vault{vault_id}"
         self.cube_id = cube_id
         self.vault_id = vault_id
-        self.mapping = mapping
-        self.config = config
-        self.tsv = SharedResource(sim, f"{self.name}.tsv")
-        self._banks: Dict[int, DRAMBank] = {}
+        self.tsv_busy_until = 0.0
+        self._banks: List[Optional[DRAMBank]] = [None] * mapping.banks_per_vault
+        self._timing = config.vault_timing
         # service() runs once per vault access: hoist the address-decode
-        # strides (same math as HMCAddressMapping.bank_of/row_of), batch the
-        # counters (accesses and energy are derived at flush time), and inline
-        # the TSV reservation with the busy/wait cycles batched alongside.
+        # strides (same math as HMCAddressMapping.bank_of/row_of).
         self._bank_stride = mapping.block_size * mapping.num_vaults
         self._banks_per_vault = mapping.banks_per_vault
         self._row_stride = self._bank_stride * mapping.banks_per_vault
@@ -37,61 +53,53 @@ class VaultController(Component):
         self._bytes_per_cycle = config.vault_bytes_per_cycle
         self._controller_latency = config.vault_controller_latency
         self._energy_pj_per_bit = config.energy_pj_per_bit
-        self._h_accesses = self.counter_handle("accesses")
-        self._h_reads = self.counter_handle("reads")
-        self._h_writes = self.counter_handle("writes")
-        self._h_bytes = self.counter_handle("bytes")
-        self._h_energy_pj = self.counter_handle("energy_pj")
         self._n_reads = 0
         self._n_writes = 0
         self._n_bytes = 0
         self._n_tsv_busy = 0.0
         self._n_tsv_wait = 0.0
+        self._cells = None
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
+        """Fold the pending accumulators into the registry cells."""
         reads, writes = self._n_reads, self._n_writes
-        if reads or writes:
-            self._h_accesses.value += reads + writes
-            self._h_reads.value += reads
-            self._h_writes.value += writes
-            pending_bytes = self._n_bytes
-            self._h_bytes.value += pending_bytes
-            self._h_energy_pj.value += pending_bytes * 8 * self._energy_pj_per_bit
-            self._n_reads = 0
-            self._n_writes = 0
-            self._n_bytes = 0
-        if self._n_tsv_busy:
-            self.tsv._busy_cycles.value += self._n_tsv_busy
-            self._n_tsv_busy = 0.0
-        if self._n_tsv_wait:
-            self.tsv._queue_wait_cycles.value += self._n_tsv_wait
-            self._n_tsv_wait = 0.0
-
-    def _bank(self, index: int) -> DRAMBank:
-        bank = self._banks.get(index)
-        if bank is None:
-            bank = DRAMBank(self.sim, f"{self.name}.bank{index}", self.config.vault_timing)
-            self._banks[index] = bank
-        return bank
+        if not (reads or writes):
+            return
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = self.sim.stats.counter_handles(self.name, VAULT_STATS)
+        accesses, h_reads, h_writes, h_bytes, energy_pj, tsv_busy, tsv_wait = cells
+        pending_bytes = self._n_bytes
+        accesses.value += reads + writes
+        h_reads.value += reads
+        h_writes.value += writes
+        h_bytes.value += pending_bytes
+        energy_pj.value += pending_bytes * 8 * self._energy_pj_per_bit
+        tsv_busy.value += self._n_tsv_busy
+        tsv_wait.value += self._n_tsv_wait
+        self._n_reads = 0
+        self._n_writes = 0
+        self._n_bytes = 0
+        self._n_tsv_busy = 0.0
+        self._n_tsv_wait = 0.0
 
     def service(self, addr: int, size: int, is_write: bool) -> float:
         """Reserve bank + TSV for one access starting now; returns finish time."""
         bank_idx = (addr // self._bank_stride) % self._banks_per_vault
         row = (addr // self._row_stride) // self._blocks_per_row
-        bank = self._banks.get(bank_idx)
+        bank = self._banks[bank_idx]
         if bank is None:
-            bank = self._bank(bank_idx)
+            bank = self._banks[bank_idx] = DRAMBank(
+                self.sim, f"{self.name}.bank{bank_idx}", self._timing)
         earliest = self.sim.now + self._controller_latency
         _, bank_finish = bank.access(row, earliest=earliest)
         occupancy = size / self._bytes_per_cycle
-        # Inlined self.tsv.reserve(occupancy, earliest=bank_finish).
-        tsv = self.tsv
-        start = tsv.busy_until
+        start = self.tsv_busy_until
         if start < bank_finish:
             start = bank_finish
         tsv_finish = start + occupancy
-        tsv.busy_until = tsv_finish
+        self.tsv_busy_until = tsv_finish
         wait = start - bank_finish
         if wait > 0:
             self._n_tsv_wait += wait
@@ -102,7 +110,3 @@ class VaultController(Component):
             self._n_reads += 1
         self._n_bytes += size
         return tsv_finish
-
-    @property
-    def banks_touched(self) -> int:
-        return len(self._banks)

@@ -14,7 +14,7 @@ energy-delay product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..sim import Simulator, StatsRegistry
 
@@ -84,27 +84,40 @@ class EnergyModel:
     def from_simulator(cls, sim: Simulator) -> "EnergyModel":
         return cls(sim.stats)
 
-    def _sum_energy(self, prefixes) -> float:
-        total = 0.0
-        for name, value in self.stats.counters().items():
+    def energy_j(self, counters: Optional[Mapping[str, float]] = None
+                 ) -> Tuple[float, float, float]:
+        """``(cache, memory, network)`` joules in one pass over the counters.
+
+        ``counters`` is a registry read the caller already made; without one
+        the registry is read (and flushed) once.  Each group sums its
+        ``*.energy_pj`` cells in registry order.
+        """
+        if counters is None:
+            counters = self.stats.counters()
+        cache = memory = network = 0.0
+        for name, value in counters.items():
             if not name.endswith(".energy_pj"):
                 continue
-            if name.startswith(prefixes):
-                total += value
-        return total * PICO
+            if name.startswith(self.CACHE_PREFIXES):
+                cache += value
+            elif name.startswith(self.MEMORY_PREFIXES):
+                memory += value
+            elif name.startswith(self.NETWORK_PREFIXES):
+                network += value
+        return cache * PICO, memory * PICO, network * PICO
 
     def cache_energy_j(self) -> float:
-        return self._sum_energy(self.CACHE_PREFIXES)
+        return self.energy_j()[0]
 
     def memory_energy_j(self) -> float:
-        return self._sum_energy(self.MEMORY_PREFIXES)
+        return self.energy_j()[1]
 
     def network_energy_j(self) -> float:
-        return self._sum_energy(self.NETWORK_PREFIXES)
+        return self.energy_j()[2]
 
-    def breakdown(self, runtime_cycles: float, cpu_freq_ghz: float = 2.0) -> EnergyBreakdown:
+    def breakdown(self, runtime_cycles: float, cpu_freq_ghz: float = 2.0,
+                  counters: Optional[Mapping[str, float]] = None) -> EnergyBreakdown:
         runtime_s = runtime_cycles / (cpu_freq_ghz * 1e9)
-        return EnergyBreakdown(cache_j=self.cache_energy_j(),
-                               memory_j=self.memory_energy_j(),
-                               network_j=self.network_energy_j(),
-                               runtime_s=runtime_s)
+        cache_j, memory_j, network_j = self.energy_j(counters)
+        return EnergyBreakdown(cache_j=cache_j, memory_j=memory_j,
+                               network_j=network_j, runtime_s=runtime_s)

@@ -568,7 +568,31 @@ class StatsRegistry:
             self._handles[name] = handle
         return handle
 
+    def counter_handles(self, prefix: str, stats: Iterable[str]) -> List[CounterHandle]:
+        """Bound cells for ``<prefix>.<stat>`` of every stat, in one call.
+
+        The bulk form of :meth:`counter_handle` for objects that bind their
+        cells the first time they have something to count: same migration of
+        string-keyed values, one call per object instead of one per name.
+        """
+        handles = self._handles
+        counters = self._counters
+        cells = []
+        for stat in stats:
+            name = f"{prefix}.{stat}"
+            handle = handles.get(name)
+            if handle is None:
+                handle = CounterHandle(name, counters.pop(name, 0.0))
+                handles[name] = handle
+            cells.append(handle)
+        return cells
+
     def counter(self, name: str) -> float:
+        """Value of counter ``name``.
+
+        Every call flushes every registered source first; a caller that reads
+        many names should take one :meth:`counters` copy instead.
+        """
         if self._flushables:
             self.flush()
         handle = self._handles.get(name)
@@ -593,13 +617,20 @@ class StatsRegistry:
                 yield name, handle.value
 
     def counters(self, prefix: str = "") -> Dict[str, float]:
-        """Return all counters whose name starts with ``prefix``."""
+        """Return all counters whose name starts with ``prefix``.
+
+        One flush of every registered source and one walk over every counter,
+        in registry order: the read a run's result collection makes once.
+        """
         if self._flushables:
             self.flush()
         return {k: v for k, v in self._iter_counters() if k.startswith(prefix)}
 
     def sum(self, prefix: str) -> float:
-        """Sum every counter whose name starts with ``prefix``."""
+        """Sum every counter whose name starts with ``prefix``.
+
+        Flushes every registered source and walks every counter per call.
+        """
         if self._flushables:
             self.flush()
         return sum(v for k, v in self._iter_counters() if k.startswith(prefix))
@@ -623,6 +654,12 @@ class StatsRegistry:
         hist.add(value)
 
     def histogram(self, name: str) -> Histogram:
+        """The summary registered under ``name``, created empty if missing.
+
+        Resolving an existing summary flushes every registered source, so
+        folded aggregates are current; readers that must not create a summary
+        look it up in :attr:`_histograms` after their own :meth:`flush`.
+        """
         hist = self._histograms.get(name)
         if hist is None:
             hist = self._summary_factory()

@@ -130,11 +130,14 @@ def _collect_network(system: BuiltSystem,
 
 
 def _collect_update_latency(system: BuiltSystem) -> Dict[str, float]:
-    stats = system.sim.stats
+    """Mean Update latency per component, 0.0 where no summary exists (runs
+    without Active-Routing engines); reads the already-flushed summaries and
+    creates none."""
+    histograms = system.sim.stats._histograms
     out = {}
     for component in ("request", "stall", "response", "total"):
-        hist = stats.histogram(f"ar.update_latency.{component}")
-        out[component] = hist.mean
+        hist = histograms.get(f"ar.update_latency.{component}")
+        out[component] = hist.mean if hist is not None else 0.0
     return out
 
 
@@ -229,21 +232,13 @@ def _collect_per_cube(system: BuiltSystem,
                       counters: Dict[str, float]) -> Dict[str, Dict[int, float]]:
     if not system.config.kind.uses_hmc:
         return {}
-    num_cubes = system.memory.mapping.num_cubes  # type: ignore[union-attr]
-    metrics = {
-        "updates_received": "are{n}.updates_received",
-        "operand_buffer_stalls": "are{n}.operand_buffer_stalls",
-        "operand_reads_served": "are{n}.operand_reads_served",
-        "vault_accesses": None,  # handled specially below
-    }
-    per_cube: Dict[str, Dict[int, float]] = {k: {} for k in metrics}
-    for cube_id in range(num_cubes):
-        for key, pattern in metrics.items():
-            if pattern is not None:
-                per_cube[key][cube_id] = counters.get(pattern.format(n=cube_id), 0.0)
-        prefix = f"hmc.cube{cube_id}.vault"
-        per_cube["vault_accesses"][cube_id] = sum(
-            v for k, v in counters.items() if k.startswith(prefix))
+    cubes = system.memory.cubes  # type: ignore[union-attr]
+    per_cube: Dict[str, Dict[int, float]] = {
+        key: {cube.node_id: counters.get(f"are{cube.node_id}.{key}", 0.0)
+              for cube in cubes}
+        for key in ("updates_received", "operand_buffer_stalls", "operand_reads_served")}
+    per_cube["vault_accesses"] = {cube.node_id: cube.total_vault_accesses(counters)
+                                  for cube in cubes}
     return per_cube
 
 
@@ -265,18 +260,23 @@ def _verify_flows(system: BuiltSystem, program: ProgramTrace) -> Tuple[int, int]
 
 
 def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
-    """Harvest every metric of interest from a finished simulation."""
+    """Harvest every metric of interest from a finished simulation.
+
+    The registry is read exactly once: one flush and one copy of the
+    counters, which the energy model, the stall breakdown, the cache hit
+    rates and every per-name lookup below share.  Every other registry
+    reader (``stats.counter()``, ``stats.histogram()``, ...) flushes every
+    batched component per call, so nothing below calls one.
+    """
     sim = system.sim
     cycles = system.cmp.finish_time() or sim.now
-    energy = EnergyModel(sim.stats).breakdown(cycles, cpu_freq_ghz=system.config.cpu_freq_ghz)
-    # One registry read up front: every per-name lookup below goes through
-    # this dict instead of stats.counter(), whose reader contract flushes
-    # every epoch-batched component per call (dozens of full-registry flushes
-    # per collection otherwise, measurable on the biggest runs).
     counters = sim.stats.counters()
+    hierarchy = system.cmp.hierarchy
+    energy = EnergyModel(sim.stats).breakdown(
+        cycles, cpu_freq_ghz=system.config.cpu_freq_ghz, counters=counters)
     cache_stats = {
-        "l1_hit_rate": system.cmp.hierarchy.l1_hit_rate(),
-        "l2_hit_rate": system.cmp.hierarchy.l2_hit_rate(),
+        "l1_hit_rate": hierarchy.l1_hit_rate(counters),
+        "l2_hit_rate": hierarchy.l2_hit_rate(counters),
         "l1_accesses": counters.get("cache.l1_accesses", 0.0),
         "l2_accesses": counters.get("cache.l2_accesses", 0.0),
         "invalidations": counters.get("cache.invalidations", 0.0),
@@ -292,7 +292,7 @@ def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
         network_stats=_collect_network(system, counters),
         request_stats=_collect_request_stats(system, cycles, program.metadata),
         update_latency=_collect_update_latency(system),
-        stall_breakdown=system.cmp.stall_breakdown(),
+        stall_breakdown=system.cmp.stall_breakdown(counters),
         cache_stats=cache_stats,
         per_cube=_collect_per_cube(system, counters),
         flow_checks=_verify_flows(system, program),

@@ -19,13 +19,14 @@ on the ``[time, seq]`` queue, so a fixed-seed degraded run has its own golden
 cell, held across scheduler backends like every other result.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.sim import SUMMARY_BACKENDS
 from repro.sim.event_queue import SCHEDULER_BACKENDS
-from repro.system import CONFIG_ORDER, run_suite
+from repro.system import CONFIG_ORDER, collect_results, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
 from repro.workloads import WorkloadConfig, make_workload
@@ -68,8 +69,16 @@ def snapshot_digest(stats) -> str:
     return hasher.hexdigest()
 
 
+def tiny_pagerank_program(config):
+    wconfig = WorkloadConfig()
+    wconfig.num_threads = 4
+    workload = make_workload("pagerank", wconfig, **TINY_PAGERANK)
+    mode = "active" if config.kind.uses_active_routing else "baseline"
+    return workload.generate(mode)
+
+
 def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
-                      net=None):
+                      net=None, program=None):
     # ``routing`` exports the kernel-testing env knob ($REPRO_ROUTING), the
     # path CI's resilient job exercises; ``net`` passes explicit network
     # overrides through the config, the path the CLI and the suite use.
@@ -80,13 +89,8 @@ def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
         assert monkeypatch is not None
         monkeypatch.setenv("REPRO_ROUTING", routing)
     config = make_system_config(kind, **(net or {}))
-    wconfig = WorkloadConfig()
-    wconfig.num_threads = 4
-    workload = make_workload("pagerank", wconfig, **TINY_PAGERANK)
-    mode = "active" if config.kind.uses_active_routing else "baseline"
-    program = workload.generate(mode)
     system = build_system(config)
-    system.cmp.load_program(program)
+    system.cmp.load_program(program or tiny_pagerank_program(config))
     system.cmp.start()
     system.sim.run_until_idle()
     return system
@@ -106,6 +110,45 @@ def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
     assert snapshot_digest(system.sim.stats) == digest
+
+
+#: SHA-256 of every :class:`RunResult` field ``collect_results`` returns for
+#: pagerank/tiny, captured before collection moved to a single registry read.
+#: Two fields are left out: ``metadata["wall_s"]`` is host time, and
+#: ``per_cube["vault_accesses"]`` changed meaning when it stopped summing
+#: every ``hmc.cube{n}.vault*`` counter (bytes, energy, TSV and bank cells
+#: included) and became the cube's vault access count.
+RESULT_GOLDEN = {
+    "DRAM": "964fb678f572f4ea02f701539b06cf85218769e4a8ab4e00cfba02a41f8ce37d",
+    "HMC": "15ae2a53d8f3130d76ad08c843d2500c0b61eaf3bd37c23945ba5d089e7b4d43",
+    "ART": "91ae86061afce23a0943e7f7487a066b641f14ef7be13af73db2f84192259383",
+    "ARF-tid": "15a2cec6671516a49efd5261c59675c8579be4f55873a14db10fed80b1cabe49",
+    "ARF-addr": "aa19bb5cdee02f34e1b160755406c4ce2cd572236b6dbd504665f1b2c90c8a3a",
+}
+
+
+def _canonical(value) -> str:
+    """Order-independent text form: dicts by sorted key, floats by repr."""
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda item: repr(item[0]))
+        return "{" + ",".join(f"{key!r}:{_canonical(v)}" for key, v in items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_canonical(v) for v in value) + "]"
+    return repr(value)
+
+
+def result_digest(result) -> str:
+    fields = dataclasses.asdict(result)
+    fields["metadata"].pop("wall_s", None)
+    fields["per_cube"].pop("vault_accesses", None)
+    return hashlib.sha256(_canonical(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
+def test_golden_run_result_digest(kind):
+    program = tiny_pagerank_program(make_system_config(kind))
+    system = run_tiny_pagerank(kind, program=program)
+    assert result_digest(collect_results(system, program)) == RESULT_GOLDEN[kind.value]
 
 
 #: Fixed-seed degraded golden: ARF-tid pagerank/tiny with random link faults

@@ -17,6 +17,21 @@ def test_vault_serializes_and_accounts_energy(sim):
     assert sim.stats.counter(f"{vault.name}.energy_pj") == pytest.approx(2 * 64 * 8 * 12.0)
 
 
+def test_vault_binds_its_cells_on_first_nonzero_flush(sim):
+    vault = VaultController(sim, cube_id=2, vault_id=5, mapping=HMCAddressMapping(),
+                            config=HMCConfig())
+    sim.stats.flush()
+    assert not [name for name in sim.stats._handles if name.startswith(vault.name)]
+    vault.service(addr=0x0, size=64, is_write=False)
+    counters = sim.stats.counters(vault.name)
+    assert vault.name == "hmc.cube2.vault5"
+    assert set(counters) == {f"{vault.name}.{stat}" for stat in (
+        "accesses", "reads", "bytes", "energy_pj", "tsv.busy_cycles",
+        "bank0.row_closed", "bank0.accesses", "bank0.busy_cycles")}
+    assert counters[f"{vault.name}.accesses"] == 1
+    assert counters[f"{vault.name}.bank0.accesses"] == 1
+
+
 def test_hmc_memory_system_structure(hmc_memory):
     assert len(hmc_memory.cubes) == 16
     assert len(hmc_memory.controllers) == 4

@@ -142,6 +142,18 @@ def test_counter_handle_migrates_existing_value():
     assert stats.counter_handle("x") is handle   # one cell per name
 
 
+def test_counter_handles_bind_a_prefix_in_one_call():
+    stats = StatsRegistry()
+    stats.add("bank.row_hit", 4)
+    existing = stats.counter_handle("bank.accesses")
+    hit, accesses, miss = stats.counter_handles("bank", ("row_hit", "accesses", "row_miss"))
+    assert hit.value == 4                          # string-keyed value migrates
+    assert accesses is existing                    # one cell per name
+    assert stats.counter_handle("bank.row_miss") is miss
+    miss.value += 1
+    assert stats.counters("bank.") == {"bank.row_hit": 4, "bank.row_miss": 1}
+
+
 def test_counter_handle_equivalent_to_string_counters():
     """The same increment sequence through handles and through the string API
     must produce identical readbacks."""

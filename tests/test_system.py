@@ -4,11 +4,13 @@ import pytest
 
 from repro.dram import DRAMSystem
 from repro.hmc import HMCMemorySystem
+from repro.sim import StatsRegistry
 from repro.system import (
     CONFIG_ORDER,
     SystemKind,
     all_system_configs,
     build_system,
+    collect_results,
     make_system_config,
     run_program,
     run_workload,
@@ -167,3 +169,51 @@ def test_run_workload_does_not_mutate_callers_workload_config():
     # The caller's object keeps its thread count and its extra dict untouched.
     assert wconfig.num_threads == 4
     assert wconfig.extra == {"array_elements": 64}
+
+
+# -- result collection ----------------------------------------------------------
+
+def _finished_pagerank(kind):
+    config = make_system_config(kind)
+    mode = "active" if config.kind.uses_active_routing else "baseline"
+    program = make_workload("pagerank", WorkloadConfig(num_threads=4),
+                            **tiny_params("pagerank")).generate(mode)
+    system = build_system(config)
+    system.cmp.load_program(program)
+    system.cmp.start()
+    system.sim.run_until_idle()
+    return system, program
+
+
+@pytest.mark.parametrize("kind", ["DRAM", "HMC", "ARF-tid"])
+def test_collect_results_reads_the_registry_once(kind, monkeypatch):
+    system, program = _finished_pagerank(kind)
+    stats = system.sim.stats
+    histograms = dict(stats._histograms)
+    flushes = []
+    flush = StatsRegistry.flush
+
+    def counting_flush(registry):
+        flushes.append(registry)
+        flush(registry)
+
+    monkeypatch.setattr(StatsRegistry, "flush", counting_flush)
+    collect_results(system, program)
+    assert flushes == [stats]
+    # Collection creates no summaries (runs without Active-Routing engines
+    # have no ar.update_latency.* and must not grow empty ones).
+    assert stats._histograms.keys() == histograms.keys()
+    assert all(stats._histograms[name] is hist for name, hist in histograms.items())
+
+
+def test_per_cube_vault_accesses_counts_only_vault_accesses():
+    system, program = _finished_pagerank("ARF-tid")
+    result = collect_results(system, program)
+    stats = system.sim.stats
+    cubes = system.memory.cubes
+    vault_accesses = result.per_cube["vault_accesses"]
+    assert vault_accesses == {cube.node_id: cube.total_vault_accesses() for cube in cubes}
+    # Every vault access enters through its cube's local_access().
+    assert vault_accesses == {cube.node_id: stats.counter(f"{cube.name}.local_accesses")
+                              for cube in cubes}
+    assert sum(vault_accesses.values()) > 0
