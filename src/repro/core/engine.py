@@ -17,13 +17,12 @@ The engine implements the three-phase protocol of Section 3.3:
 
 Packet handling follows the flow charts of Figure 3.4.
 
-Hot-path conventions: packets are drawn from the per-class arena
-(``Cls.acquire``) and handed back via ``release`` exactly where they retire —
-responses once consumed, updates after their commit notified the host.  Every
-field a later event needs is copied into locals *before* the release, because
-a released instance may be re-acquired (and re-initialised) by any packet the
-continuation creates.  Per-event counters are plain integer accumulators
-folded into the bound stat handles by the ``flush()`` protocol.
+Hot-path conventions: packets are constructed directly and nothing recycles
+them, so a packet that retires here (a consumed request or response, a
+committed update) is simply dropped, and a continuation may read a packet's
+fields when it fires instead of copying them out first.  Per-event counters
+are plain integer accumulators folded into the bound stat handles by the
+``flush()`` protocol.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..network.packet import (
     Packet,
     PacketType,
     UpdatePacket,
-    release,
 )
 from ..sim import Component, Histogram, Simulator
 from .alu import ALU, OPCODES, OpClass
@@ -244,7 +242,7 @@ class ActiveRoutingEngine(Component):
                     finish,
                     lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v))
             else:
-                request = OperandRequestPacket.acquire(
+                request = OperandRequestPacket(
                     src=self.node_id, dst=owner, addr=addr,
                     buffer_slot=entry.slot, operand_index=index,
                     compute_node=self.node_id, value=value,
@@ -262,20 +260,13 @@ class ActiveRoutingEngine(Component):
         finish = self.cube.local_access(packet.addr, self.config.operand_read_bytes,
                                         is_write=False)
         self._n_operand_reads_served += 1
-        # The request retires here; copy out everything the response needs.
-        compute_node = packet.compute_node
-        addr = packet.addr
-        buffer_slot = packet.buffer_slot
-        operand_index = packet.operand_index
-        value = packet.value
-        flow_id = packet.flow_id
-        release(packet)
 
         def _respond() -> None:
-            response = OperandResponsePacket.acquire(
-                src=self.node_id, dst=compute_node, addr=addr,
-                buffer_slot=buffer_slot, operand_index=operand_index,
-                value=value, flow_id=flow_id)
+            response = OperandResponsePacket(
+                src=self.node_id, dst=packet.compute_node, addr=packet.addr,
+                buffer_slot=packet.buffer_slot,
+                operand_index=packet.operand_index, value=packet.value,
+                flow_id=packet.flow_id)
             self.network.inject(response, self.node_id)
 
         self.sim.schedule_at(finish, _respond)
@@ -284,11 +275,7 @@ class ActiveRoutingEngine(Component):
         if packet.dst != self.node_id:
             self.network.forward(packet, self.node_id)
             return
-        slot = packet.buffer_slot
-        index = packet.operand_index
-        value = packet.value
-        release(packet)
-        self._operand_arrived(slot, index, value)
+        self._operand_arrived(packet.buffer_slot, packet.operand_index, packet.value)
 
     def _operand_arrived(self, slot: int, index: int, value: float) -> None:
         entry = self.operand_buffers.get(slot)
@@ -342,13 +329,8 @@ class ActiveRoutingEngine(Component):
         entry.resp_counter += 1
         self._n_updates_committed += 1
         self._record_roundtrip(packet, arrival, operand_issue, response_end)
-        update_id = packet.update_id
-        # The commit notification can synchronously trigger new offloads (the
-        # message interface regains a credit), which may acquire packets — so
-        # this update goes back to the arena only as the very last step.
-        self.host.notify_update_commit(update_id)
+        self.host.notify_update_commit(packet.update_id)
         self._check_flow_completion(entry)
-        release(packet)
 
     def _commit_store(self, packet: UpdatePacket, arrival: float) -> None:
         self._n_stores_committed += 1
@@ -357,9 +339,7 @@ class ActiveRoutingEngine(Component):
         # engine's commit-pipeline stage (stores skip alu.combine but not the
         # pipeline), which matches the seed accounting.
         self._record_roundtrip(packet, arrival, arrival)
-        update_id = packet.update_id
-        self.host.notify_update_commit(update_id)
-        release(packet)
+        self.host.notify_update_commit(packet.update_id)
 
     def _record_roundtrip(self, packet: UpdatePacket, arrival: float,
                           operand_issue: float,
@@ -420,19 +400,18 @@ class ActiveRoutingEngine(Component):
         # Gather requests travel exactly one hop (src to a recorded child —
         # tree-routed packets are pinned to the pristine routes, so this
         # holds under fault injection too) and every arrival consumes the
-        # packet; replication below re-acquires.  The requester is read from
-        # the packet header rather than the delivering link all the same.
+        # packet; replication below builds new ones.  The requester is read
+        # from the packet header rather than the delivering link all the same.
         requester = packet.src
         flow_id = packet.flow_id
         root_node = packet.root_node
         target_addr = packet.target_addr
         num_threads = packet.num_threads
-        release(packet)
         entry = self.flow_table.lookup(flow_id, root_node)
         if entry is None:
             # No Update of this flow ever crossed this cube through this tree:
             # answer immediately with an empty partial result.
-            response = GatherResponsePacket.acquire(
+            response = GatherResponsePacket(
                 src=self.node_id, dst=requester, target_addr=target_addr,
                 partial_result=0.0, completed_updates=0,
                 root_node=root_node, flow_id=flow_id)
@@ -444,7 +423,7 @@ class ActiveRoutingEngine(Component):
         if entry.children:
             entry.pending_children = set(entry.children)
             for child in sorted(entry.children):
-                request = GatherRequestPacket.acquire(
+                request = GatherRequestPacket(
                     src=self.node_id, dst=child, target_addr=target_addr,
                     num_threads=num_threads, root_node=root_node,
                     flow_id=flow_id)
@@ -471,7 +450,6 @@ class ActiveRoutingEngine(Component):
         # two are always the same node).
         entry.pending_children.discard(packet.src)
         self._n_gather_responses_merged += 1
-        release(packet)
         self._check_flow_completion(entry)
 
     def _check_flow_completion(self, entry: FlowTableEntry) -> None:
@@ -479,7 +457,7 @@ class ActiveRoutingEngine(Component):
             return
         if entry.parent is None:
             raise RuntimeError(f"{self.name}: completed flow entry has no parent")
-        response = GatherResponsePacket.acquire(
+        response = GatherResponsePacket(
             src=self.node_id, dst=entry.parent, target_addr=entry.flow_id,
             partial_result=entry.result, completed_updates=entry.resp_counter,
             root_node=entry.root, flow_id=entry.flow_id)

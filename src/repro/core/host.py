@@ -119,7 +119,7 @@ class ActiveRoutingHost(Component):
             state.ports_used.add(port)
             state.updates_offloaded += 1
 
-        packet = UpdatePacket.acquire(
+        packet = UpdatePacket(
             src=controller.node_id, dst=dst, opcode=op.opcode,
             target_addr=op.target, src1_addr=op.src1, src2_addr=op.src2,
             src1_value=op.src1_value, src2_value=op.src2_value,
@@ -174,7 +174,7 @@ class ActiveRoutingHost(Component):
             return
         for port in sorted(state.ports_used):
             controller = self.hmc.controller_for_port(port)
-            request = GatherRequestPacket.acquire(
+            request = GatherRequestPacket(
                 src=controller.node_id, dst=controller.attached_cube,
                 target_addr=state.flow_id, num_threads=op.num_threads,
                 root_node=controller.attached_cube, flow_id=state.flow_id)

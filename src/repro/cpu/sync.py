@@ -33,7 +33,7 @@ class BarrierManager(Component):
         del self._arrived[barrier_id]
         self.count("releases")
         for callback in waiters:
-            self.sim.schedule(self.release_latency, callback, label="barrier.release")
+            self.sim.schedule(self.release_latency, callback)
 
     def pending(self, barrier_id: int) -> int:
         """Number of threads currently waiting on ``barrier_id``."""

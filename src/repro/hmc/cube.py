@@ -17,7 +17,6 @@ from ..network.packet import (
     MemWritePacket,
     Packet,
     PacketType,
-    release,
 )
 from ..sim import Component, Simulator
 from .config import HMCConfig
@@ -105,9 +104,7 @@ class HMCCube(Component):
         addr = getattr(packet, "addr", 0)
         req_id = getattr(packet, "req_id", 0)
         size = 64 if is_read else packet.size
-        # The request retires here: copy out what the response needs first.
         requester = packet.src
-        release(packet)
         finish = self.local_access(addr, size, is_write=not is_read)
         if is_read:
             self._n_served_reads += 1
@@ -115,8 +112,8 @@ class HMCCube(Component):
             self._n_served_writes += 1
 
         def _respond() -> None:
-            response = MemRespPacket.acquire(src=self.node_id, dst=requester,
-                                             addr=addr, is_read=is_read, req_id=req_id)
+            response = MemRespPacket(src=self.node_id, dst=requester,
+                                     addr=addr, is_read=is_read, req_id=req_id)
             self.network.inject(response, self.node_id)
 
         self.sim.schedule_at(finish, _respond)

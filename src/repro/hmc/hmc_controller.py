@@ -3,6 +3,7 @@ Interface's active offloads) onto the memory network."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping, MemoryRequest
@@ -13,7 +14,6 @@ from ..network.packet import (
     MemWritePacket,
     Packet,
     PacketType,
-    release,
 )
 from ..sim import Component, Simulator
 from .config import HMCNetworkConfig
@@ -85,16 +85,16 @@ class HMCController(Component):
         request.issue_time = request.issue_time or self.now
         dst_cube = self.mapping.cube_of(request.addr)
         if request.is_write:
-            packet: Packet = MemWritePacket.acquire(src=self.node_id, dst=dst_cube,
-                                                    addr=request.addr, req_id=request.req_id)
+            packet: Packet = MemWritePacket(src=self.node_id, dst=dst_cube,
+                                            addr=request.addr, req_id=request.req_id)
             self._n_writes += 1
         else:
-            packet = MemReadPacket.acquire(src=self.node_id, dst=dst_cube,
-                                           addr=request.addr, req_id=request.req_id)
+            packet = MemReadPacket(src=self.node_id, dst=dst_cube,
+                                   addr=request.addr, req_id=request.req_id)
             self._n_reads += 1
         self._outstanding[request.req_id] = request
         self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id))
+                          partial(self.network.inject, packet, self.node_id))
 
     # -- active offload traffic -------------------------------------------------
     def inject(self, packet: Packet) -> None:
@@ -102,7 +102,7 @@ class HMCController(Component):
         assert self.network is not None, "controller is not connected to a network"
         self._n_active_injected += 1
         self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id))
+                          partial(self.network.inject, packet, self.node_id))
 
     # -- network endpoint --------------------------------------------------------
     def receive_packet(self, packet: Packet, from_node: int) -> None:
@@ -115,8 +115,6 @@ class HMCController(Component):
                 raise RuntimeError(f"{self.name} received a Gather response but no "
                                    "Active-Routing host logic is registered")
             self._gather_listener(packet, self)  # type: ignore[arg-type]
-            # The host logic copies what it needs; the response retires here.
-            release(packet)
             return
         raise RuntimeError(f"{self.name} cannot handle packet type {ptype}")
 
@@ -126,6 +124,5 @@ class HMCController(Component):
         if request is None:
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
         self._n_responses += 1
-        release(packet)
         self._hist_roundtrip.add(self.now - request.issue_time)
         request.complete(self.now)

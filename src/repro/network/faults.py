@@ -145,7 +145,7 @@ class FaultInjector:
         if self._armed or not self._agenda:
             return
         self._armed = True
-        self.sim.schedule_at(self._agenda[0][0], self._fire, label="fault")
+        self.sim.schedule_at(self._agenda[0][0], self._fire)
 
     def _fire(self) -> None:
         # Quiesce check first, then apply due actions.  Quiescing stops the
@@ -182,7 +182,7 @@ class FaultInjector:
                 self._agenda = pending
                 heapq.heapify(self._agenda)
         if self._agenda:
-            self.sim.schedule_at(self._agenda[0][0], self._fire, label="fault")
+            self.sim.schedule_at(self._agenda[0][0], self._fire)
 
     def _apply(self, action: tuple, now: float) -> None:
         if action[0] == "link":

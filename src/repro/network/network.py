@@ -10,7 +10,8 @@ Active-Routing "compute on the way".
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Protocol, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..sim import Component, Simulator
 from .link import Link, LinkConfig
@@ -55,6 +56,10 @@ class MemoryNetwork(Component):
         for (a, b), link in self.links.items():
             self._link_grid[a][b] = link
         self._endpoint_list: List[Optional[NetworkEndpoint]] = [None] * num_nodes
+        # Each endpoint's receive_packet, bound once at registration: _hop()
+        # schedules deliveries as partial(receiver, packet, from_node).
+        self._receivers: List[Optional[Callable[[Packet, int], None]]] = [
+            None] * num_nodes
         # Dense per-node columns for the aggregation paths: a bytearray mask
         # of controller-attached nodes and flat link lists in the exact
         # insertion order of ``self.links`` (the per-category float sums in
@@ -141,6 +146,7 @@ class MemoryNetwork(Component):
             raise ValueError(f"node {node_id} does not exist in topology {self.topology.name}")
         self.endpoints[node_id] = endpoint
         self._endpoint_list[node_id] = endpoint
+        self._receivers[node_id] = endpoint.receive_packet
 
     def endpoint(self, node_id: int) -> NetworkEndpoint:
         return self.endpoints[node_id]
@@ -207,19 +213,21 @@ class MemoryNetwork(Component):
         link_acc[cat_index] += size
         net_acc[4] += 1
         net_acc[cat_index] += size
-        # The delivery is scheduled as a direct bound receive_packet() call:
-        # the _deliver() wrapper frame is measurable at one call per hop, so
-        # its two jobs move here — the endpoint is resolved at hop time
-        # (endpoints register at construction, before any traffic) and the hop
-        # count is pre-incremented (the packet is owned by the pending
-        # delivery closure, so nothing can observe it in between).  A missing
+        # The delivery is scheduled as a direct call of the endpoint's bound
+        # receive_packet(): the _deliver() wrapper frame is measurable at one
+        # call per hop, so its two jobs move here — the receiver is resolved
+        # at hop time (endpoints register at construction, before any
+        # traffic) and the hop count is pre-incremented (the packet is owned
+        # by the pending delivery, so nothing can observe it in between).
+        # functools.partial instead of a lambda: no closure cells, and the
+        # event loop's call goes straight to the bound method.  A missing
         # endpoint still raises when the delivery *fires*, as _deliver() did.
-        endpoint = self._endpoint_list[nxt]
+        receiver = self._receivers[nxt]
         packet.hops += 1
-        if endpoint is None:
-            callback = lambda: self._missing_endpoint(packet, nxt)  # noqa: E731
+        if receiver is None:
+            callback = partial(self._missing_endpoint, packet, nxt)
         else:
-            callback = lambda: endpoint.receive_packet(packet, current)  # noqa: E731
+            callback = partial(receiver, packet, current)
         # Inlined EventQueue.push (delivery times are never negative): one hop
         # schedules exactly one delivery and the wrapper call is measurable.
         # Non-heap scheduler backends take their own push() instead.

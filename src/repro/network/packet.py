@@ -9,27 +9,22 @@ Two families exist:
   by the Active-Routing Engines, and the Gather responses that aggregate
   partial results up the ARTree.
 
-Packets are the hottest allocation in the simulator (every hop of every
-packet touches one), so the whole hierarchy is plain slotted classes: no
-per-instance ``__dict__``, hand-written single-frame ``reset`` methods doubling
-as ``__init__`` (no ``super().__init__`` chain), and per-type derived data
-cached on the :class:`PacketType` members.
-
-On top of that sits a per-class free-list pool: call sites that create packets
-on the hot path use ``Cls.acquire(...)`` and the points where a packet retires
-(delivery consumption, response retirement) hand it back via ``release``.  A
-recycled instance is re-initialised by the same ``reset`` used for fresh
-construction, so pooling cannot change behaviour — only allocation counts.
-``REPRO_PACKET_POOL=0`` disables recycling entirely (acquire falls back to
-plain construction and release becomes a no-op) and ``REPRO_PACKET_POOL=debug``
-poisons every field of a released packet so use-after-release fails loudly.
+Packets are the hottest allocation in the simulator (every Update, operand
+fetch and Gather is one, and every hop touches it), so the whole hierarchy is
+plain slotted classes: no per-instance ``__dict__``, a hand-written
+single-frame ``__init__`` per class (no ``super().__init__`` chain), and
+per-type derived data cached on the :class:`PacketType` members.  Call sites
+construct packets directly and let them die with their last reference.  A
+free-list arena was tried and measured slower: recycling saves the object
+allocation, but routing every construction through ``acquire(*args, **kw)``
+packs and unpacks the keyword arguments once more than a plain call does.
+``pkt_id`` comes from one global counter in construction order.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
 from typing import Optional
 
 HEADER_BYTES = 16
@@ -124,8 +119,8 @@ for _index, _ptype in enumerate(PacketType):
                      MOVEMENT_CATEGORIES.index(_category))
 del _index, _ptype, _category, _active, _request
 
-# Module-level aliases so the flattened per-class ``reset`` bodies do a single
-# global load instead of an enum attribute chase per field.
+# Module-level aliases so the flattened per-class ``__init__`` bodies do a
+# single global load instead of an enum attribute chase per field.
 _PT_READ_REQ = PacketType.READ_REQ
 _PT_READ_RESP = PacketType.READ_RESP
 _PT_WRITE_REQ = PacketType.WRITE_REQ
@@ -156,122 +151,6 @@ _FL_OPERAND_REQ = _PT_OPERAND_REQ._flags
 _FL_OPERAND_RESP = _PT_OPERAND_RESP._flags
 
 
-# ---------------------------------------------------------------------------
-# Packet arena: per-class free lists.
-# ---------------------------------------------------------------------------
-
-class _PoisonType:
-    """Sentinel stored in every slot of a released packet under debug mode.
-
-    Any arithmetic, comparison-with-int or routing use of a poisoned field
-    raises immediately, turning a silent use-after-release into a crash at
-    the faulty read.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<released-packet-field>"
-
-
-_POISON = _PoisonType()
-
-#: Upper bound on recycled instances retained per class; anything beyond this
-#: is dropped on the floor for the GC (keeps pathological bursts from pinning
-#: unbounded memory).
-_POOL_CAP = 65536
-
-
-class _PoolConfig:
-    __slots__ = ("enabled", "debug")
-
-    def __init__(self, enabled: bool, debug: bool) -> None:
-        self.enabled = enabled
-        self.debug = debug
-
-
-def _pool_from_env() -> "_PoolConfig":
-    raw = os.environ.get("REPRO_PACKET_POOL", "1").strip().lower()
-    enabled = raw not in ("0", "off", "false", "no")
-    debug = raw == "debug" or os.environ.get("REPRO_PACKET_POOL_DEBUG", "") == "1"
-    return _PoolConfig(enabled, debug)
-
-
-_pool = _pool_from_env()
-
-#: Every poolable packet class, for pool_stats()/reset_pools().
-_POOL_CLASSES = []
-
-
-def configure_pool(enabled: Optional[bool] = None, debug: Optional[bool] = None) -> None:
-    """Runtime override of the ``REPRO_PACKET_POOL`` environment gate."""
-    if enabled is not None:
-        _pool.enabled = bool(enabled)
-        if not _pool.enabled:
-            for cls in _POOL_CLASSES:
-                cls._free.clear()
-    if debug is not None:
-        _pool.debug = bool(debug)
-
-
-def pool_enabled() -> bool:
-    return _pool.enabled
-
-
-def pool_debug() -> bool:
-    return _pool.debug
-
-
-def pool_stats() -> dict:
-    """Per-class acquire/release accounting (acquire-path packets only).
-
-    ``fresh`` counts real object constructions in either pool mode, so
-    ``sum(fresh)`` is the packet-allocation count of a run: with the pool
-    enabled it converges on the free-list high-water mark, with the pool
-    disabled it equals the total number of packets acquired.
-    """
-    stats = {}
-    for cls in _POOL_CLASSES:
-        stats[cls.__name__] = {
-            "fresh": cls._pool_fresh,
-            "reused": cls._pool_reused,
-            "released": cls._pool_released,
-            "free": len(cls._free),
-        }
-    return stats
-
-
-def reset_pools() -> None:
-    """Drop all recycled instances and zero the pool counters."""
-    for cls in _POOL_CLASSES:
-        cls._free.clear()
-        cls._pool_fresh = 0
-        cls._pool_reused = 0
-        cls._pool_released = 0
-
-
-def release(packet: "Packet") -> None:
-    """Hand a retired packet back to its class pool.
-
-    Call this only when no live reference to the packet remains (the packet
-    has been consumed at its destination and every field of interest copied
-    out).  A no-op when pooling is disabled, so call sites need no gating.
-    """
-    if not _pool.enabled:
-        return
-    cls = packet.__class__
-    if _pool.debug:
-        if packet.ptype is _POISON:
-            raise RuntimeError(
-                f"double release of pooled {cls.__name__} instance")
-        for name in cls._pool_slots:
-            setattr(packet, name, _POISON)
-    cls._pool_released += 1
-    free = cls._free
-    if len(free) < _POOL_CAP:
-        free.append(packet)
-
-
 class Packet:
     """Base network packet (node ids are memory-network node indices).
 
@@ -284,71 +163,26 @@ class Packet:
                  "hops", "pkt_id", "is_active", "is_request", "_category",
                  "_cat_index")
 
-    def reset(self, ptype: PacketType, src: int, dst: int, size: int = 0,
-              flow_id: Optional[int] = None, created_at: Optional[float] = None,
-              hops: int = 0, pkt_id: Optional[int] = None) -> None:
+    def __init__(self, ptype: PacketType, src: int, dst: int, size: int = 0,
+                 flow_id: Optional[int] = None) -> None:
         self.ptype = ptype
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else ptype._default_size
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         # Cache derived attributes: packets cross many links and these are hot.
         self.is_active, self.is_request, self._category, self._cat_index = ptype._flags
-
-    __init__ = reset
-
-    def __init_subclass__(cls, **kw) -> None:
-        super().__init_subclass__(**kw)
-        # Fresh free list + accounting per class, and the full slot tuple for
-        # debug poisoning, collected once from the MRO.
-        cls._free = []
-        cls._pool_fresh = 0
-        cls._pool_reused = 0
-        cls._pool_released = 0
-        slots = []
-        for klass in cls.__mro__:
-            slots.extend(getattr(klass, "__slots__", ()))
-        cls._pool_slots = tuple(slots)
-        _POOL_CLASSES.append(cls)
-
-    @classmethod
-    def acquire(cls, *args, **kw) -> "Packet":
-        """Pop a recycled instance (re-initialised via ``reset``) or build a
-        fresh one; behaviour is identical either way."""
-        if _pool.enabled:
-            free = cls._free
-            if free:
-                pkt = free.pop()
-                cls._pool_reused += 1
-                pkt.reset(*args, **kw)
-                return pkt
-        # Counted in both pool modes: ``fresh`` is the true object-construction
-        # count, which is what the bench harness records as the allocation
-        # metric (pool on: free-list high-water mark; pool off: every packet).
-        cls._pool_fresh += 1
-        return cls(*args, **kw)
 
     def movement_category(self) -> str:
         """Bucket used by the Figure 5.4 data-movement breakdown."""
         return self._category
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.ptype is _POISON:
-            return f"<released {type(self).__name__}>"
         return (f"<{type(self).__name__} #{self.pkt_id} {self.ptype.value} "
                 f"{self.src}->{self.dst} size={self.size} flow={self.flow_id}>")
-
-
-# The base class takes part in pooling too (tests construct raw Packets).
-Packet._free = []
-Packet._pool_fresh = 0
-Packet._pool_reused = 0
-Packet._pool_released = 0
-Packet._pool_slots = tuple(Packet.__slots__)
-_POOL_CLASSES.append(Packet)
 
 
 class MemReadPacket(Packet):
@@ -356,22 +190,19 @@ class MemReadPacket(Packet):
 
     __slots__ = ("addr", "req_id")
 
-    def reset(self, src: int, dst: int, addr: int, req_id: int = 0, size: int = 0,
-              flow_id: Optional[int] = None, created_at: Optional[float] = None,
-              hops: int = 0, pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, addr: int, req_id: int = 0, size: int = 0,
+                 flow_id: Optional[int] = None) -> None:
         self.ptype = _PT_READ_REQ
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_READ_REQ
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_READ_REQ
         self.addr = addr
         self.req_id = req_id
-
-    __init__ = reset
 
 
 class MemWritePacket(Packet):
@@ -379,22 +210,19 @@ class MemWritePacket(Packet):
 
     __slots__ = ("addr", "req_id")
 
-    def reset(self, src: int, dst: int, addr: int, req_id: int = 0, size: int = 0,
-              flow_id: Optional[int] = None, created_at: Optional[float] = None,
-              hops: int = 0, pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, addr: int, req_id: int = 0, size: int = 0,
+                 flow_id: Optional[int] = None) -> None:
         self.ptype = _PT_WRITE_REQ
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_WRITE_REQ
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_WRITE_REQ
         self.addr = addr
         self.req_id = req_id
-
-    __init__ = reset
 
 
 class MemRespPacket(Packet):
@@ -402,10 +230,8 @@ class MemRespPacket(Packet):
 
     __slots__ = ("addr", "req_id")
 
-    def reset(self, src: int, dst: int, addr: int, is_read: bool, req_id: int = 0,
-              size: int = 0, flow_id: Optional[int] = None,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, addr: int, is_read: bool, req_id: int = 0,
+                 size: int = 0, flow_id: Optional[int] = None) -> None:
         if is_read:
             self.ptype = _PT_READ_RESP
             self.size = size if size > 0 else _SZ_READ_RESP
@@ -415,14 +241,12 @@ class MemRespPacket(Packet):
         self.src = src
         self.dst = dst
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_RESP
         self.addr = addr
         self.req_id = req_id
-
-    __init__ = reset
 
 
 class UpdatePacket(Packet):
@@ -438,22 +262,20 @@ class UpdatePacket(Packet):
                  "src2_value", "imm_value", "thread_id", "root_node", "update_id",
                  "issue_time")
 
-    def reset(self, src: int, dst: int, *, opcode: str, target_addr: int,
-              src1_addr: Optional[int] = None, src2_addr: Optional[int] = None,
-              src1_value: float = 1.0, src2_value: float = 1.0,
-              imm_value: float = 0.0, thread_id: int = 0, root_node: int = 0,
-              update_id: int = 0, issue_time: float = 0.0,
-              flow_id: Optional[int] = None, size: int = 0,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, *, opcode: str, target_addr: int,
+                 src1_addr: Optional[int] = None, src2_addr: Optional[int] = None,
+                 src1_value: float = 1.0, src2_value: float = 1.0,
+                 imm_value: float = 0.0, thread_id: int = 0, root_node: int = 0,
+                 update_id: int = 0, issue_time: float = 0.0,
+                 flow_id: Optional[int] = None, size: int = 0) -> None:
         self.ptype = _PT_UPDATE
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_UPDATE
         self.flow_id = target_addr if flow_id is None else flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_UPDATE
         self.opcode = opcode
         self.src1_addr = src1_addr
@@ -467,8 +289,6 @@ class UpdatePacket(Packet):
         self.update_id = update_id
         self.issue_time = issue_time
 
-    __init__ = reset
-
     @property
     def num_operands(self) -> int:
         return int(self.src1_addr is not None) + int(self.src2_addr is not None)
@@ -479,26 +299,22 @@ class GatherRequestPacket(Packet):
 
     __slots__ = ("target_addr", "num_threads", "thread_id", "root_node")
 
-    def reset(self, src: int, dst: int, *, target_addr: int, num_threads: int = 1,
-              thread_id: int = 0, root_node: int = 0,
-              flow_id: Optional[int] = None, size: int = 0,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, *, target_addr: int, num_threads: int = 1,
+                 thread_id: int = 0, root_node: int = 0,
+                 flow_id: Optional[int] = None, size: int = 0) -> None:
         self.ptype = _PT_GATHER_REQ
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_GATHER_REQ
         self.flow_id = target_addr if flow_id is None else flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_GATHER_REQ
         self.target_addr = target_addr
         self.num_threads = num_threads
         self.thread_id = thread_id
         self.root_node = root_node
-
-    __init__ = reset
 
 
 class GatherResponsePacket(Packet):
@@ -506,26 +322,22 @@ class GatherResponsePacket(Packet):
 
     __slots__ = ("target_addr", "partial_result", "completed_updates", "root_node")
 
-    def reset(self, src: int, dst: int, *, target_addr: int, partial_result: float,
-              completed_updates: int, root_node: int = 0,
-              flow_id: Optional[int] = None, size: int = 0,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, *, target_addr: int, partial_result: float,
+                 completed_updates: int, root_node: int = 0,
+                 flow_id: Optional[int] = None, size: int = 0) -> None:
         self.ptype = _PT_GATHER_RESP
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_GATHER_RESP
         self.flow_id = target_addr if flow_id is None else flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_GATHER_RESP
         self.target_addr = target_addr
         self.partial_result = partial_result
         self.completed_updates = completed_updates
         self.root_node = root_node
-
-    __init__ = reset
 
 
 class OperandRequestPacket(Packet):
@@ -533,19 +345,17 @@ class OperandRequestPacket(Packet):
 
     __slots__ = ("addr", "buffer_slot", "operand_index", "compute_node", "value")
 
-    def reset(self, src: int, dst: int, *, addr: int, buffer_slot: int,
-              operand_index: int, compute_node: int, value: float = 0.0,
-              flow_id: Optional[int] = None, size: int = 0,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, *, addr: int, buffer_slot: int,
+                 operand_index: int, compute_node: int, value: float = 0.0,
+                 flow_id: Optional[int] = None, size: int = 0) -> None:
         self.ptype = _PT_OPERAND_REQ
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_OPERAND_REQ
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_OPERAND_REQ
         self.addr = addr
         self.buffer_slot = buffer_slot
@@ -553,31 +363,25 @@ class OperandRequestPacket(Packet):
         self.compute_node = compute_node
         self.value = value
 
-    __init__ = reset
-
 
 class OperandResponsePacket(Packet):
     """Operand value returning to the ARE that requested it."""
 
     __slots__ = ("addr", "buffer_slot", "operand_index", "value")
 
-    def reset(self, src: int, dst: int, *, addr: int, buffer_slot: int,
-              operand_index: int, value: float = 0.0,
-              flow_id: Optional[int] = None, size: int = 0,
-              created_at: Optional[float] = None, hops: int = 0,
-              pkt_id: Optional[int] = None) -> None:
+    def __init__(self, src: int, dst: int, *, addr: int, buffer_slot: int,
+                 operand_index: int, value: float = 0.0,
+                 flow_id: Optional[int] = None, size: int = 0) -> None:
         self.ptype = _PT_OPERAND_RESP
         self.src = src
         self.dst = dst
         self.size = size if size > 0 else _SZ_OPERAND_RESP
         self.flow_id = flow_id
-        self.created_at = created_at
-        self.hops = hops
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.created_at = None
+        self.hops = 0
+        self.pkt_id = next(_packet_ids)
         self.is_active, self.is_request, self._category, self._cat_index = _FL_OPERAND_RESP
         self.addr = addr
         self.buffer_slot = buffer_slot
         self.operand_index = operand_index
         self.value = value
-
-    __init__ = reset

@@ -84,8 +84,8 @@ class Component:
     def now(self) -> float:
         return self.sim.now
 
-    def schedule(self, delay: float, callback, label: Optional[str] = None):
-        return self.sim.schedule(delay, callback, label=label or self.name)
+    def schedule(self, delay: float, callback) -> None:
+        self.sim.schedule(delay, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

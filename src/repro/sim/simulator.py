@@ -66,7 +66,7 @@ class Simulator:
         self._finished = False
 
     # -- scheduling ----------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> None:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` cycles (relative to ``now``)."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -81,7 +81,7 @@ class Simulator:
         else:
             events.push(self.now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute ``time`` (must not be in the past)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")

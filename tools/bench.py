@@ -86,23 +86,14 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
 
     Runs *outside* the timed repeats so ``wall_s`` never carries profiler
     overhead.  Prints the top-``top`` functions by cumulative time and returns
-    the allocation columns recorded into the run entry:
-
-    * ``alloc_count`` — packet constructions (``pool_stats()`` ``fresh`` sum);
-      with the arena enabled this converges on the free-list high-water mark,
-      with ``REPRO_PACKET_POOL=0`` it counts every packet, so the on/off ratio
-      is the arena's allocation saving and the CI gate can watch it drift.
-    * ``alloc_peak_kib`` / ``alloc_live_kib`` — tracemalloc peak and
-      end-of-run traced memory.
+    the tracemalloc peak and end-of-run traced memory (``alloc_peak_kib`` /
+    ``alloc_live_kib``) recorded into the run entry.
     """
     import cProfile
     import io
     import pstats
     import tracemalloc
 
-    from repro.network.packet import pool_enabled, pool_stats, reset_pools
-
-    reset_pools()
     tracemalloc.start()
     profiler = cProfile.Profile()
     profiler.enable()
@@ -110,23 +101,16 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
     profiler.disable()
     live_b, peak_b = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    per_class = pool_stats()
-    fresh = sum(s["fresh"] for s in per_class.values())
-    reused = sum(s["reused"] for s in per_class.values())
     table = io.StringIO()
     pstats.Stats(profiler, stream=table).sort_stats("cumulative").print_stats(top)
     print(f"\n--- profile {key} (top {top} by cumulative time) ---")
     print(table.getvalue().rstrip())
     columns = {
-        "alloc_count": fresh,
-        "alloc_reused": reused,
         "alloc_peak_kib": round(peak_b / 1024, 1),
         "alloc_live_kib": round(live_b / 1024, 1),
-        "packet_pool": pool_enabled(),
     }
-    print(f"--- alloc {key}: {fresh} packet constructions, {reused} reuses, "
-          f"peak {columns['alloc_peak_kib']:,.0f} KiB "
-          f"(pool {'on' if columns['packet_pool'] else 'off'}) ---\n")
+    print(f"--- alloc {key}: peak {columns['alloc_peak_kib']:,.0f} KiB, "
+          f"live {columns['alloc_live_kib']:,.0f} KiB ---\n")
     return columns
 
 
@@ -159,7 +143,7 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
     configuration with that many memory cubes and suffixes the run keys with
     ``+cN`` so entries at different network scales never alias in the
     trajectory file.  ``profile`` adds one instrumented run per entry
-    (cProfile table + tracemalloc/packet-arena allocation columns).
+    (cProfile table + tracemalloc allocation columns).
     """
     runs = {}
     suffix = f"+c{num_cubes}" if num_cubes else ""
@@ -430,7 +414,8 @@ def run_prefetch(scale: str, workers: int):
 
 def check_regression(output: Path, runs, baseline_label: str, max_ratio: float) -> None:
     """Exit non-zero when any measured run is slower than ``max_ratio`` times
-    the newest checked-in history entry labelled ``baseline_label``."""
+    the newest checked-in history entry labelled ``baseline_label``, or when
+    its event count or final cycle differs from that entry's at all."""
     if not output.exists():
         raise SystemExit(f"no trajectory file at {output} to check against")
     history = json.loads(output.read_text())["history"]
@@ -456,28 +441,24 @@ def check_regression(output: Path, runs, baseline_label: str, max_ratio: float) 
               f"{base['wall_s']:7.3f}s  ({ratio:.2f}x)  {verdict}")
         if ratio > max_ratio:
             failures.append(key)
-        # Allocation gate: when both sides carry the --profile columns under
-        # the same pool mode, a packet-construction count blow-up means the
-        # arena stopped recycling (e.g. a new call site bypassing acquire());
-        # unlike wall time this metric is deterministic, so the same threshold
-        # has no noise margin to eat.
-        if (run.get("alloc_count") and base.get("alloc_count")
-                and run.get("packet_pool") == base.get("packet_pool")):
-            alloc_ratio = run["alloc_count"] / base["alloc_count"]
-            verdict = "ok" if alloc_ratio <= max_ratio else "REGRESSION"
-            print(f"check {key:24s} {run['alloc_count']:7d} allocs vs baseline "
-                  f"{base['alloc_count']:7d}  ({alloc_ratio:.2f}x)  {verdict}")
-            if alloc_ratio > max_ratio:
-                failures.append(f"{key}[alloc]")
+        # Determinism gate: simulated results are exact, so the event count
+        # and final cycle must equal the baseline's (no tolerance).  A
+        # mismatch means the simulation itself changed, not its speed.
+        for field in ("events", "cycles"):
+            if field in base and run.get(field) != base[field]:
+                print(f"check {key:24s} {field}={run.get(field)!r} vs baseline "
+                      f"{base[field]!r}  MISMATCH")
+                failures.append(f"{key}[{field}]")
     if not compared:
         raise SystemExit(
             f"baseline entry {baseline_label!r} shares no run keys with this basket")
     if failures:
         raise SystemExit(
-            f"performance regression: {', '.join(sorted(failures))} exceeded "
-            f"{max_ratio:.2f}x the {baseline_label!r} baseline")
+            f"benchmark gate failed against {baseline_label!r}: "
+            f"{', '.join(sorted(failures))} (wall time over {max_ratio:.2f}x, "
+            f"or [events]/[cycles] differing from the baseline)")
     print(f"perf gate passed: {compared} runs within {max_ratio:.2f}x "
-          f"of {baseline_label!r}")
+          f"of {baseline_label!r}, event and cycle counts identical")
 
 
 def append_history(output: Path, label: str, runs, num_threads: int) -> None:
@@ -547,8 +528,8 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="add one instrumented run per basket entry: a "
                              "cProfile top-20 cumulative table plus tracemalloc "
-                             "peak and packet-allocation-count columns recorded "
-                             "into the history entry")
+                             "peak and live columns recorded into the history "
+                             "entry")
     parser.add_argument("--no-write", action="store_true",
                         help="print results without touching the trajectory file")
     parser.add_argument("--prefetch", metavar="SCALE", default=None,
@@ -559,7 +540,8 @@ def main(argv=None) -> int:
                         help="worker processes for --prefetch (0 = CPU count)")
     parser.add_argument("--check-against", metavar="LABEL", default=None,
                         help="compare this run against the newest history entry "
-                             "with the given label and fail on a regression")
+                             "with the given label and fail on a wall-time "
+                             "regression or on any event/cycle count mismatch")
     parser.add_argument("--max-regression", type=float, default=1.5,
                         help="failure threshold for --check-against as a wall-time "
                              "ratio (default 1.5x)")
