@@ -16,8 +16,8 @@ worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
 routing + fault injection, link bandwidth, traffic driver, quantile summary,
-event scheduler, execution backend — is *generated* from the declarative
-registry in :mod:`repro.core.spec` (``add_axis_flags``), which is also where
+event scheduler — is *generated* from the declarative registry in
+:mod:`repro.core.spec` (``add_axis_flags``), which is also where
 each axis's ``$REPRO_*`` environment knob, default and label-folding rule are
 declared; run ``python -m repro.core.spec --table`` for the full table.
 ``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
@@ -230,8 +230,7 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
                          "the DRAM baseline (it has no memory network); pick "
                          "an HMC-backed configuration")
     with _network_usage_errors():
-        config = make_system_config(args.config, execution=spec.execution,
-                                    shards=spec.shards, **overrides)
+        config = make_system_config(args.config, **overrides)
     result = run_workload(config, args.workload, num_threads=args.threads, **params)
     rows = [
         ["cycles", f"{result.cycles:,.0f}"],
@@ -357,11 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     # One ExperimentSpec carries every axis from here on.  The env-propagated
-    # axes (--scheduler/--execution/--shards/--summary) route through their
-    # environment variables for the duration of the command so prefetch
-    # worker processes inherit them too (the run subcommand additionally
-    # folds the execution choice into its config, making it visible in the
-    # printed label).
+    # axes (--scheduler/--summary) route through their environment variables
+    # for the duration of the command so prefetch worker processes inherit
+    # them too.
     spec = ExperimentSpec.from_args(args)
     with spec.env_context():
         if args.command == "run":

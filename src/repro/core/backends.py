@@ -1,12 +1,13 @@
 """Generic registry for the library's small pluggable backends.
 
-Three subsystems follow the same pattern — a name -> class table, a default,
+Four subsystems follow the same pattern — a name -> class table, a default,
 an environment-variable override, and ``resolve_*``/``make_*``/``*_env``
 helpers with identical resolution order and error wording:
 
 * schedulers (:mod:`repro.sim.event_queue`, ``$REPRO_SCHEDULER``),
+* traffic drivers (:mod:`repro.workloads.drivers`, ``$REPRO_DRIVER``),
 * routing policies (:mod:`repro.network.routing`, ``$REPRO_ROUTING``),
-* execution backends (:mod:`repro.system.execution`, ``$REPRO_EXECUTION``).
+* quantile summaries (:mod:`repro.sim.stats`, ``$REPRO_SUMMARY``).
 
 Each keeps its public module-level API (``SCHEDULER_BACKENDS``,
 ``resolve_scheduler`` and friends are stable interfaces) but delegates the

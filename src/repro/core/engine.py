@@ -99,10 +99,9 @@ class ActiveRoutingEngine(Component):
         self._register_batched_counters(*pairs)
         # Round-trip latency samples go into PRIVATE per-engine histograms;
         # the shared "ar.update_latency.*" aggregates are folded from them in
-        # engine-construction (= cube) order at flush time.  Keeping one
-        # writer per part makes the aggregate independent of the order in
-        # which engines happened to record samples, so a sharded run that
-        # merges per-cube parts reproduces the serial aggregate bit for bit.
+        # engine-construction (= cube) order at flush time.  That fold fixes
+        # the float summation order the golden digests were captured under;
+        # one shared histogram fed in event order would round differently.
         self._hist_latency_request = Histogram()
         self._hist_latency_stall = Histogram()
         self._hist_latency_response = Histogram()

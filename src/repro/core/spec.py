@@ -2,8 +2,8 @@
 
 Every experiment dimension the reproduction has grown — network shape,
 routing + fault process, link bandwidth, traffic driver, quantile-summary
-backend, event scheduler, execution backend — is declared exactly once here
-as an :class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default,
+backend, event scheduler — is declared exactly once here as an
+:class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default,
 label-folding rule (with default-elision) and cache-key participation all
 live in the one declaration, gem5-config-style.  The CLI generates its shared
 flag set from this registry (``run``/``report``/``prefetch``/``sweep`` used to
@@ -22,7 +22,7 @@ service will submit jobs in.
 Byte-identity contract: every label, cache key and golden digest produced
 before this layer existed is reproduced byte-for-byte.  Default-valued axes
 elide from labels and keys; the fold fragments (``mesh16c4-resilient-f10s7``,
-``-bw25``, ``%sharded3``) are character-identical to the rules they replaced.
+``-bw25``) are character-identical to the rules they replaced.
 ``tests/test_spec.py`` pins this against a corpus frozen from the
 pre-refactor code.
 
@@ -81,29 +81,14 @@ def _scheduler_choices() -> Sequence[str]:
     return sorted(SCHEDULER_BACKENDS)
 
 
-def _execution_choices() -> Sequence[str]:
-    from ..system.execution import EXECUTION_BACKENDS
-    return sorted(EXECUTION_BACKENDS)
-
-
 # ---------------------------------------------------------------- env export
-# The four knobs the CLI has always exported to worker processes delegate to
-# the exact env context managers they always used, so export semantics
-# (canonicalization, restore-on-exit) cannot drift.
+# The two knobs the CLI exports to worker processes delegate to the exact env
+# context managers they always used, so export semantics (canonicalization,
+# restore-on-exit) cannot drift.
 
 def _scheduler_env(value):
     from ..sim.event_queue import scheduler_env
     return scheduler_env(value)
-
-
-def _execution_env(value):
-    from ..system.execution import execution_env
-    return execution_env(value)
-
-
-def _shards_env(value):
-    from ..system.execution import shards_env
-    return shards_env(value)
 
 
 def _summary_env(value):
@@ -114,7 +99,7 @@ def _summary_env(value):
 # -------------------------------------------------------------------- folding
 # Label fragments.  Each fold sees the full value mapping of its group so a
 # rule may consume a sibling axis (the failure seed only appears inside the
-# failure-rate fragment; the shard count only inside the execution one).
+# failure-rate fragment).
 # CHARACTER-IDENTITY MATTERS: these fragments are the pre-spec label rules
 # verbatim, pinned by the frozen corpus in tests/test_spec.py.
 
@@ -147,13 +132,6 @@ def _fold_bandwidth(v: Mapping[str, object]) -> str:
     return f"-bw{bandwidth:g}"
 
 
-def _fold_execution(v: Mapping[str, object]) -> str:
-    execution = v["execution"]
-    if execution == AXES["execution"].default:
-        return ""
-    return f"%{execution}{v['shards'] or ''}"
-
-
 @dataclass(frozen=True)
 class Axis:
     """One experiment dimension: flag, env knob, default, fold, cache rule."""
@@ -164,9 +142,8 @@ class Axis:
     default: object
     flag: str
     #: Which label/config family the axis belongs to: ``network`` axes fold
-    #: into the HMCNetworkConfig fingerprint, ``execution`` into the
-    #: SystemConfig label suffix, ``traffic`` into the params dict, and
-    #: ``summary``/``scheduler`` are process-wide backend choices.
+    #: into the HMCNetworkConfig fingerprint, ``traffic`` into the params
+    #: dict, and ``summary``/``scheduler`` are process-wide backend choices.
     group: str
     help: str
     #: ``$REPRO_*`` knob consulted between explicit value and default.
@@ -176,7 +153,7 @@ class Axis:
     #: Human-readable label rule for the generated axes table.
     label_form: str = "(never in labels)"
     #: Label fragment producer over the group's value mapping, or None when
-    #: the axis is folded by a sibling (failure_seed, shards) or never labeled.
+    #: the axis is folded by a sibling (failure_seed) or never labeled.
     fold: Optional[Callable[[Mapping[str, object]], str]] = None
     #: How the axis reaches run-cache keys (documentation for the table; the
     #: mechanics live in ExperimentSpec.cache_params/cache_key_extras).
@@ -236,7 +213,7 @@ def _at_least_one(value) -> Optional[str]:
 
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth, traffic, summary, scheduler, execution.
+#: bandwidth, traffic, summary, scheduler.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -348,25 +325,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          help="event-scheduler backend for every simulation (default: "
               "$REPRO_SCHEDULER or heap); results are bit-identical across "
               "backends, only wall time differs"),
-    Axis(name="execution", type=str, default="serial", flag="--execution",
-         group="execution", env="REPRO_EXECUTION", choices=_execution_choices,
-         label_form="``%{execution}{shards}`` when non-serial "
-                    "(``%sharded3``)",
-         fold=_fold_execution,
-         cache="via the run label on explicit configs; suite cells stay "
-               "execution-agnostic (results are bit-identical)",
-         env_context=_execution_env,
-         help="execution backend for every simulation (default: "
-              "$REPRO_EXECUTION or serial); 'sharded' partitions each "
-              "simulation's cube network across worker processes with "
-              "results bit-identical to serial"),
-    Axis(name="shards", type=int, default=0, flag="--shards",
-         group="execution", env="REPRO_SHARDS", metavar="N",
-         label_form="inside the execution fragment (``%sharded3``)",
-         validate=_non_negative, env_context=_shards_env,
-         help="cube-shard count for the sharded execution backend "
-              "(default: $REPRO_SHARDS or 2); ignored under serial "
-              "execution"),
 )}
 
 
@@ -385,11 +343,6 @@ def fold_network_label(values: Mapping[str, object]) -> str:
     """
     return "".join(axis.fold(values) for axis in AXES.values()
                    if axis.group == "network" and axis.fold is not None)
-
-
-def fold_execution_label(values: Mapping[str, object]) -> str:
-    """The ``%sharded3``-style system-label suffix ("" when serial)."""
-    return _fold_execution(values)
 
 
 # ---------------------------------------------------------------------- spec
@@ -418,8 +371,6 @@ class ExperimentSpec:
     stream_keys: Optional[int] = None
     summary: Optional[str] = None
     scheduler: Optional[str] = None
-    execution: Optional[str] = None
-    shards: Optional[int] = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentSpec":
@@ -479,8 +430,8 @@ class ExperimentSpec:
 
         Today: the summary backend, only when non-default (non-default
         summaries change percentile fields; eliding the default keeps every
-        pre-existing key byte-identical).  The scheduler and execution axes
-        deliberately contribute nothing — their results are bit-identical.
+        pre-existing key byte-identical).  The scheduler axis deliberately
+        contributes nothing — its results are bit-identical.
         """
         from ..sim import DEFAULT_SUMMARY
         summary = self.resolved("summary")
@@ -493,9 +444,9 @@ class ExperimentSpec:
     def env_context(self) -> Iterator[None]:
         """Export the env-propagated axes through their ``$REPRO_*`` knobs.
 
-        Exactly the scheduler/execution/shards/summary exports the CLI has
-        always performed (worker processes inherit the environment); unset
-        axes leave the environment untouched, and previous values are
+        Exactly the scheduler/summary exports the CLI has always performed
+        (worker processes inherit the environment); unset axes leave the
+        environment untouched, and previous values are
         restored on exit.  Network and traffic axes are *not* exported: they
         flow through configs and params dicts instead.
         """

@@ -107,34 +107,6 @@ class HMCNetworkConfig:
         return f"{base}-{digest}"
 
 
-def shard_cube_slices(num_cubes: int, shards: int):
-    """Partition ``num_cubes`` cube indices into ``shards`` contiguous slices.
-
-    This is *the* shard assignment of the sharded execution backend: slice
-    ``i`` is the cube ownership of shard rank ``i``.  Contiguity keeps most
-    neighbour links (and therefore most hops) shard-internal on the row/
-    group-structured topologies.  When the shard count does not divide the
-    cube count, the remainder is spread one cube at a time over the leading
-    shards — every shard gets at least one cube, and the assignment is a pure
-    function of ``(num_cubes, shards)`` so every process derives the same map.
-    """
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    if shards > num_cubes:
-        raise ValueError(
-            f"cannot split {num_cubes} cubes across {shards} shards; "
-            f"every shard needs at least one cube")
-    base, extra = divmod(num_cubes, shards)
-    slices = []
-    start = 0
-    for rank in range(shards):
-        size = base + (1 if rank < extra else 0)
-        slices.append(range(start, start + size))
-        start += size
-    return slices
-
-
 _DEFAULT_NETWORK: "HMCNetworkConfig | None" = None
 
 

@@ -130,11 +130,9 @@ class MemoryNetwork(Component):
         # The network-wide queue-delay counter is *derived*: a fold over the
         # per-link cells in ``self.links`` insertion order (links register as
         # flushables before the network, so their cells are already folded by
-        # the time a registry-wide flush reaches this one).  Per-link
-        # accumulation order is chronological and each link has exactly one
-        # writer, which makes this value independent of how a run is
-        # partitioned — the sharded execution backend merges per-link cells
-        # and re-derives the same fold bit for bit.
+        # the time a registry-wide flush reaches this one).  The golden digests
+        # were captured under this float summation order; adding each hop's
+        # delay to one network-wide cell as it happens can round differently.
         total_delay = 0.0
         for link in self._link_list:
             total_delay += link._queue_wait_cycles.value

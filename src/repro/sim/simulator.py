@@ -30,23 +30,13 @@ class Simulator:
     """Owns simulated time, the event scheduler and the global stats registry."""
 
     def __init__(self, cpu_freq_ghz: float = 2.0,
-                 scheduler: Optional[str] = None, events=None) -> None:
+                 scheduler: Optional[str] = None) -> None:
         if cpu_freq_ghz <= 0:
             raise ValueError("cpu_freq_ghz must be positive")
         self.cpu_freq_ghz = cpu_freq_ghz
         self.now: float = 0.0
         self.scheduler = resolve_scheduler(scheduler)
-        # ``events`` injects a ready-made scheduler instance (the sharded
-        # execution backend passes a ShardEventQueue); the named backend is
-        # constructed otherwise.  An injected queue may expose a
-        # ``bind_simulator`` hook so its pushes can read the clock —
-        # binding happens *here* because components schedule during system
-        # construction (the fault injector arms itself).
-        self.events = (SCHEDULER_BACKENDS[self.scheduler]()
-                       if events is None else events)
-        bind = getattr(self.events, "bind_simulator", None)
-        if bind is not None:
-            bind(self)
+        self.events = SCHEDULER_BACKENDS[self.scheduler]()
         # Fused fast path: when the backend is the binary heap, its storage
         # list is aliased here so schedule()/run() (and the network hot path,
         # which mirrors this check) can push/pop without any wrapper call.

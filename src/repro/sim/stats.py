@@ -29,7 +29,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.backends import BackendRegistry
 
@@ -208,40 +208,6 @@ class Histogram:
             "max": self.maximum if self.count else 0.0,
         }
 
-    # -- shard-state protocol (sharded execution backend) ---------------------
-    # Every summary backend ships its state between processes as a
-    # picklable tagged tuple; the tag makes a worker/host backend mismatch a
-    # loud TypeError instead of a silently corrupted merge.
-    def shard_state(self) -> tuple:
-        return ("reservoir", self.count, self.total, self.minimum,
-                self.maximum, list(self.samples), self.truncated, self._seen)
-
-    def load_shard_state(self, state: tuple) -> None:
-        """Overwrite with a shipped state (single-writer histograms: the
-        local replica never observed anything)."""
-        if state[0] != "reservoir":
-            raise TypeError(f"cannot load {state[0]!r} state into a reservoir "
-                            "histogram (summary backends differ across shards?)")
-        (_, self.count, self.total, self.minimum, self.maximum,
-         samples, self.truncated, self._seen) = state
-        self.samples[:] = list(samples)
-
-    def fold_shard_state(self, state: tuple) -> None:
-        """Fold a shipped state in field-wise (shared-name histograms)."""
-        if state[0] != "reservoir":
-            raise TypeError(f"cannot fold {state[0]!r} state into a reservoir "
-                            "histogram (summary backends differ across shards?)")
-        _, count, total, minimum, maximum, samples, truncated, seen = state
-        self.count += count
-        self.total += total
-        if minimum < self.minimum:
-            self.minimum = minimum
-        if maximum > self.maximum:
-            self.maximum = maximum
-        self.truncated = self.truncated or truncated
-        self.samples.extend(samples)
-        self._seen += seen
-
 
 class QuantileSketch:
     """DDSketch-style mergeable quantile summary (log-bucketed counts).
@@ -259,8 +225,7 @@ class QuantileSketch:
     accumulated in the same order as the reservoir backend, so registry
     snapshots — which flatten each summary to its mean and count — are
     bit-identical across summary backends.  The surface mirrors
-    :class:`Histogram`: ``add``/``percentile``/``merge``/``as_dict``/``reset``
-    plus the shard-state protocol used by the sharded execution backend.
+    :class:`Histogram`: ``add``/``percentile``/``merge``/``as_dict``/``reset``.
     """
 
     __slots__ = ("alpha", "gamma", "_log_gamma", "count", "total", "minimum",
@@ -382,52 +347,16 @@ class QuantileSketch:
             "max": self.maximum if self.count else 0.0,
         }
 
-    # -- shard-state protocol -------------------------------------------------
-    def shard_state(self) -> tuple:
-        return ("sketch", self.alpha, self.count, self.total, self.minimum,
-                self.maximum, dict(self.buckets),
-                dict(self.negative_buckets), self.zero_count)
-
-    def load_shard_state(self, state: tuple) -> None:
-        if state[0] != "sketch":
-            raise TypeError(f"cannot load {state[0]!r} state into a sketch "
-                            "(summary backends differ across shards?)")
-        (_, self.alpha, self.count, self.total, self.minimum, self.maximum,
-         buckets, negative_buckets, self.zero_count) = state
-        self.gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
-        self._log_gamma = math.log(self.gamma)
-        self.buckets = dict(buckets)
-        self.negative_buckets = dict(negative_buckets)
-
-    def fold_shard_state(self, state: tuple) -> None:
-        if state[0] != "sketch":
-            raise TypeError(f"cannot fold {state[0]!r} state into a sketch "
-                            "(summary backends differ across shards?)")
-        (_, alpha, count, total, minimum, maximum,
-         buckets, negative_buckets, zero_count) = state
-        if alpha != self.alpha:
-            raise ValueError("cannot fold sketch state with different alpha")
-        self.count += count
-        self.total += total
-        if minimum < self.minimum:
-            self.minimum = minimum
-        if maximum > self.maximum:
-            self.maximum = maximum
-        for key, n in buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + n
-        for key, n in negative_buckets.items():
-            self.negative_buckets[key] = self.negative_buckets.get(key, 0) + n
-        self.zero_count += zero_count
-
 
 #: Pluggable latency-summary backends (the type StatsRegistry.observe /
 #: .histogram create).  ``reservoir`` is the PR 1-8 sampling Histogram and
 #: stays the default; ``sketch`` trades exact small-population percentiles for
 #: merge-order-invariant, bounded-memory quantiles.  FoldedHistogram
 #: aggregates and the Active-Routing engine's per-cube part histograms stay
-#: reservoir-backed under every backend: their bit-exact sharded fold depends
-#: on sample-level semantics, and registry snapshots only read mean/count, so
-#: golden digests are backend-invariant.
+#: reservoir-backed under every backend: the fold concatenates the parts'
+#: sample lists and fixes the float summation order the golden digests were
+#: captured under.  Registry snapshots only read mean/count, so golden
+#: digests are backend-invariant.
 SUMMARY_BACKENDS: Dict[str, type] = {
     "reservoir": Histogram,
     "sketch": QuantileSketch,
@@ -463,9 +392,10 @@ class FoldedHistogram(Histogram):
     private :class:`Histogram` and the registry-visible aggregate is folded
     from those parts in attach order on every :meth:`flush`.  Folding in a
     fixed part order makes the aggregate's float fields (``total`` above all)
-    independent of how the writers' observations interleaved in time — which
-    is what lets the sharded execution backend merge per-part state from
-    worker processes and reproduce the serial aggregate bit for bit.
+    independent of how the writers' observations interleaved in time.  The
+    golden digests were captured under this per-part-then-fold summation
+    order: feeding one shared histogram in event order instead rounds
+    ``total`` differently and moves the Active-Routing golden digests.
 
     The folded object must never be fed through :meth:`Histogram.add`; it is
     rebuilt wholesale from its parts.
@@ -515,8 +445,8 @@ class StatsRegistry:
 
     ``summary`` selects the backend :meth:`observe`/:meth:`histogram` create
     (see :data:`SUMMARY_BACKENDS`); resolved once at construction so every
-    summary in one registry — and, because workers inherit $REPRO_SUMMARY,
-    every shard of one simulation — uses the same type.
+    summary in one registry — and, because worker processes inherit
+    $REPRO_SUMMARY, every simulation of one batch — uses the same type.
     """
 
     def __init__(self, summary: Optional[str] = None) -> None:
@@ -703,8 +633,7 @@ class StatsRegistry:
             if isinstance(hist, FoldedHistogram):
                 # Folded aggregates are re-derived from their parts; merging
                 # the fold itself would double-count once the receiving side's
-                # parts are updated.  Callers combining folded state (the
-                # sharded execution backend) merge the parts explicitly.
+                # parts are updated, so folded names are skipped.
                 continue
             self.histogram(name).merge(hist)
 

@@ -10,21 +10,11 @@ from .config import (
     make_system_config,
     table_4_1,
 )
-from .execution import (DEFAULT_SHARDS, EXECUTION_BACKENDS, execution_env,
-                        make_execution, resolve_execution, run_sharded_program,
-                        shards_env)
 from .results import RunResult, collect_results
 from .runner import (normalize_workers, run_jobs, run_program, run_suite,
                      run_workload, speedups_over)
 
 __all__ = [
-    "DEFAULT_SHARDS",
-    "EXECUTION_BACKENDS",
-    "execution_env",
-    "make_execution",
-    "resolve_execution",
-    "run_sharded_program",
-    "shards_env",
     "BuiltSystem",
     "build_system",
     "AR_CONFIGS",

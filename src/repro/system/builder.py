@@ -34,18 +34,16 @@ class BuiltSystem:
 
 
 def build_system(config: Union[SystemConfig, SystemKind, str],
-                 num_cores: Optional[int] = None, events=None) -> BuiltSystem:
+                 num_cores: Optional[int] = None) -> BuiltSystem:
     """Build the machine described by ``config``.
 
     ``config`` may be a full :class:`SystemConfig`, a :class:`SystemKind`, or a
     configuration name such as ``"ARF-tid"`` (in which case the scaled profile
-    is used).  ``events`` injects a pre-built scheduler instance into the
-    simulator (the sharded execution backend builds one replica per shard,
-    each on its own shard-keyed queue).
+    is used).
     """
     if not isinstance(config, SystemConfig):
         config = make_system_config(config, num_cores=num_cores)
-    sim = Simulator(cpu_freq_ghz=config.cpu_freq_ghz, events=events)
+    sim = Simulator(cpu_freq_ghz=config.cpu_freq_ghz)
 
     if config.kind.uses_hmc:
         memory: Union[DRAMSystem, HMCMemorySystem] = HMCMemorySystem(
@@ -64,9 +62,9 @@ def build_system(config: Union[SystemConfig, SystemKind, str],
     faults = getattr(memory, "faults", None)
     if faults is not None:
         # The random fault process quiesces relative to the workload's own
-        # finish time, not this simulator's queue occupancy — the verdict
-        # must be a pure function of (seed, finish time) so fault-injector
-        # replicas on other shards reach it identically.
+        # finish time, not the queue occupancy: the verdict is a pure
+        # function of (seed, finish time), the rule every degraded result
+        # was captured under.
         faults.finish_time_provider = (
             lambda: cmp.finish_time() if cmp.all_done else None)
     return BuiltSystem(config=config, sim=sim, cmp=cmp, memory=memory, ar_host=ar_host)

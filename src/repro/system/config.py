@@ -74,17 +74,6 @@ class SystemConfig:
     are: AREConfig = field(default_factory=AREConfig)
     cpu_freq_ghz: float = 2.0
     profile: str = "scaled"
-    #: Execution backend for single-simulation runs (see
-    #: repro.system.execution.EXECUTION_BACKENDS).  ``"serial"`` is the
-    #: classic one-process event loop; ``"sharded"`` partitions the cube
-    #: network across worker processes.  Results are bit-identical either
-    #: way, so the choice is a wall-clock knob — but unlike the scheduler it
-    #: *is* folded into labels/cache keys when non-default, because a sharded
-    #: entry records a differently-provisioned measurement environment.
-    execution: str = "serial"
-    #: Cube-network shard count for the sharded backend (>= 1).  ``0`` asks
-    #: the backend for its default (2).  Ignored under serial execution.
-    shards: int = 0
 
     @property
     def network_label(self) -> Optional[str]:
@@ -105,17 +94,10 @@ class SystemConfig:
         ``"ARF-tid"`` on the default network, ``"ARF-tid@mesh16c4"`` on a
         variant one; this string keys the in-memory result matrix and joins
         the persistent run-cache key, so two network variants of the same
-        scheme can never collide.  A non-default execution backend appends a
-        ``%sharded4``-style suffix (backend + shard count) — only when
-        non-default, so every pre-existing label and cache key stays
-        byte-identical.  The suffix rule is the execution axis's fold in
-        :data:`repro.core.spec.AXES`.
+        scheme can never collide.
         """
-        from ..core.spec import fold_execution_label
         network = self.network_label
-        label = self.kind.value if network is None else f"{self.kind.value}@{network}"
-        return label + fold_execution_label({"execution": self.execution,
-                                             "shards": self.shards})
+        return self.kind.value if network is None else f"{self.kind.value}@{network}"
 
     def with_kind(self, kind: SystemKind) -> "SystemConfig":
         """The same machine with a different memory/offload configuration."""
@@ -176,9 +158,7 @@ def make_system_config(kind: "SystemKind | str", profile: str = "scaled",
                        link_bandwidth: Optional[float] = None,
                        routing: Optional[str] = None,
                        failure_rate: Optional[float] = None,
-                       failure_seed: Optional[int] = None,
-                       execution: Optional[str] = None,
-                       shards: Optional[int] = None) -> SystemConfig:
+                       failure_seed: Optional[int] = None) -> SystemConfig:
     """Build a :class:`SystemConfig` for one of the five evaluation schemes.
 
     ``profile`` selects between the full Table 4.1 machine (``"paper"``) and the
@@ -200,18 +180,7 @@ def make_system_config(kind: "SystemKind | str", profile: str = "scaled",
         raise ValueError(f"unknown profile {profile!r}; choose 'paper' or 'scaled'")
     if num_cores is not None and profile == "paper":
         cmp = replace(cmp, num_cores=num_cores)
-    exec_overrides = {}
-    if execution is not None:
-        # Late import: execution.py imports this module (config -> runner ->
-        # ... is the usual direction); the resolve is only needed when the
-        # caller actually overrides the backend.
-        from .execution import resolve_execution
-        exec_overrides["execution"] = resolve_execution(execution)
-    if shards is not None:
-        if int(shards) < 0:
-            raise ValueError(f"shard count must be >= 0, got {shards}")
-        exec_overrides["shards"] = int(shards)
-    config = SystemConfig(kind=kind, cmp=cmp, profile=profile, **exec_overrides)
+    config = SystemConfig(kind=kind, cmp=cmp, profile=profile)
     net_overrides = dict(topology=topology, num_cubes=num_cubes,
                          num_controllers=num_controllers,
                          link_bandwidth=link_bandwidth, routing=routing,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -20,46 +19,17 @@ from ..isa import ProgramTrace
 from ..sim import SimulationError
 from ..workloads import WorkloadConfig, make_driver, split_driver_params
 from ..workloads.base import Workload
-from .builder import BuiltSystem, build_system
+from .builder import build_system
 from .config import CONFIG_ORDER, SystemConfig, SystemKind, make_system_config
-from .execution import resolve_execution, resolve_shards, run_sharded_program
 from .results import RunResult, collect_results
 
 #: Safety bound on event count for a single run.
 DEFAULT_MAX_EVENTS = 80_000_000
 
 
-def _effective_execution(config: SystemConfig,
-                         execution: Optional[str] = None) -> str:
-    """Resolve the execution backend for one run.
-
-    Precedence: explicit argument, then a non-default ``config.execution``
-    field, then ``$REPRO_EXECUTION``, then the serial default (a non-default
-    config field must beat the environment — it is part of the run's
-    identity and its label).  The sharded backend only applies to systems
-    with a cube network; the DRAM baseline silently runs serially, so a
-    sweep mixing DRAM into a sharded batch still works.
-    """
-    if execution is None and config.execution != "serial":
-        execution = config.execution
-    backend = resolve_execution(execution)
-    if backend == "sharded" and not config.kind.uses_hmc:
-        return "serial"
-    return backend
-
-
 def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTrace,
-                max_events: int = DEFAULT_MAX_EVENTS,
-                execution: Optional[str] = None,
-                shards: Optional[int] = None) -> RunResult:
-    """Execute an already-generated program trace on the given configuration.
-
-    ``execution`` picks the execution backend (serial event loop or the
-    sharded conservative-window backend); ``shards`` overrides the cube-shard
-    count.  Both default to the configuration's own fields, then the
-    ``$REPRO_EXECUTION`` environment knob.  Results are bit-identical across
-    backends; only wall time changes.
-    """
+                max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
+    """Execute an already-generated program trace on the given configuration."""
     start = time.perf_counter()
     if not isinstance(config, SystemConfig):
         config = make_system_config(config)
@@ -69,14 +39,10 @@ def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTr
             f"configuration {config.label} executes {expected_mode!r} traces "
             f"but the program was generated in {program.mode!r} mode"
         )
-    if _effective_execution(config, execution) == "sharded":
-        system = run_sharded_program(config, program, max_events,
-                                     shards=shards)
-    else:
-        system = build_system(config)
-        system.cmp.load_program(program)
-        system.cmp.start()
-        system.sim.run_until_idle(max_events=max_events)
+    system = build_system(config)
+    system.cmp.load_program(program)
+    system.cmp.start()
+    system.sim.run_until_idle(max_events=max_events)
     if not system.cmp.all_done:
         raise SimulationError(
             f"run of {program.name!r} on {system.config.label} ended with unfinished cores"
@@ -95,8 +61,6 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
                  num_threads: Optional[int] = None,
                  workload_config: Optional[WorkloadConfig] = None,
                  max_events: int = DEFAULT_MAX_EVENTS,
-                 execution: Optional[str] = None,
-                 shards: Optional[int] = None,
                  **workload_params) -> RunResult:
     """Build the system and the workload, generate the right trace mode, run it.
 
@@ -128,53 +92,23 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
         )
     mode = "active" if config.kind.uses_active_routing else "baseline"
     program = workload.generate(mode)
-    return run_program(config, program, max_events=max_events,
-                       execution=execution, shards=shards)
+    return run_program(config, program, max_events=max_events)
 
 
-def normalize_workers(workers: Optional[int], shards: int = 0) -> int:
+def normalize_workers(workers: Optional[int]) -> int:
     """Clamp a worker-count request to something the process pool accepts.
 
     ``0`` means "one worker per CPU core"; ``None`` and negative values fall
     back to serial execution.  Every parallel entry point (``run_jobs``,
     ``run_suite``, the evaluation suite, the CLI) funnels through this guard so
     an invalid request never reaches :class:`ProcessPoolExecutor`.
-
-    ``shards`` is the per-job process fan-out when jobs themselves run under
-    the sharded execution backend (0 or 1 means serial): each job then holds
-    ``shards + 1`` live processes (its cube-shard workers plus itself), so
-    the pool size is capped near the CPU count — ``workers * (shards + 1)``
-    live processes at most — with a one-line warning when the request had to
-    be reduced.
     """
     if workers is None:
         return 1
     workers = int(workers)
-    cpus = os.cpu_count() or 1
     if workers == 0:
-        workers = cpus
-    workers = max(1, workers)
-    per_job = int(shards) + 1 if shards and int(shards) > 1 else 1
-    if per_job > 1 and workers > 1:
-        cap = max(1, cpus // per_job)
-        if workers > cap:
-            warnings.warn(
-                f"workers={workers} with {shards}-way sharded jobs would "
-                f"oversubscribe {cpus} CPUs ({workers * per_job} live "
-                f"processes); capping workers to {cap}",
-                RuntimeWarning, stacklevel=2)
-            workers = cap
-    return workers
-
-
-def _job_shard_fanout(configs: Iterable[SystemConfig]) -> int:
-    """Largest per-job cube-shard fan-out across a batch of jobs (0 = all
-    serial); feeds :func:`normalize_workers`' oversubscription guard."""
-    fanout = 0
-    for config in configs:
-        if _effective_execution(config) == "sharded":
-            fanout = max(fanout, resolve_shards(config))
-    return fanout
+        workers = os.cpu_count() or 1
+    return max(1, workers)
 
 
 def _run_suite_job(config: SystemConfig, workload: Union[Workload, str],
@@ -200,9 +134,7 @@ def run_jobs(jobs: List[Tuple[Tuple[str, str], SystemConfig,
     merge deterministically.  ``workers=1`` runs everything serially in-process
     (no executor).
     """
-    workers = normalize_workers(workers,
-                                shards=_job_shard_fanout(
-                                    config for _, config, _, _ in jobs))
+    workers = normalize_workers(workers)
     results: Dict[Tuple[str, str], RunResult] = {}
     if workers <= 1 or len(jobs) <= 1:
         for key, config, workload, params in jobs:

@@ -13,8 +13,7 @@ pluggable driver family:
   address space, and a multi-tenant mix of kernel-shaped requests shares one
   memory network.  Arrival pacing is injected through :class:`ArrivalOp`
   markers in the per-thread traces, so scheduling still flows through the
-  deterministic ``[time, seq]`` event queue and serial/sharded execution
-  stay bit-identical.
+  deterministic ``[time, seq]`` event queue.
 
 Open-loop latency is measured from the *intended* arrival time of each
 request, not from when the core got around to issuing it; under saturation

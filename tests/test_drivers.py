@@ -5,18 +5,14 @@ The driver family's whole contract has two halves:
 * the default ``closed`` driver is the pre-driver world *verbatim* — same
   workload objects, same traces, same labels, zero extra cache-key entries;
 * the ``open`` driver is a deterministic function of its spec and seed, with
-  arrival pacing resolved on the ``[time, seq]`` event queue so serial and
-  sharded execution reproduce each other bit for bit.
+  arrival pacing resolved on the ``[time, seq]`` event queue so repeated runs
+  reproduce each other bit for bit.
 """
-
-import os
-import warnings
 
 import pytest
 
 from repro.isa.operations import ArrivalOp
-from repro.system import make_system_config, run_workload
-from repro.system.execution import INPROCESS_ENV, run_sharded_program
+from repro.system import run_workload
 from repro.workloads import (
     OpenStreamWorkload,
     TrafficSpec,
@@ -25,8 +21,6 @@ from repro.workloads import (
     make_workload,
     split_driver_params,
 )
-
-from test_golden_determinism import snapshot_digest
 
 
 def _fingerprint(result):
@@ -166,33 +160,6 @@ def test_open_run_repeats_bit_identically():
     first = run_workload("HMC", "mac", **kwargs)
     second = run_workload("HMC", "mac", **kwargs)
     assert _fingerprint(first) == _fingerprint(second)
-
-
-def test_open_run_serial_vs_sharded_bit_identical():
-    config = make_system_config("ARF-tid")
-    program = _open_stream().generate("active")
-    serial = run_workload(config, _open_stream())
-    previous = os.environ.get(INPROCESS_ENV)
-    os.environ[INPROCESS_ENV] = "1"
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sharded = run_sharded_program(config, program,
-                                          max_events=80_000_000, shards=2)
-    finally:
-        if previous is None:
-            os.environ.pop(INPROCESS_ENV, None)
-        else:
-            os.environ[INPROCESS_ENV] = previous
-    assert sharded.sim.now == serial.cycles
-    digest = snapshot_digest(sharded.sim.stats)
-    # Same arrival timeline, same [time, seq] dispatch, same stats — the open
-    # driver inherits the sharded backend's bit-identity contract for free.
-    rerun_serial = run_workload(config, _open_stream())
-    assert _fingerprint(serial) == _fingerprint(rerun_serial)
-    serial_system = run_sharded_program(config, _open_stream().generate("active"),
-                                        max_events=80_000_000, shards=1)
-    assert snapshot_digest(serial_system.sim.stats) == digest
 
 
 def test_saturation_raises_tail_latency():

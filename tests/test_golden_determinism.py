@@ -37,15 +37,14 @@ TINY_PAGERANK = {"num_vertices": 96, "avg_degree": 4}
 #: captured from the seed implementation (pre fast-path) for pagerank/tiny.
 #:
 #: Digest provenance: the cycle and event counts are the seed values and have
-#: never moved.  The HMC/ART/ARF digests were re-captured once, when the
-#: sharded execution backend landed shard-stable accounting: the network's
-#: queue-delay total became a fold over per-link cells in link order and the
-#: ``ar.update_latency.*`` histograms became per-engine folds in cube order.
-#: Both re-order float additions (same addends, different association), which
-#: shifts non-dyadic sums by ulps — the cost of making these aggregates
-#: independent of event interleaving, which is what lets a sharded run
-#: reproduce the serial digest bit for bit.  DRAM has neither accumulator and
-#: kept its original seed digest.
+#: never moved.  The HMC/ART/ARF digests were re-captured once, when two
+#: aggregates became folds: the network's queue-delay total is summed over
+#: per-link cells in link order, and the ``ar.update_latency.*`` histograms
+#: are folded from per-engine parts in cube order.  Both re-order float
+#: additions (same addends, different association), which shifts non-dyadic
+#: sums by ulps.  The folds now exist to pin that summation order: replacing
+#: them with running sums in event order moves these digests.  DRAM has
+#: neither accumulator and kept its original seed digest.
 GOLDEN = {
     "DRAM": (421.0, 156,
              "e6e5a5852cae822af5f448c7de569649c4ffbb46f829c93430d2df708ae2462e"),
@@ -154,9 +153,9 @@ def test_golden_run_result_digest(kind):
 #: Fixed-seed degraded golden: ARF-tid pagerank/tiny with random link faults
 #: (resilient routing, rate 10 per Mcycle, seed 7).  The timeline and every
 #: interruption are deterministic, so this cell is as stable as the rest.
-#: The digest was re-captured with the shard-stable accounting folds (see
-#: GOLDEN above); cycles and events are unchanged from the seed capture —
-#: the finish-time quiesce rule reproduces the old timeline on this cell.
+#: The digest was re-captured with the accounting folds (see GOLDEN above);
+#: cycles and events are unchanged from the seed capture — the finish-time
+#: quiesce rule reproduces the old timeline on this cell.
 DEGRADED_GOLDEN = (3554.0445920204475, 6178,
                    "a4d56536adffa669883601f6722e43d8a3e4083acdd5717b11ad3d3d1b64c4c9")
 
@@ -194,9 +193,7 @@ def test_golden_digest_holds_under_every_summary_backend(kind, summary,
 
 #: Open-driver golden: ARF-tid, two-tenant mac+pagerank stream at a fixed
 #: seed and rate.  Pins the open driver's entire arrival timeline and stats
-#: so an accidental RNG or event-order change cannot slip through; the
-#: sharded-execution bit-identity of the same stream is held by
-#: test_drivers.test_open_run_serial_vs_sharded_bit_identical.
+#: so an accidental RNG or event-order change cannot slip through.
 OPEN_DRIVER_PARAMS = dict(driver="open", arrival_rate=20.0,
                           tenant_mix="mac,pagerank", stream_requests=64,
                           stream_keys=256)

@@ -8,8 +8,8 @@ Three contracts are pinned here:
 * **Wire format** — ``from_json(to_json(spec)) == spec`` exactly, for every
   representable spec (Hypothesis).
 * **No aliasing** — distinct cache-participating axis choices always occupy
-  distinct cache entries, while the scheduler/execution axes (bit-identical
-  results) deliberately contribute nothing.
+  distinct cache entries, while the scheduler axis (bit-identical results)
+  deliberately contributes nothing.
 """
 
 import json
@@ -21,17 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spec import (AXES, ExperimentSpec, axes_for,
-                             fold_execution_label, fold_network_label,
-                             render_axes_table)
+                             fold_network_label, render_axes_table)
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
 from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
 from repro.sim.event_queue import DEFAULT_SCHEDULER
-from repro.system.config import SystemConfig, SystemKind, make_system_config
+from repro.system.config import SystemKind, make_system_config
 from repro.workloads import TrafficSpec
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
+
+#: Corpus entries retired with the axes they exercised (the sharded
+#: execution backend and its ``%sharded`` label fold are gone).  They were
+#: removed from the frozen file by name, never regenerated.
+RETIRED = {"sharded-default", "sharded3", "mesh-sharded4"}
 
 
 # ------------------------------------------------------------ frozen corpus
@@ -53,7 +57,8 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) >= 25
+    assert len(corpus) == 22
+    assert RETIRED.isdisjoint(entry["name"] for entry in corpus)
     for entry in corpus:
         inputs = entry["inputs"]
         config = _build_config(inputs)
@@ -107,12 +112,6 @@ def test_network_fold_matches_config_label():
     }) == "dragonfly16c4" == net.label
 
 
-def test_execution_fold_elides_default_and_zero_shards():
-    assert fold_execution_label({"execution": "serial", "shards": 0}) == ""
-    assert fold_execution_label({"execution": "sharded", "shards": 0}) == "%sharded"
-    assert fold_execution_label({"execution": "sharded", "shards": 3}) == "%sharded3"
-
-
 def test_axis_defaults_match_authoritative_constructors():
     """The registry's default literals agree with the objects they describe."""
     net = HMCNetworkConfig()
@@ -132,9 +131,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["stream_keys"].default == traffic.stream_keys
     assert AXES["summary"].default == DEFAULT_SUMMARY
     assert AXES["scheduler"].default == DEFAULT_SCHEDULER
-    system = SystemConfig(kind=SystemKind.HMC)
-    assert AXES["execution"].default == system.execution
-    assert AXES["shards"].default == system.shards
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -225,11 +221,10 @@ def test_distinct_cache_participating_specs_never_alias():
     assert len(set(keys)) == len(keys)
 
 
-def test_scheduler_and_execution_axes_do_not_touch_suite_keys():
-    """Bit-identical-result axes must share cache entries by design."""
+def test_scheduler_axis_does_not_touch_suite_keys():
+    """A bit-identical-result axis must share cache entries by design."""
     base = _cell_key(ExperimentSpec())
     assert _cell_key(ExperimentSpec(scheduler="calendar")) == base
-    assert _cell_key(ExperimentSpec(execution="sharded", shards=3)) == base
 
 
 # ----------------------------------------------------- warm-cache invariant
@@ -292,7 +287,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic", "summary", "scheduler", "execution")
+    groups = ("network", "traffic", "summary", "scheduler")
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",

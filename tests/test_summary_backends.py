@@ -10,10 +10,9 @@ Two contracts are pinned here:
   fall within ``alpha`` (relative) of the envelope spanned by the order
   statistics one rank either side of the target.
 * **Merge-order invariance** — the sketch accumulates integer bucket counts,
-  so merging the same shards in any order yields *exactly* the same
-  quantiles, not merely close ones.  (This is what makes the fixed-shard-
-  order fold of the sharded backend reproducible, and what a reservoir
-  cannot promise once truncated.)
+  so merging the same parts in any order yields *exactly* the same
+  quantiles, not merely close ones.  (A reservoir cannot promise this once
+  truncated.)
 """
 
 import math

@@ -18,7 +18,6 @@ Usage::
     PYTHONPATH=src python tools/bench.py --scheduler both      # heap/calendar A/B
     PYTHONPATH=src python tools/bench.py --cubes 64 --scheduler both  # sweep scale
     PYTHONPATH=src python tools/bench.py --routing both        # static/resilient A/B
-    PYTHONPATH=src python tools/bench.py --execution both --shards 4 --cubes 256
 
 The basket sizes match the profiled PageRank/`ARF-tid` case the kernel fast
 path was tuned on; ``--smoke`` shrinks every run to seconds-scale sizes for CI.
@@ -29,12 +28,7 @@ backend with ``@heap``/``@calendar``-suffixed run keys plus a printed ratio.
 an interleaved static/resilient A/B with ``@static``/``@resilient`` run keys
 that asserts the two policies agree bit-for-bit on the failure-free basket
 (the lockstep contract) and prints the overhead ratio of carrying the
-fault-capable machinery.  ``--execution`` selects the execution backend
-(serial event loop or the sharded conservative-window backend, ``--shards``
-workers); ``--execution both`` is an interleaved serial/sharded A/B with
-``@serial``/``@sharded`` run keys that asserts the two backends agree
-bit-for-bit on the full result fingerprint (cycles, events, counters,
-network totals) and prints the sharded speedup.  ``--cubes N`` rebuilds every HMC-backed
+fault-capable machinery.  ``--cubes N`` rebuilds every HMC-backed
 configuration with an N-cube memory network (``+cN`` key suffix) — the
 64-cube sweep scale exercises the scheduler at much larger pending-event
 counts.  ``--prefetch SCALE`` benchmarks the evaluation-suite orchestration
@@ -61,9 +55,6 @@ from repro.network.routing import (ROUTING_BACKENDS, resolve_routing,  # noqa: E
 from repro.sim.event_queue import (SCHEDULER_BACKENDS, resolve_scheduler,  # noqa: E402
                                    scheduler_env)
 from repro.system import make_system_config, run_workload  # noqa: E402
-from repro.system.execution import (DEFAULT_SHARDS, EXECUTION_BACKENDS,  # noqa: E402
-                                    execution_env, resolve_execution,
-                                    shards_env)
 
 #: The fixed measurement basket: (workload, configuration, params).
 BASKET = [
@@ -114,32 +105,14 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
     return columns
 
 
-def result_fingerprint(result):
-    """Deterministic identity of one run: every scalar the figures consume.
-
-    Serial and sharded execution must agree on *all* of this — not just event
-    count and final cycle, but counters, histogram means, and network fabric
-    totals — so the A/B assertion hashes the full flat summary.  Floats are
-    compared by ``repr`` (bit-exact), which is the contract: the sharded
-    backend merges per-shard statistics in fixed shard order precisely so no
-    float ever takes a different addition order than the serial run.
-    """
-    summary = result.summary()
-    summary.update({f"net.{k}": v for k, v in result.network_stats.items()})
-    parts = [f"events={result.events_executed}"]
-    parts += [f"{key}={summary[key]!r}" for key in sorted(summary)]
-    return "|".join(parts)
-
-
 def run_basket(basket, num_threads: int = 4, repeat: int = 3,
                scheduler=None, num_cubes=None, profile: bool = False,
-               routing=None, execution=None, shards=None):
+               routing=None):
     """Run every basket entry ``repeat`` times; keep the best wall time.
 
     ``scheduler`` picks the event-scheduler backend for every run (``None``
     keeps the ambient ``$REPRO_SCHEDULER``/default) and ``routing`` the
-    routing policy the same way; ``execution`` the execution backend
-    (``shards`` workers when sharded); ``num_cubes`` rebuilds each HMC-backed
+    routing policy the same way; ``num_cubes`` rebuilds each HMC-backed
     configuration with that many memory cubes and suffixes the run keys with
     ``+cN`` so entries at different network scales never alias in the
     trajectory file.  ``profile`` adds one instrumented run per entry
@@ -158,9 +131,7 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             for _ in range(max(1, repeat)):
                 start = time.perf_counter()
                 result = run_workload(system_config, workload,
-                                      num_threads=num_threads,
-                                      execution=execution, shards=shards,
-                                      **params)
+                                      num_threads=num_threads, **params)
                 best = min(best, time.perf_counter() - start)
         runs[key] = {
             "wall_s": round(best, 3),
@@ -170,17 +141,13 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             "params": params,
             "scheduler": resolve_scheduler(scheduler),
             "routing": resolve_routing(routing),
-            "execution": resolve_execution(execution),
         }
-        if runs[key]["execution"] == "sharded":
-            runs[key]["shards"] = shards or DEFAULT_SHARDS
         if num_cubes:
             runs[key]["num_cubes"] = num_cubes
         print(f"{key:24s} {best:7.3f}s  {runs[key]['events_per_s']:>11,.0f} ev/s  "
               f"cycles={result.cycles:,.0f}")
         if profile:
-            with scheduler_env(scheduler), routing_env(routing), \
-                    execution_env(execution), shards_env(shards):
+            with scheduler_env(scheduler), routing_env(routing):
                 runs[key].update(profile_entry(key, system_config, workload,
                                                num_threads, params))
     return runs
@@ -304,86 +271,6 @@ def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
     return runs
 
 
-def run_execution_ab(basket, num_threads: int = 4, repeat: int = 3,
-                     num_cubes=None, scheduler=None, routing=None,
-                     shards=None, profile: bool = False):
-    """Run the basket under the serial and sharded backends, interleaved.
-
-    The repeats are interleaved per basket entry (after one untimed serial
-    warm-up run) exactly like :func:`run_scheduler_ab`, so process warm-up
-    lands on no particular backend.  Run keys get an ``@serial`` /
-    ``@sharded`` suffix; the two backends must agree on the *full* result
-    fingerprint — cycles, executed events, every counter and histogram mean
-    in the flat summary, and the network fabric totals — because the sharded
-    backend's whole contract is bit-identity, not statistical equivalence.
-    The printed ratio is the sharded speedup (>1.00 = sharded wins).
-
-    ``profile`` instruments the serial side only: cProfile and tracemalloc
-    observe the calling process, and under the sharded backend that process
-    is the host shard plus coordinator — the cube work lives in worker
-    processes the profiler never sees — so serial is the side whose columns
-    mean what they say.
-    """
-    executions = ("serial", "sharded")
-    shard_count = shards or DEFAULT_SHARDS
-    runs = {}
-    suffix = f"+c{num_cubes}" if num_cubes else ""
-    for workload, config, params in basket:
-        base_key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
-        best = {execution: float("inf") for execution in executions}
-        result = {}
-        with scheduler_env(scheduler), routing_env(routing):
-            run_workload(system_config, workload, num_threads=num_threads,
-                         execution="serial", **params)  # warm-up, untimed
-            for _ in range(max(1, repeat)):
-                for execution in executions:
-                    start = time.perf_counter()
-                    result[execution] = run_workload(
-                        system_config, workload, num_threads=num_threads,
-                        execution=execution, shards=shard_count, **params)
-                    best[execution] = min(best[execution],
-                                          time.perf_counter() - start)
-        fingerprints = {execution: result_fingerprint(result[execution])
-                        for execution in executions}
-        if len(set(fingerprints.values())) != 1:
-            diverged = [pair for pair
-                        in zip(fingerprints["serial"].split("|"),
-                               fingerprints["sharded"].split("|"))
-                        if pair[0] != pair[1]]
-            raise SystemExit(
-                f"execution backends diverged on {base_key}: "
-                f"{diverged[:8]} (serial/sharded must be bit-identical)")
-        for execution in executions:
-            wall = best[execution]
-            runs[f"{base_key}@{execution}"] = {
-                "wall_s": round(wall, 3),
-                "events": result[execution].events_executed,
-                "events_per_s": round(
-                    result[execution].events_executed / wall, 1),
-                "cycles": result[execution].cycles,
-                "params": params,
-                "scheduler": resolve_scheduler(scheduler),
-                "routing": resolve_routing(routing),
-                "execution": execution,
-                **({"shards": shard_count} if execution == "sharded" else {}),
-                **({"num_cubes": num_cubes} if num_cubes else {}),
-            }
-        ratio = (best["serial"] / best["sharded"]
-                 if best["sharded"] else float("inf"))
-        print(f"{base_key:24s} serial {best['serial']:7.3f}s  sharded(x"
-              f"{shard_count}) {best['sharded']:7.3f}s  "
-              f"({ratio:.2f}x; >1.00 = sharded wins)")
-        if profile:
-            with scheduler_env(scheduler), routing_env(routing):
-                runs[f"{base_key}@serial"].update(profile_entry(
-                    f"{base_key}@serial", system_config, workload,
-                    num_threads, params))
-    return runs
-
-
 def run_prefetch(scale: str, workers: int):
     """Cold-then-warm suite prefetch into a throwaway cache directory."""
     import tempfile
@@ -475,10 +362,7 @@ def append_history(output: Path, label: str, runs, num_threads: int) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # Sharded-execution entries are only meaningful relative to the
-        # core count they ran on: on a single-CPU host the worker processes
-        # time-slice one core and the A/B ratio measures pure coordination
-        # overhead, not parallel speedup.
+        # Wall times are only comparable between entries from the same host.
         "cpus": os.cpu_count(),
         "num_threads": num_threads,
         "runs": runs,
@@ -510,17 +394,6 @@ def main(argv=None) -> int:
                              "@static/@resilient run keys and asserts the two "
                              "agree bit-for-bit (default: $REPRO_ROUTING or "
                              "static)")
-    parser.add_argument("--execution", default=None,
-                        choices=sorted(EXECUTION_BACKENDS) + ["both"],
-                        help="execution backend for the basket; 'both' runs an "
-                             "interleaved serial/sharded A/B with "
-                             "@serial/@sharded run keys and asserts the full "
-                             "result fingerprints agree bit-for-bit (default: "
-                             "$REPRO_EXECUTION or serial)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="cube-shard worker count for the sharded "
-                             "execution backend (default: $REPRO_SHARDS or "
-                             f"{DEFAULT_SHARDS})")
     parser.add_argument("--cubes", type=int, default=None, metavar="N",
                         help="memory-network cube count for every HMC-backed "
                              "basket configuration (+cN run-key suffix); e.g. "
@@ -560,28 +433,17 @@ def main(argv=None) -> int:
         if args.routing == "both":
             parser.error("--routing both is an A/B mode for the kernel "
                          "basket; pick one policy for --prefetch")
-        if args.execution == "both":
-            parser.error("--execution both is an A/B mode for the kernel "
-                         "basket; pick one backend for --prefetch")
-        with scheduler_env(args.scheduler), routing_env(args.routing), \
-                execution_env(args.execution), shards_env(args.shards):
+        with scheduler_env(args.scheduler), routing_env(args.routing):
             runs = run_prefetch(args.prefetch, workers=args.workers)
     else:
         basket = SMOKE_BASKET if args.smoke else BASKET
         ab_axes = [flag for flag, value in
                    (("--scheduler", args.scheduler),
-                    ("--routing", args.routing),
-                    ("--execution", args.execution)) if value == "both"]
+                    ("--routing", args.routing)) if value == "both"]
         if len(ab_axes) > 1:
             parser.error(f"pick one A/B axis: {' or '.join(ab_axes)}, "
                          "not several at once")
-        if args.execution == "both":
-            runs = run_execution_ab(basket, num_threads=args.threads,
-                                    repeat=args.repeat, num_cubes=args.cubes,
-                                    scheduler=args.scheduler,
-                                    routing=args.routing, shards=args.shards,
-                                    profile=args.profile)
-        elif args.routing == "both":
+        if args.routing == "both":
             if args.profile:
                 parser.error("--profile composes with a single routing "
                              "policy, not the 'both' A/B mode")
@@ -599,8 +461,7 @@ def main(argv=None) -> int:
             runs = run_basket(basket, num_threads=args.threads,
                               repeat=args.repeat, scheduler=args.scheduler,
                               num_cubes=args.cubes, profile=args.profile,
-                              routing=args.routing, execution=args.execution,
-                              shards=args.shards)
+                              routing=args.routing)
     if args.check_against:
         check_regression(args.output, runs, args.check_against, args.max_regression)
     if not args.no_write:
