@@ -28,6 +28,7 @@ are plain integer accumulators folded into the bound stat handles by the
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Optional, Tuple, TYPE_CHECKING
 
 from ..network.packet import (
@@ -175,7 +176,7 @@ class ActiveRoutingEngine(Component):
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
             self._n_store_writes += 1
-            self.sim.schedule_at(finish, lambda: self._commit_store(packet, arrival))
+            self.sim.schedule_at(finish, partial(self._commit_store, packet, arrival))
             return
         # mov: fetch the source operand, then write the target locally.
         entry = self.operand_buffers.reserve(packet.flow_id, packet.root_node,
@@ -215,10 +216,8 @@ class ActiveRoutingEngine(Component):
         # not add alu_latency a second time (that would overstate the response
         # component relative to the buffered two-operand path).
         commit_time = finish + self.config.alu_latency
-        self.sim.schedule_at(
-            commit_time,
-            lambda: self._commit_reduce(packet, arrival, arrival, value,
-                                        response_end=commit_time))
+        self.sim.schedule_at(commit_time, partial(self._commit_reduce, packet, arrival,
+                                                  arrival, value, commit_time))
 
     def _issue_operand_fetches(self, entry: OperandBufferEntry) -> None:
         entry.operand_issue_time = self.sim.now
@@ -236,10 +235,8 @@ class ActiveRoutingEngine(Component):
                                                 is_write=False)
                 self._n_local_operand_reads += 1
                 self._n_operand_reads_served += 1
-                slot, op_index, op_value = entry.slot, index, value
                 self.sim.schedule_at(
-                    finish,
-                    lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v))
+                    finish, partial(self._operand_arrived, entry.slot, index, value))
             else:
                 request = OperandRequestPacket(
                     src=self.node_id, dst=owner, addr=addr,
@@ -259,16 +256,16 @@ class ActiveRoutingEngine(Component):
         finish = self.cube.local_access(packet.addr, self.config.operand_read_bytes,
                                         is_write=False)
         self._n_operand_reads_served += 1
+        self.sim.schedule_at(finish, partial(self._respond_operand, packet))
 
-        def _respond() -> None:
-            response = OperandResponsePacket(
-                src=self.node_id, dst=packet.compute_node, addr=packet.addr,
-                buffer_slot=packet.buffer_slot,
-                operand_index=packet.operand_index, value=packet.value,
-                flow_id=packet.flow_id)
-            self.network.inject(response, self.node_id)
-
-        self.sim.schedule_at(finish, _respond)
+    def _respond_operand(self, packet: OperandRequestPacket) -> None:
+        """The operand read finished: send the value to the compute cube."""
+        response = OperandResponsePacket(
+            src=self.node_id, dst=packet.compute_node, addr=packet.addr,
+            buffer_slot=packet.buffer_slot,
+            operand_index=packet.operand_index, value=packet.value,
+            flow_id=packet.flow_id)
+        self.network.inject(response, self.node_id)
 
     def _handle_operand_response(self, packet: OperandResponsePacket, from_node: int) -> None:
         if packet.dst != self.node_id:
@@ -299,8 +296,7 @@ class ActiveRoutingEngine(Component):
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
             self._n_store_writes += 1
-            self.sim.schedule_at(finish,
-                                 lambda: self._commit_store(packet, arrival))
+            self.sim.schedule_at(finish, partial(self._commit_store, packet, arrival))
         else:
             value = self.alu.combine(packet.opcode, value1, value2)
             self._commit_reduce(packet, arrival, operand_issue, value)

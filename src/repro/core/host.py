@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from ..hmc.hmc_controller import HMCController
@@ -170,7 +171,7 @@ class ActiveRoutingHost(Component):
         if not state.ports_used:
             # The flow never offloaded an Update (e.g. an empty loop partition);
             # complete immediately with the opcode identity.
-            self.sim.schedule(1.0, lambda: self._finalize_flow(state))
+            self.sim.schedule(1.0, partial(self._finalize_flow, state))
             return
         for port in sorted(state.ports_used):
             controller = self.hmc.controller_for_port(port)

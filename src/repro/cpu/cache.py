@@ -13,6 +13,7 @@ merge concurrent misses to the same block.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..mem import AccessType, MemoryRequest
@@ -24,8 +25,17 @@ from .noc import MeshNoC
 MissCallback = Callable[[float], None]
 
 
+def _ignore_latency(latency: float) -> None:
+    """Completion callback of a miss nobody waits on."""
+
+
 class Cache:
-    """A set-associative, write-back, LRU cache (tag store only)."""
+    """A set-associative, write-back, LRU cache (tag store only).
+
+    Each set is a plain ``tag -> dirty`` dict whose insertion order is the
+    recency order: a touch moves the tag to the end (pop + re-insert), so the
+    least-recently-used tag is always the first one.
+    """
 
     def __init__(self, size_bytes: int, assoc: int, block_size: int) -> None:
         if size_bytes % (assoc * block_size) != 0:
@@ -35,56 +45,48 @@ class Cache:
         self.num_sets = size_bytes // (assoc * block_size)
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
-        # Per set: tag -> [lru_stamp, dirty]
-        self._sets: List[Dict[int, List]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, block: int) -> Tuple[int, int]:
-        return block % self.num_sets, block // self.num_sets
-
     def lookup(self, block: int, mark_dirty: bool = False) -> bool:
         """Probe for ``block``; updates LRU and the dirty bit on a hit."""
-        set_idx, tag = self._locate(block)
-        entry = self._sets[set_idx].get(tag)
-        self._clock += 1
-        if entry is None:
+        num_sets = self.num_sets
+        cache_set = self._sets[block % num_sets]
+        tag = block // num_sets
+        dirty = cache_set.pop(tag, None)
+        if dirty is None:
             self.misses += 1
             return False
-        entry[0] = self._clock
-        if mark_dirty:
-            entry[1] = True
+        cache_set[tag] = True if mark_dirty else dirty
         self.hits += 1
         return True
 
     def fill(self, block: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert ``block``; returns ``(evicted_block, was_dirty)`` if a victim was chosen."""
-        set_idx, tag = self._locate(block)
+        num_sets = self.num_sets
+        set_idx = block % num_sets
+        tag = block // num_sets
         cache_set = self._sets[set_idx]
-        self._clock += 1
-        if tag in cache_set:
-            entry = cache_set[tag]
-            entry[0] = self._clock
-            entry[1] = entry[1] or dirty
+        present = cache_set.pop(tag, None)
+        if present is not None:
+            cache_set[tag] = present or dirty
             return None
         victim = None
         if len(cache_set) >= self.assoc:
-            victim_tag = min(cache_set, key=lambda t: cache_set[t][0])
-            victim_dirty = cache_set[victim_tag][1]
-            del cache_set[victim_tag]
-            victim = (victim_tag * self.num_sets + set_idx, victim_dirty)
-        cache_set[tag] = [self._clock, dirty]
+            victim_tag = next(iter(cache_set))
+            victim = (victim_tag * num_sets + set_idx, cache_set.pop(victim_tag))
+        cache_set[tag] = dirty
         return victim
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if present; returns whether it was there."""
-        set_idx, tag = self._locate(block)
-        return self._sets[set_idx].pop(tag, None) is not None
+        num_sets = self.num_sets
+        return self._sets[block % num_sets].pop(block // num_sets, None) is not None
 
     def contains(self, block: int) -> bool:
-        set_idx, tag = self._locate(block)
-        return tag in self._sets[set_idx]
+        num_sets = self.num_sets
+        return block // num_sets in self._sets[block % num_sets]
 
     @property
     def occupancy(self) -> int:
@@ -153,19 +155,17 @@ class CacheHierarchy(Component):
         self._h_l2_hits = self.counter_handle("l2_hits")
         self._h_l2_misses = self.counter_handle("l2_misses")
         self._h_energy_pj = self.counter_handle("energy_pj")
+        # The L2 probe's NoC endpoints, resolved once per core and per bank.
+        self._core_tiles = [noc.core_tile(core) for core in range(config.num_cores)]
+        self._bank_tiles = [noc.bank_tile(bank) for bank in range(cc.l2_banks)]
+        self._n_prefetches = 0
+        self._n_mshr_merges = 0
+        self._register_lazy_counters(("_n_prefetches", "prefetches"),
+                                     ("_n_mshr_merges", "mshr_merges"))
 
     # -- address helpers ---------------------------------------------------------
     def block_of(self, addr: int) -> int:
         return addr // self.cache_config.block_size
-
-    def _bank_of(self, block: int) -> int:
-        return block % self.cache_config.l2_banks
-
-    def _l2_round_trip(self, core_id: int, block: int) -> float:
-        """NoC round trip from the core's tile to the L2 bank's tile."""
-        core_tile = self.noc.core_tile(core_id)
-        bank_tile = self.noc.bank_tile(self._bank_of(block))
-        return self.noc.round_trip(core_tile, bank_tile, 16, self.cache_config.block_size)
 
     # -- main access path ----------------------------------------------------------
     def access(self, core_id: int, addr: int, is_write: bool,
@@ -177,7 +177,7 @@ class CacheHierarchy(Component):
         ``on_complete(total_latency)`` fires when the fill returns.
         """
         cc = self.cache_config
-        block = self.block_of(addr)
+        block = addr // cc.block_size
         l1 = self.l1s[core_id]
         self._h_accesses.value += 1
         self._h_l1_accesses.value += 1
@@ -197,8 +197,11 @@ class CacheHierarchy(Component):
             return cc.l1_latency + coherence_penalty
 
         self._h_l1_misses.value += 1
-        # L2 probe (S-NUCA bank across the mesh).
-        noc_latency = self._l2_round_trip(core_id, block)
+        # L2 probe (S-NUCA bank across the mesh): a NoC round trip from the
+        # core's tile to the bank's tile.
+        noc_latency = self.noc.round_trip(self._core_tiles[core_id],
+                                          self._bank_tiles[block % cc.l2_banks],
+                                          16, cc.block_size)
         self._h_l2_accesses.value += 1
         self._h_energy_pj.value += cc.l2_energy_pj
         if self.l2.lookup(block, mark_dirty=is_write):
@@ -244,31 +247,37 @@ class CacheHierarchy(Component):
                         on_chip_latency: float,
                         on_complete: Optional[MissCallback]) -> None:
         cc = self.cache_config
-        waiter = (on_complete or (lambda latency: None), self.now, core_id)
+        now = self.sim.now
+        waiter = (on_complete or _ignore_latency, now, core_id)
         waiters = self._mshrs.get(block)
         if waiters is not None:
             # Merge with the fetch of the same block that is already in flight.
             waiters.append(waiter)
-            self.count("mshr_merges")
+            self._n_mshr_merges += 1
             return
         self._mshrs[block] = [waiter]
-
-        def _fill_done(request: MemoryRequest) -> None:
-            self._fill_l2(block, dirty=is_write)
-            pending = self._mshrs.pop(block, [])
-            filled_cores = set()
-            for _callback, _start, waiter_core in pending:
-                if waiter_core not in filled_cores:
-                    self._fill_l1(waiter_core, block, dirty=is_write and waiter_core == core_id)
-                    filled_cores.add(waiter_core)
-            for callback, start, _waiter_core in pending:
-                callback(self.now - start + on_chip_latency)
-
         request = MemoryRequest(addr=block * cc.block_size, size=cc.block_size,
                                 access_type=AccessType.NORMAL_READ,
                                 requester=self.name, core_id=core_id,
-                                issue_time=self.now, on_complete=_fill_done)
+                                issue_time=now,
+                                on_complete=partial(self._fill_done, block, is_write,
+                                                    core_id, on_chip_latency))
         self.memory.access(request)
+
+    def _fill_done(self, block: int, is_write: bool, core_id: int,
+                   on_chip_latency: float, request: MemoryRequest) -> None:
+        """A demand miss returned: fill the L2 and every waiter's L1, then
+        complete the waiters in arrival order."""
+        self._fill_l2(block, dirty=is_write)
+        pending = self._mshrs.pop(block, [])
+        filled_cores = set()
+        for _callback, _start, waiter_core in pending:
+            if waiter_core not in filled_cores:
+                self._fill_l1(waiter_core, block, dirty=is_write and waiter_core == core_id)
+                filled_cores.add(waiter_core)
+        now = self.sim.now
+        for callback, start, _waiter_core in pending:
+            callback(now - start + on_chip_latency)
 
     def _issue_prefetches(self, block: int) -> None:
         """Next-line stream prefetcher: on a demand L2 miss, fetch the following blocks.
@@ -278,25 +287,28 @@ class CacheHierarchy(Component):
         sequential baselines bandwidth-bound rather than latency-bound.
         """
         cc = self.cache_config
+        mshrs = self._mshrs
+        l2 = self.l2
+        now = self.sim.now
         for offset in range(1, cc.prefetch_degree + 1):
             candidate = block + offset
-            if candidate in self._mshrs or self.l2.contains(candidate):
+            if candidate in mshrs or l2.contains(candidate):
                 continue
-            self._mshrs[candidate] = []
-            self.count("prefetches")
-
-            def _prefetch_done(request: MemoryRequest, blk: int = candidate) -> None:
-                self._fill_l2(blk, dirty=False)
-                # Demand accesses may have merged onto the prefetch while it was
-                # in flight; complete them now.
-                for callback, start, _core in self._mshrs.pop(blk, []):
-                    callback(self.now - start + self.cache_config.l2_latency)
-
+            mshrs[candidate] = []
+            self._n_prefetches += 1
             request = MemoryRequest(addr=candidate * cc.block_size, size=cc.block_size,
                                     access_type=AccessType.NORMAL_READ,
-                                    requester=self.name, issue_time=self.now,
-                                    on_complete=_prefetch_done)
+                                    requester=self.name, issue_time=now,
+                                    on_complete=partial(self._prefetch_done, candidate))
             self.memory.access(request)
+
+    def _prefetch_done(self, block: int, request: MemoryRequest) -> None:
+        self._fill_l2(block, dirty=False)
+        # Demand accesses may have merged onto the prefetch while it was in
+        # flight; complete them now.
+        now = self.sim.now
+        for callback, start, _core in self._mshrs.pop(block, []):
+            callback(now - start + self.cache_config.l2_latency)
 
     # -- atomics --------------------------------------------------------------------
     def atomic_access(self, core_id: int, addr: int, on_complete: MissCallback,
@@ -309,15 +321,20 @@ class CacheHierarchy(Component):
             self._atomic_locks[block] = lock
         start, _finish = lock.reserve(occupancy)
         self.count("atomics")
-        issue_time = self.now
+        self.sim.schedule_at(start, partial(self._atomic_start, core_id, addr,
+                                            on_complete, self.now))
 
-        def _do_access() -> None:
-            latency = self.access(core_id, addr, is_write=True,
-                                  on_complete=lambda lat: on_complete(self.now - issue_time + 0.0))
-            if latency is not None:
-                self.sim.schedule(latency, lambda: on_complete(self.now - issue_time))
+    def _atomic_start(self, core_id: int, addr: int, on_complete: MissCallback,
+                      issue_time: float) -> None:
+        """The atomic holds its block's lock: access it as a write."""
+        done = partial(self._atomic_done, on_complete, issue_time)
+        latency = self.access(core_id, addr, is_write=True, on_complete=done)
+        if latency is not None:
+            self.sim.schedule(latency, partial(done, latency))
 
-        self.sim.schedule_at(start, _do_access)
+    def _atomic_done(self, on_complete: MissCallback, issue_time: float,
+                     _latency: float) -> None:
+        on_complete(self.now - issue_time)
 
     # -- statistics -------------------------------------------------------------------
     def l1_hit_rate(self, counters: Optional[Mapping[str, float]] = None) -> float:

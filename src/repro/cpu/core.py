@@ -15,6 +15,7 @@ count (and therefore Python run time) manageable.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
@@ -63,6 +64,13 @@ class Core(Component):
         self._waiting_for_mem_slot = False
         self._waiting_for_mi_slot = False
         self._advance_scheduled = False
+        # Counted once per load/store/Update: plain accumulators, folded on flush.
+        self._n_mem_hits = 0
+        self._n_mem_misses_issued = 0
+        self._n_updates_issued = 0
+        self._register_lazy_counters(("_n_mem_hits", "mem_hits"),
+                                     ("_n_mem_misses_issued", "mem_misses_issued"),
+                                     ("_n_updates_issued", "updates_issued"))
 
         #: Bound histogram: one sample per completed memory miss.
         self._hist_mem_latency = sim.stats.histogram(f"{self.name}.mem_latency")
@@ -94,7 +102,7 @@ class Core(Component):
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        self.schedule(delay, self._advance)
+        self.sim.schedule(delay, self._advance)
 
     def _block(self, reason: str) -> None:
         self.blocked_reason = reason
@@ -129,7 +137,8 @@ class Core(Component):
         if self._waiting_for_mem_slot:
             self._waiting_for_mem_slot = False
             self._unblock()
-        self._maybe_finish()
+        if self.pc >= len(self.trace):
+            self._maybe_finish()
 
     def _request_done(self, arrival: float, latency: float) -> None:
         """Miss completion for the memory op heading an open-loop request."""
@@ -164,20 +173,25 @@ class Core(Component):
         if self.done or self.blocked_reason is not None:
             return
         cfg = self.config
+        trace = self.trace
+        trace_len = len(trace)
+        batch_cycles = cfg.issue_batch_cycles
         used = 0.0
-        while self.pc < len(self.trace):
-            if used >= cfg.issue_batch_cycles:
+        # Dispatch on the exact class: the operation classes have no subclasses.
+        while self.pc < trace_len:
+            if used >= batch_cycles:
                 self._schedule_advance(used)
                 return
-            op = self.trace[self.pc]
+            op = trace[self.pc]
+            kind = op.__class__
 
-            if isinstance(op, ComputeOp):
+            if kind is ComputeOp:
                 self._retire(op)
                 cost = op.cycles / max(1, cfg.issue_width)
                 used += cost
                 continue
 
-            if isinstance(op, (LoadOp, StoreOp)):
+            if kind is LoadOp or kind is StoreOp:
                 if self.outstanding_mem >= cfg.max_outstanding_mem:
                     if used > 0:
                         self._schedule_advance(used)
@@ -187,7 +201,6 @@ class Core(Component):
                     return
                 self._retire(op)
                 used += cfg.mem_issue_cycles
-                is_write = isinstance(op, StoreOp)
                 arrival = self._pending_arrival
                 if arrival is None:
                     on_complete = self._mem_done
@@ -196,20 +209,19 @@ class Core(Component):
                     # request: its completion samples request_latency from
                     # the intended arrival cycle.
                     self._pending_arrival = None
-                    on_complete = (lambda latency, _arrival=arrival:
-                                   self._request_done(_arrival, latency))
-                latency = self.hierarchy.access(self.core_id, op.addr, is_write,
-                                                on_complete=on_complete)
+                    on_complete = partial(self._request_done, arrival)
+                latency = self.hierarchy.access(self.core_id, op.addr, kind is StoreOp,
+                                                on_complete)
                 if latency is None:
                     self.outstanding_mem += 1
-                    self.count("mem_misses_issued")
+                    self._n_mem_misses_issued += 1
                 else:
-                    self.count("mem_hits")
+                    self._n_mem_hits += 1
                     if arrival is not None:
                         self._request_hit(arrival, self.now + latency)
                 continue
 
-            if isinstance(op, UpdateOp):
+            if kind is UpdateOp:
                 if not self.mi.enabled:
                     raise RuntimeError(
                         f"{self.name} has an Update in its trace but this configuration "
@@ -225,7 +237,7 @@ class Core(Component):
                     return
                 self._retire(op)
                 used += cfg.update_issue_cycles
-                self.count("updates_issued")
+                self._n_updates_issued += 1
                 self.mi.offload_update(op)
                 if self._pending_arrival is not None:
                     # Offloaded requests complete network-side; sample the
@@ -244,7 +256,7 @@ class Core(Component):
                 self._schedule_advance(used)
                 return
 
-            if isinstance(op, ArrivalOp):
+            if kind is ArrivalOp:
                 self._retire(op)
                 self._pending_arrival = op.at
                 if op.at > self.now:
@@ -256,27 +268,27 @@ class Core(Component):
                     return
                 continue
 
-            if isinstance(op, GatherOp):
+            if kind is GatherOp:
                 self._retire(op)
                 self.count("gathers_issued")
                 self._block("gather")
                 self.mi.offload_gather(op, self._gather_done)
                 return
 
-            if isinstance(op, AtomicOp):
+            if kind is AtomicOp:
                 self._retire(op)
                 self.count("atomics_issued")
                 self._block("atomic")
                 self.hierarchy.atomic_access(self.core_id, op.addr, self._atomic_done)
                 return
 
-            if isinstance(op, BarrierOp):
+            if kind is BarrierOp:
                 self._retire(op)
                 self._block("barrier")
                 self.barriers.arrive(op.barrier_id, op.participants, self._barrier_released)
                 return
 
-            if isinstance(op, PhaseMarkerOp):
+            if kind is PhaseMarkerOp:
                 self.phase_log.append((op.label, self.now + used, self.instructions))
                 self._retire(op)
                 continue

@@ -29,6 +29,11 @@ class MeshNoC(Component):
         self._h_byte_hops = self.counter_handle("byte_hops")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
+        #: ``[src][dst]`` hop counts: :meth:`round_trip` runs once per L2
+        #: probe and does no geometry (nor range checks) of its own.
+        tiles = [divmod(tile, cols) for tile in range(rows * cols)]
+        self._hop_table = [[abs(sr - dr) + abs(sc - dc) for dr, dc in tiles]
+                           for sr, sc in tiles]
 
     @property
     def num_tiles(self) -> int:
@@ -81,7 +86,7 @@ class MeshNoC(Component):
         separate additions so the accumulated floats match exactly), fused
         because this runs once per L2 probe.
         """
-        hops = self.hops(src_tile, dst_tile)
+        hops = self._hop_table[src_tile][dst_tile]
         latency = hops * self.hop_latency
         self._h_transfers.value += 2
         self._h_byte_hops.value += req_bytes * hops

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..mem import DRAMAddressMapping, MemoryRequest
@@ -48,7 +49,7 @@ class DRAMSystem(Component):
         self.count(f"bytes.{request.access_type.value}", request.size)
         self.count("energy_pj", request.size * 8 * self.ENERGY_PJ_PER_BIT)
         self.observe("latency", finish - self.now)
-        self.sim.schedule_at(finish, lambda: request.complete(finish))
+        self.sim.schedule_at(finish, partial(request.complete, finish))
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Aggregate peak data-bus bandwidth across channels."""

@@ -8,6 +8,7 @@ Active-Routing engine when one is installed (ART/ARF configurations).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Mapping, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping
@@ -101,22 +102,21 @@ class HMCCube(Component):
         if packet.ptype not in (PacketType.READ_REQ, PacketType.WRITE_REQ):
             raise RuntimeError(f"cube {self.node_id} cannot serve packet type {packet.ptype}")
         is_read = packet.ptype == PacketType.READ_REQ
-        addr = getattr(packet, "addr", 0)
-        req_id = getattr(packet, "req_id", 0)
+        addr = packet.addr
         size = 64 if is_read else packet.size
-        requester = packet.src
         finish = self.local_access(addr, size, is_write=not is_read)
         if is_read:
             self._n_served_reads += 1
         else:
             self._n_served_writes += 1
+        self.sim.schedule_at(finish, partial(self._respond, packet.src, addr, is_read,
+                                             packet.req_id))
 
-        def _respond() -> None:
-            response = MemRespPacket(src=self.node_id, dst=requester,
-                                     addr=addr, is_read=is_read, req_id=req_id)
-            self.network.inject(response, self.node_id)
-
-        self.sim.schedule_at(finish, _respond)
+    def _respond(self, requester: int, addr: int, is_read: bool, req_id: int) -> None:
+        """The vault access finished: answer the requester."""
+        response = MemRespPacket(src=self.node_id, dst=requester,
+                                 addr=addr, is_read=is_read, req_id=req_id)
+        self.network.inject(response, self.node_id)
 
     # -- statistics -----------------------------------------------------------
     def total_vault_accesses(self, counters: Optional[Mapping[str, float]] = None) -> float:

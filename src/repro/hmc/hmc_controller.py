@@ -82,9 +82,9 @@ class HMCController(Component):
     def access(self, request: MemoryRequest) -> None:
         """Packetize a cache-miss request and inject it into the memory network."""
         assert self.network is not None, "controller is not connected to a network"
-        request.issue_time = request.issue_time or self.now
+        request.issue_time = request.issue_time or self.sim.now
         dst_cube = self.mapping.cube_of(request.addr)
-        if request.is_write:
+        if request.access_type.is_write:
             packet: Packet = MemWritePacket(src=self.node_id, dst=dst_cube,
                                             addr=request.addr, req_id=request.req_id)
             self._n_writes += 1
@@ -119,10 +119,11 @@ class HMCController(Component):
         raise RuntimeError(f"{self.name} cannot handle packet type {ptype}")
 
     def _complete_memory_response(self, packet: Packet) -> None:
-        req_id = getattr(packet, "req_id", None)
+        req_id = packet.req_id
         request = self._outstanding.pop(req_id, None)
         if request is None:
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
         self._n_responses += 1
-        self._hist_roundtrip.add(self.now - request.issue_time)
-        request.complete(self.now)
+        now = self.sim.now
+        self._hist_roundtrip.add(now - request.issue_time)
+        request.complete(now)

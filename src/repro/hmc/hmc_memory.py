@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..mem import HMCAddressMapping, MemoryRequest
+from ..mem import AccessType, HMCAddressMapping, MemoryRequest
 from ..network.faults import FaultInjector
 from ..network.link import LinkConfig
 from ..network.network import MemoryNetwork
@@ -75,6 +75,24 @@ class HMCMemorySystem(Component):
                                        self.mapping, self.net_config)
             controller.connect(self.network)
             self.controllers.append(controller)
+        self._interleave = self.net_config.controller_interleave
+        # access() runs once per miss: count requests and bytes per access
+        # type on plain accumulators that flush() folds into the registry.
+        self._n_requests = 0
+        self._pending_bytes = dict.fromkeys(AccessType, 0)
+        sim.stats.register_flushable(self)
+
+    def flush(self) -> None:
+        if not self._n_requests:
+            return
+        pending = self._pending_bytes
+        self.count("requests", self._n_requests)
+        self.count("bytes", sum(pending.values()))
+        for access_type, size in pending.items():
+            if size:
+                self.count(f"bytes.{access_type.value}", size)
+                pending[access_type] = 0
+        self._n_requests = 0
 
     def _build_topology(self) -> Topology:
         """Build the configured topology with *exactly* ``num_cubes`` cubes.
@@ -113,11 +131,10 @@ class HMCMemorySystem(Component):
 
     def access(self, request: MemoryRequest) -> None:
         """Route one cache-miss request through the controller nearest by interleave."""
-        controller = self.controller_for_address(request.addr)
-        self.count("requests")
-        self.count("bytes", request.size)
-        self.count(f"bytes.{request.access_type.value}", request.size)
-        controller.access(request)
+        controllers = self.controllers
+        self._n_requests += 1
+        self._pending_bytes[request.access_type] += request.size
+        controllers[(request.addr // self._interleave) % len(controllers)].access(request)
 
     # -- helpers -----------------------------------------------------------------
     def controller_for_address(self, addr: int) -> HMCController:

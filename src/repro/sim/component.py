@@ -56,6 +56,9 @@ class Component:
     #: ``(accumulator attribute, bound handle)`` pairs folded by the generic
     #: :meth:`flush`; set through :meth:`_register_batched_counters`.
     _batched_counters: tuple = ()
+    #: ``(accumulator attribute, stat name)`` pairs whose cells the generic
+    #: :meth:`flush` binds on first use; see :meth:`_register_lazy_counters`.
+    _lazy_counters: tuple = ()
 
     def flush(self) -> None:
         """Fold any locally-batched stat accumulators into the registry.
@@ -72,11 +75,24 @@ class Component:
             if pending:
                 handle.value += pending
                 setattr(self, attr, 0)
+        for attr, stat in self._lazy_counters:
+            pending = getattr(self, attr)
+            if pending:
+                self.count(stat, pending)
+                setattr(self, attr, 0)
 
     def _register_batched_counters(self, *pairs) -> None:
         """Declare epoch-batched counters: each ``(attr, handle)`` pair names a
         plain integer accumulator on ``self`` and the registry cell it feeds."""
         self._batched_counters = pairs
+        self.sim.stats.register_flushable(self)
+
+    def _register_lazy_counters(self, *pairs) -> None:
+        """Declare epoch-batched counters whose cells bind on their first
+        non-zero flush: each ``(attr, stat)`` pair names a plain integer
+        accumulator on ``self`` and the stat it feeds.  A stat the run never
+        counts gets no registry cell, exactly as with per-event :meth:`count`."""
+        self._lazy_counters = pairs
         self.sim.stats.register_flushable(self)
 
     # -- time shortcuts -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the cache hierarchy, directory and MSHR behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu.cache import Cache, CacheHierarchy, Directory
 from repro.cpu.config import CacheConfig, CMPConfig, CoreConfig
@@ -62,6 +63,75 @@ def test_cache_dirty_eviction_reported():
 def test_cache_validation():
     with pytest.raises(ValueError):
         Cache(size_bytes=100, assoc=3, block_size=64)
+
+
+class StampLRU:
+    """Reference LRU: per-entry recency stamps, the victim is the minimum stamp."""
+
+    def __init__(self, num_sets, assoc):
+        self.num_sets, self.assoc = num_sets, assoc
+        self.sets = [dict() for _ in range(num_sets)]  # tag -> [stamp, dirty]
+        self.clock = 0
+
+    def lookup(self, block, mark_dirty=False):
+        entry = self.sets[block % self.num_sets].get(block // self.num_sets)
+        self.clock += 1
+        if entry is None:
+            return False
+        entry[0] = self.clock
+        if mark_dirty:
+            entry[1] = True
+        return True
+
+    def fill(self, block, dirty=False):
+        set_idx, tag = block % self.num_sets, block // self.num_sets
+        cache_set = self.sets[set_idx]
+        self.clock += 1
+        if tag in cache_set:
+            cache_set[tag][0] = self.clock
+            cache_set[tag][1] = cache_set[tag][1] or dirty
+            return None
+        victim = None
+        if len(cache_set) >= self.assoc:
+            victim_tag = min(cache_set, key=lambda t: cache_set[t][0])
+            victim = (victim_tag * self.num_sets + set_idx, cache_set.pop(victim_tag)[1])
+        cache_set[tag] = [self.clock, dirty]
+        return victim
+
+    def invalidate(self, block):
+        return self.sets[block % self.num_sets].pop(block // self.num_sets, None) is not None
+
+    @property
+    def occupancy(self):
+        return sum(len(s) for s in self.sets)
+
+
+@st.composite
+def _cache_streams(draw):
+    """A cache geometry and an op stream over about twice its capacity, so
+    hits, dirty marks and evictions all happen."""
+    assoc = draw(st.integers(min_value=1, max_value=8))
+    num_sets = draw(st.integers(min_value=1, max_value=4))
+    blocks = st.integers(min_value=0, max_value=2 * assoc * num_sets)
+    ops = draw(st.lists(st.tuples(st.sampled_from(["lookup", "fill", "invalidate"]),
+                                  blocks, st.booleans()), min_size=20, max_size=200))
+    return assoc, num_sets, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cache_streams())
+def test_cache_matches_stamp_lru_reference(stream):
+    assoc, num_sets, ops = stream
+    cache = Cache(num_sets * assoc * 64, assoc, 64)
+    reference = StampLRU(num_sets, assoc)
+    for op, block, flag in ops:
+        if op == "lookup":
+            assert cache.lookup(block, mark_dirty=flag) == reference.lookup(block, flag)
+        elif op == "fill":
+            assert cache.fill(block, dirty=flag) == reference.fill(block, flag)
+        else:
+            assert cache.invalidate(block) == reference.invalidate(block)
+        assert cache.occupancy == reference.occupancy
 
 
 def test_directory_tracks_sharers_and_invalidations():

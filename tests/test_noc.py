@@ -36,6 +36,17 @@ def test_transfer_latency_and_energy(sim):
     assert rt == pytest.approx(2 * 2 * 3.0)
 
 
+def test_round_trip_matches_two_transfers_on_a_rectangular_mesh(sim):
+    noc = MeshNoC(sim, rows=3, cols=5, hop_latency=2.0)
+    reference = MeshNoC(Simulator(), rows=3, cols=5, hop_latency=2.0)
+    for src in range(noc.num_tiles):
+        for dst in range(noc.num_tiles):
+            expected = (reference.transfer(src, dst, 16)
+                        + reference.transfer(dst, src, 64))
+            assert noc.round_trip(src, dst, 16, 64) == expected
+    assert sim.stats.counters("noc.") == reference.sim.stats.counters("noc.")
+
+
 def test_invalid_mesh(sim):
     with pytest.raises(ValueError):
         MeshNoC(sim, rows=0, cols=4)
