@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -44,19 +45,35 @@ def _first(a: float, _b: float) -> float:
     return a
 
 
+# operator.add/mul instead of lambdas: the same arithmetic, without a Python
+# frame per Update.
 OPCODES: Dict[str, OpcodeSpec] = {
-    "add": OpcodeSpec("add", OpClass.REDUCE, 1, _first, lambda acc, v: acc + v, 0.0),
-    "mac": OpcodeSpec("mac", OpClass.REDUCE, 2, lambda a, b: a * b,
-                      lambda acc, v: acc + v, 0.0),
-    "mult": OpcodeSpec("mult", OpClass.REDUCE, 2, lambda a, b: a * b,
-                       lambda acc, v: acc + v, 0.0),
+    "add": OpcodeSpec("add", OpClass.REDUCE, 1, _first, operator.add, 0.0),
+    "mac": OpcodeSpec("mac", OpClass.REDUCE, 2, operator.mul, operator.add, 0.0),
+    "mult": OpcodeSpec("mult", OpClass.REDUCE, 2, operator.mul, operator.add, 0.0),
     "abs_diff": OpcodeSpec("abs_diff", OpClass.REDUCE, 2, lambda a, b: abs(a - b),
-                           lambda acc, v: acc + v, 0.0),
+                           operator.add, 0.0),
     "min": OpcodeSpec("min", OpClass.REDUCE, 1, _first, min, math.inf),
     "max": OpcodeSpec("max", OpClass.REDUCE, 1, _first, max, -math.inf),
     "mov": OpcodeSpec("mov", OpClass.STORE, 1, _first, _first, 0.0),
     "const_assign": OpcodeSpec("const_assign", OpClass.STORE, 0, _first, _first, 0.0),
 }
+
+
+# Each opcode's shape, resolved once from OPCODES for the per-Update paths of
+# the engine and the host (a plain dict probe instead of a spec attribute
+# chase and an OpClass comparison per Update).
+#: Opcodes of the reduce class.
+REDUCE_OPCODES = frozenset(name for name, spec in OPCODES.items()
+                           if spec.op_class is OpClass.REDUCE)
+#: Source-operand count per opcode.
+NUM_OPERANDS: Dict[str, int] = {name: spec.num_operands for name, spec in OPCODES.items()}
+#: ``combine`` per opcode.
+COMBINE: Dict[str, Callable[[float, float], float]] = {
+    name: spec.combine for name, spec in OPCODES.items()}
+#: ``accumulate`` per opcode.
+ACCUMULATE: Dict[str, Callable[[float, float], float]] = {
+    name: spec.accumulate for name, spec in OPCODES.items()}
 
 
 def opcode_spec(name: str) -> OpcodeSpec:
@@ -101,22 +118,22 @@ class ALU(Component):
 
     def combine(self, opcode: str, a: float, b: float = 0.0) -> float:
         """Execute the data-processing part of an Update (e.g. the multiply of a MAC)."""
-        # Direct dict probe on the hot path; the opcode_spec() wrapper (and
+        # Direct table probe on the hot path; the opcode_spec() wrapper (and
         # its friendly error) only runs for unknown names.
-        spec = OPCODES.get(opcode)
-        if spec is None:
-            spec = opcode_spec(opcode)
+        combine = COMBINE.get(opcode)
+        if combine is None:
+            combine = opcode_spec(opcode).combine
         self._n_ops += 1
         by_opcode = self._n_ops_by_opcode
         by_opcode[opcode] = by_opcode.get(opcode, 0) + 1
-        return spec.combine(a, b)
+        return combine(a, b)
 
     def accumulate(self, opcode: str, accumulator: Optional[float], value: float) -> float:
         """Fold ``value`` into ``accumulator`` using the opcode's reduction."""
-        spec = OPCODES.get(opcode)
-        if spec is None:
-            spec = opcode_spec(opcode)
+        accumulate = ACCUMULATE.get(opcode)
+        if accumulate is None:
+            accumulate = opcode_spec(opcode).accumulate
         if accumulator is None:
-            accumulator = spec.identity
+            accumulator = OPCODES[opcode].identity
         self._n_reductions += 1
-        return spec.accumulate(accumulator, value)
+        return accumulate(accumulator, value)

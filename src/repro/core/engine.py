@@ -36,12 +36,11 @@ from ..network.packet import (
     GatherResponsePacket,
     OperandRequestPacket,
     OperandResponsePacket,
-    Packet,
     PacketType,
     UpdatePacket,
 )
 from ..sim import Component, Histogram, Simulator
-from .alu import ALU, OPCODES, OpClass
+from .alu import ALU, NUM_OPERANDS, REDUCE_OPCODES
 from .config import AREConfig
 from .flow_table import FlowTable, FlowTableEntry
 from .operand_buffer import OperandBufferEntry, OperandBufferPool
@@ -70,6 +69,10 @@ class ActiveRoutingEngine(Component):
                                                  capacity=self.config.operand_buffer_slots)
         self.alu = ALU(sim, f"{self.name}.alu", latency=self.config.alu_latency)
         self._stalled_updates: Deque[Tuple[UpdatePacket, float]] = deque()
+        # The flow-table and operand-buffer dicts, probed directly on the
+        # per-Update paths (both objects keep their dict for life).
+        self._flow_entries = self.flow_table.entries
+        self._opbuf_entries = self.operand_buffers.entries
         # Forwarding decisions index the dense next-hop row for this cube.
         self._next_row = network.routing.next_hop_table[self.node_id]
         # Dense dispatch indexed by the packet type's small int code (cheaper
@@ -82,10 +85,9 @@ class ActiveRoutingEngine(Component):
                 (PacketType.GATHER_REQ, self._handle_gather_request),
                 (PacketType.GATHER_RESP, self._handle_gather_response)):
             self._dispatch[ptype._code] = handler
-        # handle_packet() fires for every active packet that crosses this cube,
-        # so counting runs on plain integer accumulators; flush() folds them
-        # into the bound handles on demand (the same epoch batching the links
-        # adopted in the round-2 fast path).
+        # The cube dispatches every active packet that crosses it, so counting
+        # runs on plain integer accumulators; flush() folds them into the
+        # bound handles on demand (the same epoch batching the links use).
         names = ("active_packets", "updates_seen", "updates_forwarded",
                  "updates_received", "stores_forwarded", "stores_received",
                  "operand_buffer_stalls", "local_operand_reads",
@@ -112,52 +114,54 @@ class ActiveRoutingEngine(Component):
                              ("response", self._hist_latency_response),
                              ("total", self._hist_latency_total)):
             sim.stats.folded_histogram(f"ar.update_latency.{suffix}").attach(part)
-        # _record_roundtrip walks these in order with Histogram.add inlined.
+        # Below the reservoir cap _record_roundtrip appends each sample
+        # straight to the four parts' sample lists and leaves count, total,
+        # min and max to Histogram.fold_appended(), which the folded
+        # aggregate runs on every registry read.  The four lists always have
+        # the same length (registry.clear() resets them together), so one
+        # length test covers all four.
         self._hists_latency = (self._hist_latency_request, self._hist_latency_stall,
                                self._hist_latency_response, self._hist_latency_total)
-
-    # ------------------------------------------------------------------ dispatch
-    def handle_packet(self, packet: Packet, from_node: int) -> None:
-        """Entry point called by the cube for every active packet that arrives."""
-        self._n_active_packets += 1
-        handler = self._dispatch[packet.ptype._code]
-        if handler is None:
-            raise RuntimeError(f"{self.name} cannot handle packet type {packet.ptype}")
-        handler(packet, from_node)
+        self._latency_cap = self._hist_latency_total.max_samples
+        self._samples_request = self._hist_latency_request.samples
+        self._samples_stall = self._hist_latency_stall.samples
+        self._samples_response = self._hist_latency_response.samples
+        self._samples_total = self._hist_latency_total.samples
 
     # ---------------------------------------------------------------- update phase
     def _handle_update(self, packet: UpdatePacket, from_node: int) -> None:
-        # Direct OPCODES lookup: this fires once per Update *hop*, and the
-        # opcode was validated when the host offloaded it, so the wrapper's
-        # friendly-error frame is pure overhead here (same in the other
+        # Table probes only: this fires once per Update *hop*, and the opcode
+        # was validated when the host offloaded it (same in the other
         # per-Update paths below).
-        spec = OPCODES[packet.opcode]
-        if spec.op_class is OpClass.REDUCE:
-            entry = self.flow_table.get_or_create(packet.flow_id, packet.root_node,
-                                                  packet.opcode, parent=from_node)
+        if packet.opcode in REDUCE_OPCODES:
+            entry = self._flow_entries.get((packet.flow_id, packet.root_node))
+            if entry is None:
+                entry = self.flow_table.get_or_create(packet.flow_id, packet.root_node,
+                                                      packet.opcode, parent=from_node)
+            elif entry.parent is None:
+                entry.parent = from_node
             entry.req_counter += 1
             self._n_updates_seen += 1
-            if packet.dst != self.node_id:
-                next_hop = self._next_row[packet.dst]
-                entry.record_child(next_hop)
+            dst = packet.dst
+            if dst != self.node_id:
+                entry.children.add(self._next_row[dst])
                 self._n_updates_forwarded += 1
-                self.network.forward(packet, self.node_id)
+                self.network._hop(packet, self.node_id)
                 return
             self._n_updates_received += 1
-            self._start_update_processing(packet, arrival=self.sim.now)
+            self._start_update_processing(packet, self.sim.now)
             return
 
         # Store-class Updates (mov / const_assign): no flow bookkeeping needed.
         if packet.dst != self.node_id:
             self._n_stores_forwarded += 1
-            self.network.forward(packet, self.node_id)
+            self.network._hop(packet, self.node_id)
             return
         self._n_stores_received += 1
-        self._start_store_processing(packet, arrival=self.sim.now)
+        self._start_store_processing(packet, self.sim.now)
 
     def _start_update_processing(self, packet: UpdatePacket, arrival: float) -> None:
-        spec = OPCODES[packet.opcode]
-        if spec.num_operands <= 1:
+        if NUM_OPERANDS[packet.opcode] <= 1:
             self._process_single_operand(packet, arrival)
             return
         entry = self.operand_buffers.reserve(packet.flow_id, packet.root_node,
@@ -170,8 +174,7 @@ class ActiveRoutingEngine(Component):
         self._issue_operand_fetches(entry)
 
     def _start_store_processing(self, packet: UpdatePacket, arrival: float) -> None:
-        spec = OPCODES[packet.opcode]
-        if spec.num_operands == 0:
+        if NUM_OPERANDS[packet.opcode] == 0:
             # const_assign: write the immediate to the (local) target.
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
@@ -222,10 +225,13 @@ class ActiveRoutingEngine(Component):
     def _issue_operand_fetches(self, entry: OperandBufferEntry) -> None:
         entry.operand_issue_time = self.sim.now
         packet = entry.update
-        operands = [(0, packet.src1_addr, packet.src1_value)]
-        if entry.num_operands == 2:
-            operands.append((1, packet.src2_addr, packet.src2_value))
-        for index, addr, value in operands:
+        for index in range(entry.num_operands):
+            if index:
+                addr = packet.src2_addr
+                value = packet.src2_value
+            else:
+                addr = packet.src1_addr
+                value = packet.src1_value
             if addr is None:
                 entry.set_operand(index, value)
                 continue
@@ -245,14 +251,13 @@ class ActiveRoutingEngine(Component):
                     flow_id=packet.flow_id)
                 self._n_remote_operand_requests += 1
                 self.network.inject(request, self.node_id)
-        if entry.ready:
+        if entry.op_ready1 and (entry.op_ready2 or entry.num_operands == 1):
             self._commit_buffered(entry)
 
     # -------------------------------------------------------- operand traffic handling
+    # The cube hops operand requests and responses in transit on itself, so
+    # these handlers only see packets addressed to this cube.
     def _handle_operand_request(self, packet: OperandRequestPacket, from_node: int) -> None:
-        if packet.dst != self.node_id:
-            self.network.forward(packet, self.node_id)
-            return
         finish = self.cube.local_access(packet.addr, self.config.operand_read_bytes,
                                         is_write=False)
         self._n_operand_reads_served += 1
@@ -268,16 +273,18 @@ class ActiveRoutingEngine(Component):
         self.network.inject(response, self.node_id)
 
     def _handle_operand_response(self, packet: OperandResponsePacket, from_node: int) -> None:
-        if packet.dst != self.node_id:
-            self.network.forward(packet, self.node_id)
-            return
         self._operand_arrived(packet.buffer_slot, packet.operand_index, packet.value)
 
     def _operand_arrived(self, slot: int, index: int, value: float) -> None:
-        entry = self.operand_buffers.get(slot)
-        entry.set_operand(index, value)
+        entry = self._opbuf_entries[slot]
+        if index:
+            entry.op_value2 = value
+            entry.op_ready2 = True
+        else:
+            entry.op_value1 = value
+            entry.op_ready1 = True
         self._n_operands_arrived += 1
-        if entry.ready:
+        if entry.op_ready1 and (entry.op_ready2 or entry.num_operands == 1):
             self._commit_buffered(entry)
 
     # ----------------------------------------------------------------- commit paths
@@ -300,13 +307,13 @@ class ActiveRoutingEngine(Component):
         else:
             value = self.alu.combine(packet.opcode, value1, value2)
             self._commit_reduce(packet, arrival, operand_issue, value)
-        self._drain_stalled()
+        if self._stalled_updates:
+            self._drain_stalled()
 
     def _drain_stalled(self) -> None:
         while self._stalled_updates and self.operand_buffers.free_slots > 0:
             packet, arrival = self._stalled_updates.popleft()
-            spec = OPCODES[packet.opcode]
-            if spec.op_class is OpClass.REDUCE:
+            if packet.opcode in REDUCE_OPCODES:
                 self._start_update_processing(packet, arrival)
             else:
                 self._start_store_processing(packet, arrival)
@@ -314,7 +321,7 @@ class ActiveRoutingEngine(Component):
     def _commit_reduce(self, packet: UpdatePacket, arrival: float,
                        operand_issue: float, value: float,
                        response_end: Optional[float] = None) -> None:
-        entry = self.flow_table.lookup(packet.flow_id, packet.root_node)
+        entry = self._flow_entries.get((packet.flow_id, packet.root_node))
         if entry is None:
             raise RuntimeError(
                 f"{self.name}: commit for flow 0x{packet.flow_id:x} (root {packet.root_node}) "
@@ -325,7 +332,8 @@ class ActiveRoutingEngine(Component):
         self._n_updates_committed += 1
         self._record_roundtrip(packet, arrival, operand_issue, response_end)
         self.host.notify_update_commit(packet.update_id)
-        self._check_flow_completion(entry)
+        if entry.gflag:
+            self._check_flow_completion(entry)
 
     def _commit_store(self, packet: UpdatePacket, arrival: float) -> None:
         self._n_stores_committed += 1
@@ -359,35 +367,21 @@ class ActiveRoutingEngine(Component):
         response_latency = response_end - operand_issue
         if response_latency < 0.0:
             response_latency = 0.0
-        # Histogram.add + _offer_sample inlined (8 call frames per Update
-        # otherwise).  The four histograms are unrolled rather than zipped so
-        # no values tuple / zip iterator is allocated per Update.  The
-        # under-cap append is the only fast-cased branch; a full reservoir
-        # falls back to the histogram's own replacement logic, which keeps the
-        # sample sequence identical to per-call add()s.
         total_latency = request_latency + stall_latency + response_latency
-        hists = self._hists_latency
-        value = request_latency
-        for index in range(4):
-            hist = hists[index]
-            hist.count += 1
-            hist.total += value
-            if value < hist.minimum:
-                hist.minimum = value
-            if value > hist.maximum:
-                hist.maximum = value
-            samples = hist.samples
-            if len(samples) < hist.max_samples:
-                hist._seen += 1
-                samples.append(value)
-            else:
-                hist._offer_sample(value)
-            if index == 0:
-                value = stall_latency
-            elif index == 1:
-                value = response_latency
-            else:
-                value = total_latency
+        samples = self._samples_request
+        if len(samples) < self._latency_cap:
+            # Below the cap: append only; the registry read folds the rest.
+            samples.append(request_latency)
+            self._samples_stall.append(stall_latency)
+            self._samples_response.append(response_latency)
+            self._samples_total.append(total_latency)
+            return
+        # A full reservoir: fold the appended tail first, so add() continues
+        # exactly where per-sample add()s would have left the histogram.
+        for hist, value in zip(self._hists_latency, (request_latency, stall_latency,
+                                                     response_latency, total_latency)):
+            hist.fold_appended()
+            hist.add(value)
 
     # ----------------------------------------------------------------- gather phase
     def _handle_gather_request(self, packet: GatherRequestPacket, from_node: int) -> None:
@@ -402,7 +396,7 @@ class ActiveRoutingEngine(Component):
         root_node = packet.root_node
         target_addr = packet.target_addr
         num_threads = packet.num_threads
-        entry = self.flow_table.lookup(flow_id, root_node)
+        entry = self._flow_entries.get((flow_id, root_node))
         if entry is None:
             # No Update of this flow ever crossed this cube through this tree:
             # answer immediately with an empty partial result.
@@ -428,10 +422,8 @@ class ActiveRoutingEngine(Component):
         self._check_flow_completion(entry)
 
     def _handle_gather_response(self, packet: GatherResponsePacket, from_node: int) -> None:
-        if packet.dst != self.node_id:
-            self.network.forward(packet, self.node_id)
-            return
-        entry = self.flow_table.lookup(packet.flow_id, packet.root_node)
+        # Responses in transit are hopped on by the cube, like operand traffic.
+        entry = self._flow_entries.get((packet.flow_id, packet.root_node))
         if entry is None:
             raise RuntimeError(
                 f"{self.name}: Gather response for unknown flow 0x{packet.flow_id:x} "
@@ -448,7 +440,9 @@ class ActiveRoutingEngine(Component):
         self._check_flow_completion(entry)
 
     def _check_flow_completion(self, entry: FlowTableEntry) -> None:
-        if not entry.complete:
+        # FlowTableEntry.complete, tested inline.
+        if (not entry.gflag or entry.pending_children
+                or entry.req_counter != entry.resp_counter):
             return
         if entry.parent is None:
             raise RuntimeError(f"{self.name}: completed flow entry has no parent")
@@ -457,5 +451,5 @@ class ActiveRoutingEngine(Component):
             partial_result=entry.result, completed_updates=entry.resp_counter,
             root_node=entry.root, flow_id=entry.flow_id)
         self._n_gather_responses_sent += 1
-        self.flow_table.release(entry.key)
+        self.flow_table.release((entry.flow_id, entry.root))
         self.network.inject(response, self.node_id)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from ..sim import Component, Simulator
-from .alu import opcode_spec
+from .alu import OPCODES
 
 FlowKey = Tuple[int, int]  # (flow_id, root_node)
 
@@ -42,13 +42,6 @@ class FlowTableEntry:
         """All locally-known work for the subtree rooted here has committed."""
         return (self.gflag and not self.pending_children
                 and self.req_counter == self.resp_counter)
-
-    def record_child(self, child: int) -> None:
-        self.children.add(child)
-
-    def record_parent(self, parent: int) -> None:
-        if self.parent is None:
-            self.parent = parent
 
 
 class FlowTable(Component):
@@ -84,15 +77,15 @@ class FlowTable(Component):
             if len(self.entries) >= self.capacity:
                 self._n_overflows += 1
             entry = FlowTableEntry(flow_id=flow_id, root=root, opcode=opcode,
-                                   result=opcode_spec(opcode).identity,
+                                   result=OPCODES[opcode].identity,
                                    parent=parent, created_at=self.now)
             self.entries[key] = entry
             self._n_registered += 1
             if len(self.entries) > self._peak:
                 self._peak = len(self.entries)
                 self.sim.stats.set_gauge(self._peak_gauge_name, self._peak)
-        else:
-            entry.record_parent(parent) if parent is not None else None
+        elif entry.parent is None:
+            entry.parent = parent
         return entry
 
     def release(self, key: FlowKey) -> None:

@@ -27,7 +27,7 @@ from ..hmc.hmc_memory import HMCMemorySystem
 from ..isa import GatherOp, UpdateOp
 from ..network.packet import GatherRequestPacket, GatherResponsePacket, UpdatePacket
 from ..sim import Component, Simulator
-from .alu import OpClass, opcode_spec
+from .alu import NUM_OPERANDS, REDUCE_OPCODES, opcode_spec
 from .config import AREConfig
 from .engine import ActiveRoutingEngine
 from .schemes import PortSelector, Scheme
@@ -69,6 +69,9 @@ class ActiveRoutingHost(Component):
                 self.engines.append(engine)
         for controller in hmc_memory.controllers:
             controller.set_gather_listener(self._on_gather_response)
+        self._controllers = hmc_memory.controllers
+        self._mapping = hmc_memory.mapping
+        self._split_point = hmc_memory.network.routing.split_point
 
         self._update_ids = itertools.count()
         # offload_update()/notify_update_commit() run once per Update packet:
@@ -101,48 +104,51 @@ class ActiveRoutingHost(Component):
     # -------------------------------------------------------------- Update offload
     def offload_update(self, core_id: int, op: UpdateOp,
                        on_commit: Callable[[], None]) -> None:
-        spec = opcode_spec(op.opcode)
+        opcode = op.opcode
+        num_operands = NUM_OPERANDS.get(opcode)
+        if num_operands is None:
+            opcode_spec(opcode)  # raises the friendly unknown-opcode error
         port = self.selector.select(core_id, op)
-        controller = self.hmc.controller_for_port(port)
+        controllers = self._controllers
+        controller = controllers[port % len(controllers)]
         root = controller.attached_cube
-        dst = self._compute_destination(op, root, spec.op_class, spec.num_operands)
+        # The compute destination: the target's cube for a store; for a
+        # reduce, the operand's cube, or the split point of the routes
+        # toward two operands.
+        mapping = self._mapping
+        is_reduce = opcode in REDUCE_OPCODES
+        if not is_reduce:
+            dst = mapping.cube_of(op.target)
+        elif num_operands <= 1 or op.src2 is None:
+            dst = mapping.cube_of(op.src1 if op.src1 is not None else op.target)
+        else:
+            dst = self._split_point(root, mapping.cube_of(op.src1),
+                                    mapping.cube_of(op.src2))
 
         update_id = next(self._update_ids)
         self._update_commits[update_id] = on_commit
-        if spec.op_class is OpClass.REDUCE:
+        if is_reduce:
             # get-then-insert rather than setdefault: this runs once per
             # Update and setdefault would build a throwaway _FlowState
             # (ten fields, two set factories) on every existing-flow hit.
             state = self._flows.get(op.target)
             if state is None:
                 state = self._flows[op.target] = _FlowState(flow_id=op.target)
-            state.opcode = op.opcode
+            state.opcode = opcode
             state.ports_used.add(port)
             state.updates_offloaded += 1
 
         packet = UpdatePacket(
-            src=controller.node_id, dst=dst, opcode=op.opcode,
+            src=controller.node_id, dst=dst, opcode=opcode,
             target_addr=op.target, src1_addr=op.src1, src2_addr=op.src2,
             src1_value=op.src1_value, src2_value=op.src2_value,
             imm_value=op.imm, thread_id=core_id, root_node=root,
-            update_id=update_id, issue_time=self.now,
+            update_id=update_id, issue_time=self.sim.now,
             flow_id=op.target)
         self._n_updates_offloaded += 1
         by_port = self._n_updates_by_port
         by_port[port] = by_port.get(port, 0) + 1
         controller.inject(packet)
-
-    def _compute_destination(self, op: UpdateOp, root: int, op_class: OpClass,
-                             num_operands: int) -> int:
-        mapping = self.hmc.mapping
-        if op_class is OpClass.STORE:
-            return mapping.cube_of(op.target)
-        if num_operands <= 1 or op.src2 is None:
-            anchor = op.src1 if op.src1 is not None else op.target
-            return mapping.cube_of(anchor)
-        cube1 = mapping.cube_of(op.src1)
-        cube2 = mapping.cube_of(op.src2)
-        return self.hmc.network.split_point(root, cube1, cube2)
 
     def notify_update_commit(self, update_id: int) -> None:
         """Credit return from an engine: one offloaded Update has committed."""

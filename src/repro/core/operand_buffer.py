@@ -26,7 +26,7 @@ class OperandBufferEntry:
 
     __slots__ = ("slot", "flow_id", "root", "opcode", "update", "arrival_time",
                  "operand_issue_time", "op_value1", "op_ready1", "op_value2",
-                 "op_ready2", "num_operands", "stall_cycles", "is_store")
+                 "op_ready2", "num_operands", "is_store")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
@@ -46,7 +46,6 @@ class OperandBufferEntry:
         self.op_value2 = 0.0
         self.op_ready2 = False
         self.num_operands = num_operands
-        self.stall_cycles = 0.0
         self.is_store = False
 
     @property
@@ -119,9 +118,6 @@ class OperandBufferPool(Component):
             self._peak_used = used
             self.sim.stats.set_gauge(self._peak_gauge_name, used)
         return entry
-
-    def get(self, slot: int) -> OperandBufferEntry:
-        return self.entries[slot]
 
     def release(self, slot: int) -> None:
         if slot not in self.entries:

@@ -74,6 +74,8 @@ class HMCCube(Component):
 
     # -- network endpoint -----------------------------------------------------
     def receive_packet(self, packet: Packet, from_node: int) -> None:
+        # Packets in transit hop on through MemoryNetwork._hop directly (the
+        # forward() wrapper only re-checks the destination tested here).
         if packet.is_active:
             are = self.are
             if are is None:
@@ -81,19 +83,20 @@ class HMCCube(Component):
                     f"cube {self.node_id} received active packet {packet.ptype} "
                     "but has no Active-Routing engine installed"
                 )
-            # Inlined ActiveRoutingEngine.handle_packet: this fires for every
-            # active packet that crosses the cube, and the extra frame is
-            # measurable at fleet scale.
+            # The engine's dispatch, inlined: this fires for every active
+            # packet that crosses the cube.  Only tree-routed packets (Updates
+            # and gather requests) do engine work in transit; operand traffic
+            # and gather responses just hop on.
             are._n_active_packets += 1
-            handler = are._dispatch[packet.ptype._code]
-            if handler is None:
-                raise RuntimeError(
-                    f"{are.name} cannot handle packet type {packet.ptype}")
-            handler(packet, from_node)
+            ptype = packet.ptype
+            if packet.dst != self.node_id and not ptype.tree_routed:
+                self.network._hop(packet, self.node_id)
+                return
+            are._dispatch[ptype._code](packet, from_node)
             return
         if packet.dst != self.node_id:
             assert self.network is not None, "cube is not connected to a network"
-            self.network.forward(packet, self.node_id)
+            self.network._hop(packet, self.node_id)
             return
         self._serve_memory_packet(packet)
 

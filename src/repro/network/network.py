@@ -9,8 +9,8 @@ Active-Routing "compute on the way".
 
 from __future__ import annotations
 
-import heapq
 from functools import partial
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..sim import Component, Simulator
@@ -55,11 +55,12 @@ class MemoryNetwork(Component):
             [None] * num_nodes for _ in range(num_nodes)]
         for (a, b), link in self.links.items():
             self._link_grid[a][b] = link
-        self._endpoint_list: List[Optional[NetworkEndpoint]] = [None] * num_nodes
         # Each endpoint's receive_packet, bound once at registration: _hop()
-        # schedules deliveries as partial(receiver, packet, from_node).
-        self._receivers: List[Optional[Callable[[Packet, int], None]]] = [
-            None] * num_nodes
+        # schedules deliveries as partial(receiver, packet, from_node).  A
+        # node without an endpoint holds a receiver that raises, so no hop
+        # tests for a missing one; the error fires when the delivery does.
+        self._receivers: List[Callable[[Packet, int], None]] = [
+            partial(self._missing_endpoint, node) for node in range(num_nodes)]
         # Dense per-node columns for the aggregation paths: a bytearray mask
         # of controller-attached nodes and flat link lists in the exact
         # insertion order of ``self.links`` (the per-category float sums in
@@ -72,29 +73,24 @@ class MemoryNetwork(Component):
         self._offchip_links: List[Link] = [
             link for link in self._link_list
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
-        # _hop() runs once per network hop: pre-bind every counter it touches
-        # and keep a direct reference to the dense next-hop matrix.  The
-        # delivery push mirrors the simulator's scheduler fast path: against
-        # the heap backend it pushes straight onto the aliased heap list,
-        # against any other backend it goes through the scheduler's push().
+        # _hop() runs once per network hop: keep a direct reference to the
+        # dense next-hop matrix.  The delivery push mirrors the simulator's
+        # scheduler fast path: against the heap backend it pushes straight
+        # onto the aliased heap list, against any other backend it goes
+        # through the scheduler's push().
         self._event_heap = sim._heap
+        self._events = sim.events
         self._next_rows = self.routing.next_hop_table
         self._h_injected = self.counter_handle("injected")
         self._h_hops = self.counter_handle("hops")
         self._h_bytes = self.counter_handle("bytes")
         self._h_bit_hops = self.counter_handle("bit_hops")
         self._h_queue_delay = self.counter_handle("queue_delay_cycles")
-        self._h_bytes_by_category = {
-            category: self.counter_handle(f"bytes.{category}")
-            for category in MOVEMENT_CATEGORIES
-        }
-        # Network-wide per-hop stats are epoch-batched like the per-link ones,
-        # in the same packed layout (slots 0-3: per-category bytes by
-        # Packet._cat_index, slot 4: hops, slot 5: injected, slot 6: queue
-        # delay); flush() derives the byte, bit-hop and per-category totals
-        # from the category slots on demand.
-        self._acc = [0, 0, 0, 0, 0, 0, 0.0]
-        self._cat_handles = [self._h_bytes_by_category[c] for c in MOVEMENT_CATEGORIES]
+        self._cat_handles = [self.counter_handle(f"bytes.{category}")
+                             for category in MOVEMENT_CATEGORIES]
+        # inject() counts on a plain integer; every per-hop total is derived
+        # from the per-link cells by flush().
+        self._n_injected = 0
         # Fault machinery.  The default configuration never pays for it: the
         # network starts on the original _hop() fast path and only swaps in
         # the fault-aware variant when a link actually changes state (or the
@@ -110,32 +106,33 @@ class MemoryNetwork(Component):
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
-        """Fold the batched per-hop accumulators into the counter cells."""
-        acc = self._acc
-        if acc[5]:
-            self._h_injected.value += acc[5]
-            acc[5] = 0
-        hops = acc[4]
-        if hops:
-            total = acc[0] + acc[1] + acc[2] + acc[3]
-            self._h_hops.value += hops
-            self._h_bytes.value += total
-            self._h_bit_hops.value += total * 8
-            handles = self._cat_handles
-            for index in range(4):
-                if acc[index]:
-                    handles[index].value += acc[index]
-                    acc[index] = 0
-            acc[4] = 0
-        # The network-wide queue-delay counter is *derived*: a fold over the
-        # per-link cells in ``self.links`` insertion order (links register as
-        # flushables before the network, so their cells are already folded by
-        # the time a registry-wide flush reaches this one).  The golden digests
-        # were captured under this float summation order; adding each hop's
-        # delay to one network-wide cell as it happens can round differently.
-        total_delay = 0.0
+        """Fold the injected count in and derive the per-hop totals.
+
+        Hops, bytes, bit-hops and bytes per category are sums of the per-link
+        cells, which hold integers, so the derived totals are exact.  The
+        queue-delay total is a float fold over the links in ``self.links``
+        insertion order; the golden digests were captured under that
+        summation order (adding each hop's delay to one network-wide cell as
+        it happens can round differently).  Each link is flushed first, so
+        the totals are current even when this runs on its own.
+        """
+        if self._n_injected:
+            self._h_injected.value += self._n_injected
+            self._n_injected = 0
+        hops = total_delay = 0.0
+        by_category = [0.0, 0.0, 0.0, 0.0]
         for link in self._link_list:
+            link.flush()
+            hops += link._h_packets.value
             total_delay += link._queue_wait_cycles.value
+            for index, cell in enumerate(link._cat_handles):
+                by_category[index] += cell.value
+        total = by_category[0] + by_category[1] + by_category[2] + by_category[3]
+        self._h_hops.value = hops
+        self._h_bytes.value = total
+        self._h_bit_hops.value = total * 8
+        for cell, value in zip(self._cat_handles, by_category):
+            cell.value = value
         self._h_queue_delay.value = total_delay
 
     # -- construction ---------------------------------------------------------
@@ -143,7 +140,6 @@ class MemoryNetwork(Component):
         if node_id not in self.topology.graph:
             raise ValueError(f"node {node_id} does not exist in topology {self.topology.name}")
         self.endpoints[node_id] = endpoint
-        self._endpoint_list[node_id] = endpoint
         self._receivers[node_id] = endpoint.receive_packet
 
     def endpoint(self, node_id: int) -> NetworkEndpoint:
@@ -172,10 +168,10 @@ class MemoryNetwork(Component):
             # First time this packet enters the fabric; intermediate cubes that
             # re-inject it must not re-stamp (0.0 is a legitimate creation time).
             packet.created_at = self.sim.now
-        self._acc[5] += 1
+        self._n_injected += 1
         if packet.dst == at_node:
             # Local delivery (e.g. operand request for data in the same cube).
-            self.schedule(0.0, lambda: self._deliver(packet, at_node, at_node))
+            self.schedule(0.0, partial(self._deliver, packet, at_node, at_node))
             return
         self._hop(packet, at_node)
 
@@ -190,56 +186,41 @@ class MemoryNetwork(Component):
         link = self._link_grid[current][nxt]
         # Inlined Link.transmit(): one hop is the innermost simulator loop and
         # the extra call frame + result tuple are measurable.  Stats go into
-        # the link's and the network's epoch-batched accumulators, in the
-        # exact order transmit() feeds them.
+        # the link's epoch-batched accumulators, as transmit() feeds them; the
+        # queue delay is only computed when the link is still busy.
         size = packet.size
         serialization = size / link._bandwidth
         now = self.sim.now
         start = link.busy_until
-        if start < now:
+        link_acc = link._acc
+        if start > now:
+            link_acc[6] += start - now
+        else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        queue_delay = start - now
-        link_acc = link._acc
-        net_acc = self._acc
-        if queue_delay > 0:
-            link_acc[6] += queue_delay
         link_acc[5] += serialization
         link_acc[4] += 1
-        cat_index = packet._cat_index
-        link_acc[cat_index] += size
-        net_acc[4] += 1
-        net_acc[cat_index] += size
+        link_acc[packet._cat_index] += size
         # The delivery is scheduled as a direct call of the endpoint's bound
-        # receive_packet(): the _deliver() wrapper frame is measurable at one
-        # call per hop, so its two jobs move here — the receiver is resolved
-        # at hop time (endpoints register at construction, before any
-        # traffic) and the hop count is pre-incremented (the packet is owned
-        # by the pending delivery, so nothing can observe it in between).
-        # functools.partial instead of a lambda: no closure cells, and the
-        # event loop's call goes straight to the bound method.  A missing
-        # endpoint still raises when the delivery *fires*, as _deliver() did.
-        receiver = self._receivers[nxt]
+        # receive_packet(), with the hop count pre-incremented (the packet is
+        # owned by the pending delivery, so nothing can observe it in
+        # between).  functools.partial instead of a lambda: no closure cells,
+        # and the event loop's call goes straight to the bound method.
         packet.hops += 1
-        if receiver is None:
-            callback = partial(self._missing_endpoint, packet, nxt)
-        else:
-            callback = partial(receiver, packet, current)
+        callback = partial(self._receivers[nxt], packet, current)
         # Inlined EventQueue.push (delivery times are never negative): one hop
         # schedules exactly one delivery and the wrapper call is measurable.
         # Non-heap scheduler backends take their own push() instead.
         heap = self._event_heap
         if heap is not None:
-            events = self.sim.events
-            heapq.heappush(heap,
-                           [finish + link._latency + self.router_delay, events._seq,
+            events = self._events
+            heappush(heap, [finish + link._latency + self.router_delay, events._seq,
                             callback])
             events._seq += 1
             events._live += 1
         else:
-            self.sim.events.push(finish + link._latency + self.router_delay,
-                                 callback)
+            self._events.push(finish + link._latency + self.router_delay, callback)
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -364,32 +345,27 @@ class MemoryNetwork(Component):
         serialization = size / link._bandwidth
         now = self.sim.now
         start = link.busy_until
-        if start < now:
+        link_acc = link._acc
+        if start > now:
+            link_acc[6] += start - now
+        else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        queue_delay = start - now
-        link_acc = link._acc
-        net_acc = self._acc
-        if queue_delay > 0:
-            link_acc[6] += queue_delay
         link_acc[5] += serialization
         link_acc[4] += 1
-        cat_index = packet._cat_index
-        link_acc[cat_index] += size
-        net_acc[4] += 1
-        net_acc[cat_index] += size
+        link_acc[packet._cat_index] += size
         packet.hops += 1
-        callback = lambda: self._arrive_flex(packet, link, current, nxt)  # noqa: E731
+        callback = partial(self._arrive_flex, packet, link, current, nxt)
         arrival = finish + link._latency + self.router_delay
         heap = self._event_heap
         if heap is not None:
-            events = self.sim.events
-            heapq.heappush(heap, [arrival, events._seq, callback])
+            events = self._events
+            heappush(heap, [arrival, events._seq, callback])
             events._seq += 1
             events._live += 1
         else:
-            self.sim.events.push(arrival, callback)
+            self._events.push(arrival, callback)
 
     def _arrive_flex(self, packet: Packet, link: Link, current: int,
                      nxt: int) -> None:
@@ -413,22 +389,16 @@ class MemoryNetwork(Component):
         fraction is derived from.
         """
         if link.up:
-            endpoint = self._endpoint_list[nxt]
-            if endpoint is None:
-                self._missing_endpoint(packet, nxt)
-            endpoint.receive_packet(packet, current)
+            self._receivers[nxt](packet, current)
             return
         self._h_dropped.value += 1
         link._park_inflight.append((packet, current))
 
     def _deliver(self, packet: Packet, node: int, from_node: int) -> None:
         packet.hops += 1
-        endpoint = self._endpoint_list[node]
-        if endpoint is None:
-            self._missing_endpoint(packet, node)
-        endpoint.receive_packet(packet, from_node)
+        self._receivers[node](packet, from_node)
 
-    def _missing_endpoint(self, packet: Packet, node: int) -> None:
+    def _missing_endpoint(self, node: int, packet: Packet, from_node: int) -> None:
         raise RuntimeError(f"packet {packet.pkt_id} arrived at node {node} "
                            f"which has no registered endpoint")
 

@@ -29,6 +29,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.backends import BackendRegistry
@@ -119,6 +120,37 @@ class Histogram:
         slot = self._rng.randrange(self._seen)
         if slot < self.max_samples:
             self.samples[slot] = value
+
+    def fold_appended(self) -> None:
+        """Account for samples a hot writer appended straight to ``samples``.
+
+        Below the cap a writer may ``samples.append(value)`` and leave the
+        rest of :meth:`add` to this fold: the tail past ``_seen`` updates
+        ``count``/``total``/``minimum``/``maximum``/``_seen`` in append order,
+        which gives exactly the fields one ``add()`` per value would.  The
+        writer must fold before it calls :meth:`add` at the cap.
+        """
+        samples = self.samples
+        seen = self._seen
+        if len(samples) <= seen:
+            return
+        # An explicit left-to-right loop: sum() rounds differently on
+        # interpreters that compensate float sums.  islice, not a slice: no
+        # copy of the tail.
+        total = self.total
+        minimum = self.minimum
+        maximum = self.maximum
+        for value in islice(samples, seen, None):
+            total += value
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+        self.count += len(samples) - seen
+        self.total = total
+        self.minimum = minimum
+        self.maximum = maximum
+        self._seen = len(samples)
 
     @property
     def mean(self) -> float:
@@ -411,7 +443,14 @@ class FoldedHistogram(Histogram):
         self.parts.append(part)
 
     def flush(self) -> None:
-        """Re-derive the aggregate fields from the parts, in attach order."""
+        """Re-derive the aggregate fields from the parts, in attach order.
+
+        Each part first folds the samples its writer appended since the last
+        read (:meth:`Histogram.fold_appended`).  The fold runs here rather
+        than in the writers' own ``flush()``: a writer may register as a
+        flushable after this aggregate, and the aggregate must not read a
+        part before it is folded.
+        """
         count = 0
         total = 0.0
         minimum = math.inf
@@ -419,6 +458,7 @@ class FoldedHistogram(Histogram):
         truncated = False
         samples: List[float] = []
         for part in self.parts:
+            part.fold_appended()
             count += part.count
             total += part.total
             if part.minimum < minimum:

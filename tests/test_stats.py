@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.stats import Histogram, StatsRegistry, geometric_mean
+from repro.sim.stats import FoldedHistogram, Histogram, StatsRegistry, geometric_mean
 
 
 def test_counters_and_prefix_sum():
@@ -293,3 +293,41 @@ def test_clear_resets_bound_histogram_in_place():
     hist.add(7.0)                          # the bound reference stays live...
     assert stats.histogram("lat") is hist  # ...and the registry sees the same object
     assert stats.snapshot()["lat.mean"] == 7.0
+
+
+#: Marker for a registry read inside a value stream.
+_READ = "read"
+
+
+def _summary(hist):
+    return (hist.count, hist.total, hist.minimum, hist.maximum, list(hist.samples),
+            hist._seen, hist.truncated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=st.lists(st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.just(_READ)),
+                       max_size=60),
+       cap=st.integers(1, 8))
+def test_appended_samples_fold_like_per_value_add(stream, cap):
+    """A hot writer appends below the cap and folds on read; past the cap it
+    folds and falls back to add().  Every field must equal one add() per
+    value, at every read and at the end, as the cap is crossed."""
+    reference = Histogram(max_samples=cap)
+    part = Histogram(max_samples=cap)
+    folded = FoldedHistogram()
+    folded.attach(part)
+    for item in stream:
+        if item == _READ:
+            folded.flush()
+            assert _summary(part) == _summary(reference)
+            assert (folded.count, folded.total, folded.samples) == \
+                (reference.count, reference.total, reference.samples)
+            continue
+        reference.add(item)
+        if len(part.samples) < part.max_samples:
+            part.samples.append(item)
+        else:
+            part.fold_appended()
+            part.add(item)
+    folded.flush()
+    assert _summary(part) == _summary(reference)
