@@ -42,9 +42,8 @@ class HMCMemorySystem(Component):
         self._check_topology(topology)
         self.topology = topology
         # A default-config "static" request stays implicit (None) so the
-        # $REPRO_ROUTING kernel-testing knob can still select a policy, the
-        # same way $REPRO_SCHEDULER works; an explicit non-default config
-        # always wins over the environment.
+        # $REPRO_ROUTING kernel-testing knob can still select a policy; an
+        # explicit non-default config always wins over the environment.
         routing = self.net_config.routing
         self.network = MemoryNetwork(
             sim, topology, link_config=self.net_config.link,

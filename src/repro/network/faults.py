@@ -2,8 +2,7 @@
 
 Failures flow through the simulator's ordinary ``[time, seq]`` event queue, so
 a fixed schedule (or a fixed seed) reproduces the exact same failure timeline
-— and therefore the exact same simulation — on every run and under every
-scheduler backend (the PR 5 backends dispatch in identical order by contract).
+— and therefore the exact same simulation — on every run.
 
 Two sources of faults:
 

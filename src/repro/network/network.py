@@ -75,9 +75,7 @@ class MemoryNetwork(Component):
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
         # _hop() runs once per network hop: keep a direct reference to the
         # dense next-hop matrix.  The delivery push mirrors the simulator's
-        # scheduler fast path: against the heap backend it pushes straight
-        # onto the aliased heap list, against any other backend it goes
-        # through the scheduler's push().
+        # scheduler fast path: it pushes straight onto the aliased heap list.
         self._event_heap = sim._heap
         self._events = sim.events
         self._next_rows = self.routing.next_hop_table
@@ -211,16 +209,12 @@ class MemoryNetwork(Component):
         callback = partial(self._receivers[nxt], packet, current)
         # Inlined EventQueue.push (delivery times are never negative): one hop
         # schedules exactly one delivery and the wrapper call is measurable.
-        # Non-heap scheduler backends take their own push() instead.
         heap = self._event_heap
-        if heap is not None:
-            events = self._events
-            heappush(heap, [finish + link._latency + self.router_delay, events._seq,
-                            callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            self._events.push(finish + link._latency + self.router_delay, callback)
+        events = self._events
+        heappush(heap, [finish + link._latency + self.router_delay, events._seq,
+                        callback])
+        events._seq += 1
+        events._live += 1
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -359,13 +353,10 @@ class MemoryNetwork(Component):
         callback = partial(self._arrive_flex, packet, link, current, nxt)
         arrival = finish + link._latency + self.router_delay
         heap = self._event_heap
-        if heap is not None:
-            events = self._events
-            heappush(heap, [arrival, events._seq, callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            self._events.push(arrival, callback)
+        events = self._events
+        heappush(heap, [arrival, events._seq, callback])
+        events._seq += 1
+        events._live += 1
 
     def _arrive_flex(self, packet: Packet, link: Link, current: int,
                      nxt: int) -> None:

@@ -7,12 +7,11 @@ split-point computation relies on this determinism: the split point of two
 operands is the last cube shared by the two deterministic paths from the tree
 root toward each operand.
 
-Routing is *pluggable* the same way the event scheduler is (see
-:mod:`repro.sim.event_queue`): every policy implements the same small
-interface — ``next_hop`` / ``distance`` / ``path`` / ``split_point`` /
-``nearest`` / ``on_link_state_change`` — and registers in
-:data:`ROUTING_BACKENDS`; :func:`resolve_routing` picks one by explicit name,
-``$REPRO_ROUTING``, or the default.  Three implementations ship:
+Routing is *pluggable*: every policy implements the same small interface
+— ``next_hop`` / ``distance`` / ``path`` / ``split_point`` / ``nearest`` /
+``on_link_state_change`` — and registers in :data:`ROUTING_BACKENDS`;
+:func:`resolve_routing` picks one by explicit name, ``$REPRO_ROUTING``, or
+the default.  Three implementations ship:
 
 * :class:`RoutingTable` (``static``) — the dense table the hot loop was tuned
   on.  Computed once; cannot react to link failures (``on_link_state_change``
@@ -444,7 +443,7 @@ def resolve_routing(name: Optional[str] = None) -> str:
     network; ``adaptive`` legitimately changes results, so cache-aware entry
     points (the CLI, the evaluation suite) select policies through the network
     config — whose label keys every cache entry — and treat the environment
-    variable as a kernel-testing knob, exactly like ``$REPRO_SCHEDULER``.
+    variable as a kernel-testing knob.
     """
     return ROUTING_REGISTRY.resolve(name)
 
@@ -457,9 +456,8 @@ def make_routing(topology: Topology, name: Optional[str] = None) -> RoutingTable
 def routing_env(name: Optional[str]):
     """Temporarily export a routing choice through ``$REPRO_ROUTING``.
 
-    Mirrors :func:`repro.sim.event_queue.scheduler_env`: worker processes
-    inherit the environment, so one export covers serial and parallel paths;
-    the previous value is restored on exit.  ``None`` leaves the environment
-    untouched.
+    Worker processes inherit the environment, so one export covers serial
+    and parallel paths; the previous value is restored on exit.  ``None``
+    leaves the environment untouched.
     """
     return ROUTING_REGISTRY.env(name)

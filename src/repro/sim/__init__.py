@@ -1,34 +1,19 @@
-"""Discrete-event simulation kernel: event schedulers, simulator, components, stats."""
+"""Discrete-event simulation kernel: event scheduler, simulator, components, stats."""
 
 from .component import Component, SharedResource
-from .event_queue import (DEFAULT_SCHEDULER, SCHEDULER_BACKENDS, CalendarQueue,
-                          EventHandle, EventQueue, make_event_queue,
-                          resolve_scheduler)
+from .event_queue import EventHandle, EventQueue
 from .simulator import SimulationError, Simulator
-from .stats import (DEFAULT_SUMMARY, SUMMARY_BACKENDS, CounterHandle,
-                    Histogram, QuantileSketch, StatsRegistry, geometric_mean,
-                    make_summary, resolve_summary, summary_env)
+from .stats import CounterHandle, Histogram, StatsRegistry, geometric_mean
 
 __all__ = [
     "Component",
     "SharedResource",
-    "CalendarQueue",
     "CounterHandle",
-    "DEFAULT_SCHEDULER",
-    "DEFAULT_SUMMARY",
     "EventHandle",
     "EventQueue",
-    "SCHEDULER_BACKENDS",
-    "SUMMARY_BACKENDS",
     "SimulationError",
     "Simulator",
     "Histogram",
-    "QuantileSketch",
     "StatsRegistry",
     "geometric_mean",
-    "make_event_queue",
-    "make_summary",
-    "resolve_scheduler",
-    "resolve_summary",
-    "summary_env",
 ]

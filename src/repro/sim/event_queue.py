@@ -1,22 +1,10 @@
-"""Discrete-event schedulers used by every timed component in the simulator.
+"""The discrete-event scheduler used by every timed component in the simulator.
 
-Two interchangeable backends share one small interface (``push`` /
-``push_handle`` / ``pop`` / ``peek_time`` / ``clear`` / ``__len__``) and one
-entry layout — plain ``[time, seq, callback]`` lists.  The sequence number
-guarantees a deterministic, insertion-ordered tie-break for events scheduled
-at the same cycle (and, because it is unique, the callback element never
-participates in entry comparisons), which in turn makes every simulation run
-reproducible: **both backends dispatch in the exact same ``[time, seq]`` total
-order**, so swapping one for the other is bit-invisible to results.
-
-* :class:`EventQueue` — the classic binary heap (``heapq``); O(log n) per
-  operation with tiny C-accelerated constants.  The default.
-* :class:`CalendarQueue` — a calendar queue (bucketed ladder, Brown 1988):
-  events hash into time-window buckets kept sorted per bucket, giving O(1)
-  amortized push/pop independent of the pending-event count.  Selected per
-  :class:`~repro.sim.Simulator` (constructor arg / ``$REPRO_SCHEDULER`` /
-  ``--scheduler`` on the CLI) for large-scale runs where the heap's log factor
-  shows up.
+:class:`EventQueue` is a binary heap (``heapq``) of plain
+``[time, seq, callback]`` lists.  The sequence number guarantees a
+deterministic, insertion-ordered tie-break for events scheduled at the same
+cycle (and, because it is unique, the callback element never participates in
+entry comparisons), which in turn makes every simulation run reproducible.
 
 The common case — schedule, pop, dispatch — allocates nothing beyond the
 entry itself.  The minority of call sites that need to cancel a pending event
@@ -27,13 +15,7 @@ entry's callback slot in place and the dispatch loop skips it.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import Callable, Dict, List, Optional, Type
-
-# Imported as a leaf module: repro.core is mid-initialisation here (the
-# package import chain is repro -> repro.core -> repro.sim -> this module),
-# and backends.py deliberately imports nothing back from repro.
-from ..core.backends import BackendRegistry
+from typing import Callable, List, Optional
 
 #: A heap entry: ``[time, seq, callback]``; ``callback is None`` marks a
 #: cancelled (or already-dispatched) entry.
@@ -43,11 +25,11 @@ Entry = List[object]
 class EventHandle:
     """Cancellation token for one scheduled event.
 
-    Only handed out by ``push_handle`` (on either scheduler backend); the fast
-    scheduling path returns nothing so that the vast majority of events never
-    allocate one.  ``label`` carries the caller-supplied description for
-    debugging.  The handle only touches the shared entry list and the queue's
-    ``_live`` count, so it works identically against every backend.
+    Only handed out by ``push_handle``; the fast scheduling path returns
+    nothing so that the vast majority of events never allocate one.
+    ``label`` carries the caller-supplied description for debugging.  The
+    handle only touches the shared entry list and the queue's ``_live``
+    count.
     """
 
     __slots__ = ("_entry", "_queue", "label")
@@ -145,319 +127,3 @@ class EventQueue:
             entry[2] = None
         self._heap.clear()
         self._live = 0
-
-
-class CalendarQueue:
-    """Calendar-queue ("bucketed ladder") scheduler with the heap's exact
-    ``[time, seq]`` total order.
-
-    The structure is the two-tier ladder variant of the classic calendar
-    queue (Brown 1988), arranged so every hot operation is a C primitive:
-
-    * the **spine** (today's page): one list, sorted ascending by
-      ``(time, seq)``, holding every event hashing below the promotion
-      horizon day.  It is consumed through an index cursor (never ``pop(0)``,
-      whose O(n) front shift would make same-timestamp floods quadratic),
-      with the dead prefix compacted away whenever it outgrows the live tail
-      — O(1) amortized.  A same-day push is a ``bisect.insort`` bounded below
-      by the cursor, so consumed entries never participate in the search.
-    * the **calendar** (future pages): later events hash by
-      ``int(time / width)`` into unsorted append-only buckets held in a dict,
-      with a min-heap of integer bucket indices ("days") alongside.  Only
-      non-empty days exist, so sparse schedules never scan empty buckets.
-
-    When the spine drains, the earliest calendar day is promoted wholesale:
-    sorted once (Timsort) and installed as the new spine, advancing the
-    horizon day.  Each event is therefore touched O(1) amortized times.  If
-    one day grows pathologically hot (over ``SPLIT_THRESHOLD`` events
-    spanning nonzero time), the day width is narrowed and the calendar
-    re-hashed — deterministically, since the trigger depends only on queue
-    contents.
-
-    Determinism: entries are the same ``[time, seq, callback]`` lists the
-    binary heap uses, ordered by the same lexicographic comparison (``seq``
-    is unique, so callbacks never compare), and days promote in index order.
-    The spine/calendar split and the bucket hash are *the same expression*
-    (``int(time * inv_width)`` against the horizon day) — an earlier/later
-    predicate pair in different float arithmetic could disagree inside one
-    rounding ulp of a day boundary and flip the dispatch order of two
-    boundary events relative to the heap.  Because float multiplication is
-    monotone, a smaller day index always means a no-later timestamp, so
-    spine entries precede every calendar entry and days promote in time
-    order, bit-compatibly with the heap.  Pushes behind the horizon — even
-    behind the last popped time — land in the spine in sorted position, so
-    arbitrary push/pop interleavings stay correct.  Cancellation nulls the
-    callback slot in place exactly like the heap; dead entries are discarded
-    lazily when they surface at the spine head (or dropped on a re-hash).
-    """
-
-    #: A calendar day holding more events than this (spanning nonzero time)
-    #: triggers a width narrowing + re-hash.
-    SPLIT_THRESHOLD = 512
-
-    def __init__(self, bucket_width: float = 64.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self._initial_width = float(bucket_width)
-        self._width = self._initial_width
-        self._inv_width = 1.0 / self._width
-        self._seq = 0
-        self._live = 0
-        self._horizon_day = 0  # the spine owns days below this index
-        self._spine: List[Entry] = []
-        self._spine_pos = 0  # consumption cursor: spine[:pos] is already popped
-        self._calendar: Dict[int, List[Entry]] = {}
-        self._days: List[int] = []  # min-heap of occupied calendar day indices
-        self._split_at = self.SPLIT_THRESHOLD
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, time: float, callback: Callable[[], None], label: str = "") -> None:
-        """Schedule ``callback`` at absolute ``time`` (fast path, no handle).
-
-        ``label`` is accepted for API compatibility and ignored.
-        """
-        if time < 0:
-            raise ValueError(f"cannot schedule an event at negative time {time}")
-        entry: Entry = [time, self._seq, callback]
-        self._seq += 1
-        self._live += 1
-        day = int(time * self._inv_width)
-        if day < self._horizon_day:
-            # The cursor bounds the search: consumed entries never compare,
-            # and a push behind the last popped time lands right at the
-            # cursor, making it the next pop (exactly the heap's behavior).
-            insort(self._spine, entry, self._spine_pos)
-            return
-        bucket = self._calendar.get(day)
-        if bucket is None:
-            self._calendar[day] = [entry]
-            heapq.heappush(self._days, day)
-        elif len(bucket) < self._split_at:
-            bucket.append(entry)
-        else:
-            bucket.append(entry)
-            self._narrow(bucket)
-
-    def push_handle(self, time: float, callback: Callable[[], None],
-                    label: str = "") -> EventHandle:
-        """Schedule ``callback`` and return a cancellation handle for it."""
-        if time < 0:
-            raise ValueError(f"cannot schedule an event at negative time {time}")
-        entry: Entry = [time, self._seq, callback]
-        self._seq += 1
-        self._live += 1
-        self._place(entry)
-        return EventHandle(entry, self, label)
-
-    def _place(self, entry: Entry) -> None:
-        """Insert a constructed entry into the spine or its calendar day.
-
-        Cold-path twin of the placement block inlined in :meth:`push` (which
-        stays flattened because it runs once per event); any change here must
-        be mirrored there or handle-carrying events would order differently
-        from fast-path ones.
-        """
-        day = int(entry[0] * self._inv_width)  # type: ignore[operator]
-        if day < self._horizon_day:
-            insort(self._spine, entry, self._spine_pos)
-            return
-        bucket = self._calendar.get(day)
-        if bucket is None:
-            self._calendar[day] = [entry]
-            heapq.heappush(self._days, day)
-        elif len(bucket) < self._split_at:
-            bucket.append(entry)
-        else:
-            bucket.append(entry)
-            self._narrow(bucket)
-
-    def _advance(self) -> bool:
-        """Promote the earliest calendar day into the (drained) spine.
-
-        Returns ``False`` when the calendar is empty too.  The promoted spine
-        may still contain only cancelled entries; callers loop.
-        """
-        days = self._days
-        if not days:
-            return False
-        day = heapq.heappop(days)
-        bucket = self._calendar.pop(day)
-        bucket.sort()  # by (time, seq); seq is unique so callbacks never compare
-        self._spine = bucket
-        self._spine_pos = 0
-        # Every remaining calendar day has a strictly larger index, hence (by
-        # monotonicity of the day hash) only events no earlier than these.
-        self._horizon_day = day + 1
-        return True
-
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event, or ``None`` if empty."""
-        spine = self._spine
-        pos = self._spine_pos
-        while True:
-            while pos < len(spine):
-                head = spine[pos]
-                if head[2] is None:  # cancelled: skip and re-check
-                    pos += 1
-                    continue
-                self._spine_pos = pos
-                return head[0]  # type: ignore[return-value]
-            self._spine_pos = pos
-            if not self._advance():
-                return None
-            spine = self._spine
-            pos = 0
-
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the next live ``[time, seq, callback]`` entry, or
-        ``None`` if the queue is empty.  Cancelled entries are dropped."""
-        spine = self._spine
-        pos = self._spine_pos
-        while True:
-            while pos < len(spine):
-                entry = spine[pos]
-                pos += 1
-                callback = entry[2]
-                if callback is None:  # cancelled
-                    continue
-                # Null the shared slot so a late EventHandle.cancel() is a
-                # no-op, and hand back a fresh entry carrying the callback.
-                entry[2] = None
-                self._live -= 1
-                # Compact once the consumed prefix outgrows the live tail:
-                # each compaction at least halves the list, so the shifts
-                # amortize to O(1) per event and memory stays bounded.
-                if pos > 64 and pos * 2 > len(spine):
-                    del spine[:pos]
-                    pos = 0
-                self._spine_pos = pos
-                return [entry[0], entry[1], callback]
-            self._spine_pos = pos
-            if not self._advance():
-                return None
-            spine = self._spine
-            pos = 0
-
-    def clear(self) -> None:
-        """Drop every pending event and reset the calendar to its start."""
-        for entry in self._spine:
-            # Null the callback slots so an EventHandle held across clear()
-            # sees its event as already gone and cancel() stays a no-op.
-            entry[2] = None
-        for bucket in self._calendar.values():
-            for entry in bucket:
-                entry[2] = None
-        self._spine = []
-        self._spine_pos = 0
-        self._calendar = {}
-        self._days = []
-        self._horizon_day = 0
-        self._live = 0
-        self._split_at = self.SPLIT_THRESHOLD
-        # A previous run may have narrowed the width; a reset simulator must
-        # not inherit pathologically fine (one-event) days.
-        self._width = self._initial_width
-        self._inv_width = 1.0 / self._width
-
-    def _narrow(self, hot: List[Entry]) -> None:
-        """Shrink the day width after one day soaked up the whole future.
-
-        Re-hashes every calendar entry under the narrower width and rebases
-        the horizon day onto the new scale (the earliest occupied new day; a
-        spine-bound push below it is still no later than any calendar entry,
-        by monotonicity of the shared day hash).  The spine itself is
-        untouched.  A same-timestamp flood cannot be split, so it raises the
-        threshold instead and lets promotion sort the day once.
-        Deterministic either way — the trigger and the new geometry depend
-        only on queue contents.
-        """
-        low = min(entry[0] for entry in hot)
-        high = max(entry[0] for entry in hot)
-        span = high - low  # type: ignore[operator]
-        if span <= 0.0:
-            self._split_at *= 2
-            return
-        # Aim for ~32 events per day across the hot day's span.
-        self._width = span * 32.0 / len(hot)
-        self._inv_width = inv = 1.0 / self._width
-        calendar: Dict[int, List[Entry]] = {}
-        for bucket in self._calendar.values():
-            for entry in bucket:
-                if entry[2] is None:  # drop cancelled entries wholesale
-                    continue
-                day = int(entry[0] * inv)
-                fresh = calendar.get(day)
-                if fresh is None:
-                    calendar[day] = [entry]
-                else:
-                    fresh.append(entry)
-        self._calendar = calendar
-        self._days = days = list(calendar)
-        heapq.heapify(days)
-        # Rebase the horizon onto the new scale.  New days overlapping the
-        # current spine's time range cannot stay in the calendar: a later
-        # spine-range push would share such a day and be filed behind spine
-        # entries that dispatch first.  Merge them into the spine — every
-        # calendar entry's time is >= every spine entry's (both held old-scale
-        # days on opposite sides of the old horizon), so sorted buckets extend
-        # it in order, day by ascending day.
-        spine = self._spine
-        if self._spine_pos < len(spine):
-            cut = int(spine[-1][0] * inv)  # type: ignore[operator]
-        else:
-            cut = days[0] - 1 if days else 0  # empty spine: keep every day
-        while days and days[0] <= cut:
-            bucket = calendar.pop(heapq.heappop(days))
-            bucket.sort()
-            spine.extend(bucket)
-        self._horizon_day = days[0] if days else cut + 1
-
-
-#: Name -> class for every scheduler backend a Simulator can be built on.
-SCHEDULER_BACKENDS: Dict[str, Type] = {
-    "heap": EventQueue,
-    "calendar": CalendarQueue,
-}
-
-DEFAULT_SCHEDULER = "heap"
-
-#: Environment variable consulted when no explicit scheduler is requested.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-#: The shared resolve/make/env machinery (see repro.core.backends); the
-#: module-level helpers below stay the public API.
-SCHEDULER_REGISTRY = BackendRegistry("scheduler", SCHEDULER_BACKENDS,
-                                     DEFAULT_SCHEDULER, SCHEDULER_ENV)
-
-
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Canonical scheduler-backend name for a request.
-
-    Resolution order: explicit ``name``, then ``$REPRO_SCHEDULER``, then the
-    default (``heap``).  Unknown names raise ``ValueError`` listing the
-    choices.  Results are bit-identical across backends, so the choice is
-    purely a performance knob (and cache keys deliberately ignore it).
-    """
-    return SCHEDULER_REGISTRY.resolve(name)
-
-
-def make_event_queue(name: Optional[str] = None):
-    """Instantiate the scheduler backend selected by :func:`resolve_scheduler`."""
-    return SCHEDULER_REGISTRY.make(name)
-
-
-def scheduler_env(name: Optional[str]):
-    """Temporarily export a scheduler choice through ``$REPRO_SCHEDULER``.
-
-    Every Simulator — including ones built inside worker processes, which
-    inherit the environment — resolves its backend from the variable, so one
-    export covers serial and parallel paths alike.  The previous value is
-    restored on exit (callers may run in-process, e.g. under tests).
-    ``None`` leaves the environment untouched.
-    """
-    return SCHEDULER_REGISTRY.env(name)

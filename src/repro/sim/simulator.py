@@ -4,12 +4,9 @@ All components share a single :class:`Simulator` instance.  Time is expressed in
 CPU cycles of the host clock (2 GHz by default, Table 4.1); components running at
 other frequencies convert their own latencies into host cycles.
 
-The simulator owns a pluggable event scheduler (see
-:mod:`repro.sim.event_queue`): the default binary heap, or a calendar queue for
-large-scale runs, selected via the ``scheduler`` constructor argument or the
-``REPRO_SCHEDULER`` environment variable.  Both backends dispatch events in the
-exact same ``[time, seq]`` total order, so the choice never changes results —
-only wall time.
+The simulator owns one binary-heap event scheduler (see
+:mod:`repro.sim.event_queue`), which dispatches events in ``[time, seq]``
+order so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -17,8 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
-from .event_queue import (SCHEDULER_BACKENDS, CalendarQueue, EventHandle,
-                          EventQueue, resolve_scheduler)
+from .event_queue import EventHandle, EventQueue
 from .stats import StatsRegistry
 
 
@@ -29,28 +25,17 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Owns simulated time, the event scheduler and the global stats registry."""
 
-    def __init__(self, cpu_freq_ghz: float = 2.0,
-                 scheduler: Optional[str] = None) -> None:
+    def __init__(self, cpu_freq_ghz: float = 2.0) -> None:
         if cpu_freq_ghz <= 0:
             raise ValueError("cpu_freq_ghz must be positive")
         self.cpu_freq_ghz = cpu_freq_ghz
         self.now: float = 0.0
-        self.scheduler = resolve_scheduler(scheduler)
-        self.events = SCHEDULER_BACKENDS[self.scheduler]()
-        # Fused fast path: when the backend is the binary heap, its storage
-        # list is aliased here so schedule()/run() (and the network hot path,
-        # which mirrors this check) can push/pop without any wrapper call.
-        # None selects the generic bound-local paths that work against every
-        # backend.  clear() empties the heap list in place, so the alias stays
-        # valid across reset().
-        if isinstance(self.events, EventQueue):
-            self._heap = self.events._heap
-            self._run_impl = self._run_heap
-        else:
-            self._heap = None
-            self._run_impl = (self._run_calendar
-                              if isinstance(self.events, CalendarQueue)
-                              else self._run_generic)
+        self.events = EventQueue()
+        # Fused fast path: the heap's storage list is aliased here so
+        # schedule()/run() (and the network hot path) can push/pop without
+        # any wrapper call.  clear() empties the heap list in place, so the
+        # alias stays valid across reset().
+        self._heap = self.events._heap
         self.stats = StatsRegistry()
         self._executed_events = 0
         self._finished = False
@@ -62,14 +47,11 @@ class Simulator:
             raise ValueError(f"delay must be non-negative, got {delay}")
         events = self.events
         heap = self._heap
-        if heap is not None:
-            # Inlined EventQueue.push: scheduling runs once per event and the
-            # wrapper's negative-time check is subsumed by the delay check.
-            heapq.heappush(heap, [self.now + delay, events._seq, callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            events.push(self.now + delay, callback)
+        # Inlined EventQueue.push: scheduling runs once per event and the
+        # wrapper's negative-time check is subsumed by the delay check.
+        heapq.heappush(heap, [self.now + delay, events._seq, callback])
+        events._seq += 1
+        events._live += 1
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute ``time`` (must not be in the past)."""
@@ -77,12 +59,9 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         events = self.events
         heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, [time, events._seq, callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            events.push(time, callback)
+        heapq.heappush(heap, [time, events._seq, callback])
+        events._seq += 1
+        events._live += 1
 
     def schedule_cancellable(self, delay: float, callback: Callable[[], None],
                              label: str = "") -> EventHandle:
@@ -97,16 +76,14 @@ class Simulator:
         """Execute events until the queue drains, ``until`` is reached or
         ``max_events`` have been processed.  Returns the final simulated time.
 
-        This is the simulator's innermost loop, duplicated per scheduler
-        backend so neither pays per-event wrapper calls: the heap variant
-        walks the event heap directly and the calendar variant walks the
-        ladder's spine directly (peek, pop, dispatch fused into one pass);
-        an unrecognized backend falls back to a generic loop over hoisted
-        bound methods.  ``finished`` is refreshed on *every* exit path —
-        normal drain, ``until`` horizon, ``max_events`` budget, or a callback
-        raising — so it never reports a previous run's outcome.
+        This is the simulator's innermost loop: it walks the event heap
+        directly (peek, pop, dispatch fused into one pass) so no event pays a
+        wrapper call.  A ``max_events`` of 0 dispatches nothing; a negative
+        one raises ``ValueError``.  ``finished`` is refreshed on *every* exit
+        path — normal drain, ``until`` horizon, ``max_events`` budget, or a
+        callback raising — so it never reports a previous run's outcome.
         """
-        return self._run_impl(until, max_events)
+        return self._run_heap(until, max_events)
 
     def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> float:
         events = self.events
@@ -117,6 +94,12 @@ class Simulator:
         # the per-event epilogue, and the drain-everything case (the common
         # one: run_until_idle) gets its own loop without the horizon test.
         budget = float("inf") if max_events is None else max_events
+        if budget <= 0:
+            # The loop tests the budget only after a dispatch.
+            if budget < 0:
+                raise ValueError(f"max_events must be non-negative, got {max_events}")
+            self._finished = not events
+            return self.now
         try:
             if until is None:
                 while heap:
@@ -168,99 +151,6 @@ class Simulator:
             self._executed_events += processed
             # In the finally block so an exception inside a callback cannot
             # leave the previous run's answer behind.
-            self._finished = not events
-        return self.now
-
-    def _run_calendar(self, until: Optional[float], max_events: Optional[int]) -> float:
-        events = self.events
-        processed = 0
-        try:
-            # The spine list object is stable across pushes (insort mutates it
-            # in place); only _advance() — called here when it drains —
-            # installs a new one, so the locals stay valid through callbacks.
-            # The consumption cursor must be written back to the queue before
-            # every callback: pushes bound their insort below it.
-            spine = events._spine
-            pos = events._spine_pos
-            while True:
-                if pos >= len(spine):
-                    events._spine_pos = pos
-                    if not events._advance():
-                        break
-                    spine = events._spine
-                    pos = 0
-                    continue
-                entry = spine[pos]
-                callback = entry[2]
-                if callback is None:  # cancelled
-                    pos += 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    events._spine_pos = pos
-                    return until
-                pos += 1
-                entry[2] = None  # make a late cancel() a no-op
-                events._live -= 1
-                # Compact the consumed prefix once it outgrows the live tail
-                # (amortized O(1); see CalendarQueue.pop).
-                if pos > 64 and pos * 2 > len(spine):
-                    del spine[:pos]
-                    pos = 0
-                events._spine_pos = pos
-                if time < self.now:
-                    if time < self.now - 1e-9:
-                        raise SimulationError(
-                            f"event {callback!r} scheduled at {time} is in the past "
-                            f"(now={self.now})"
-                        )
-                else:
-                    self.now = time
-                processed += 1
-                callback()
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._executed_events += processed
-            self._finished = not events
-        return self.now
-
-    def _run_generic(self, until: Optional[float], max_events: Optional[int]) -> float:
-        events = self.events
-        pop = events.pop
-        peek = events.peek_time
-        processed = 0
-        try:
-            while True:
-                if until is not None:
-                    # peek_time() leaves the backend's cursor on the found
-                    # event, so the pop right after it is O(1).
-                    head_time = peek()
-                    if head_time is None:
-                        break
-                    if head_time > until:
-                        self.now = until
-                        return until
-                entry = pop()
-                if entry is None:
-                    break
-                time = entry[0]
-                callback = entry[2]
-                if time < self.now:
-                    if time < self.now - 1e-9:
-                        raise SimulationError(
-                            f"event {callback!r} scheduled at {time} is in the past "
-                            f"(now={self.now})"
-                        )
-                else:
-                    self.now = time
-                processed += 1
-                callback()
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._executed_events += processed
             self._finished = not events
         return self.now
 

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import os
-
 import pytest
 
 from repro.cli import _parse_workload_params, build_parser, main
@@ -265,30 +263,3 @@ def test_cli_sweep_carries_routing_details(capsys, tmp_path):
     assert main(argv) == 0
     warm = capsys.readouterr().out
     assert "simulated: 0" in warm
-
-
-def test_cli_scheduler_option(capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    parser = build_parser()
-    for command in (["run"], ["report"], ["prefetch"], ["sweep"]):
-        assert parser.parse_args(command + ["--scheduler", "calendar"]
-                                 ).scheduler == "calendar"
-        assert parser.parse_args(command).scheduler is None
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "--scheduler", "splay-tree"])
-
-    # The flag routes through $REPRO_SCHEDULER for the duration of the
-    # command (so worker processes inherit it) and restores it afterwards;
-    # the simulated metrics are bit-identical across backends.
-    base = ["run", "--config", "ARF-tid", "--workload", "reduce",
-            "--threads", "2", "--param", "array_elements=256"]
-    assert main(base + ["--scheduler", "calendar"]) == 0
-    assert os.environ.get("REPRO_SCHEDULER") is None
-    calendar_out = capsys.readouterr().out
-    assert main(base + ["--scheduler", "heap"]) == 0
-    heap_out = capsys.readouterr().out
-    assert calendar_out == heap_out
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert main(base + ["--scheduler", "calendar"]) == 0
-    assert os.environ["REPRO_SCHEDULER"] == "heap"  # restored, not clobbered
-    capsys.readouterr()

@@ -1,23 +1,20 @@
-"""Unit tests for the event-scheduler backends.
+"""Unit tests for the binary-heap event scheduler.
 
-Every behavioral test runs against both the binary heap and the calendar
-queue: the two backends promise the exact same ``[time, seq]`` total order,
-so they must be observationally interchangeable.
+The tests keep a one-value ``heap`` parametrisation so their IDs read
+``[heap]``, as they did when a second scheduler backend ran beside it.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.event_queue import (DEFAULT_SCHEDULER, SCHEDULER_BACKENDS,
-                                   CalendarQueue, EventQueue,
-                                   make_event_queue, resolve_scheduler)
+from repro.sim.event_queue import EventQueue
 
-BACKENDS = sorted(SCHEDULER_BACKENDS)
+BACKENDS = ["heap"]
 
 
 @pytest.fixture(params=BACKENDS)
 def queue(request):
-    return SCHEDULER_BACKENDS[request.param]()
+    return EventQueue()
 
 
 def test_push_pop_orders_by_time(queue):
@@ -133,7 +130,7 @@ def test_cancel_after_clear_is_safe(queue):
 
 def test_push_behind_a_popped_time_still_pops_in_order(queue):
     """The raw queue API allows pushing earlier than the last popped time;
-    both backends must keep returning the global minimum."""
+    the queue must keep returning the global minimum."""
     queue.push(100.0, lambda: None)
     queue.push(500.0, lambda: None)
     assert queue.pop()[0] == 100.0
@@ -146,7 +143,7 @@ def test_push_behind_a_popped_time_still_pops_in_order(queue):
 @given(st.lists(st.floats(min_value=0, max_value=1e7, allow_nan=False),
                 min_size=1, max_size=200))
 def test_pop_order_is_always_nondecreasing(backend, times):
-    q = SCHEDULER_BACKENDS[backend]()
+    q = EventQueue()
     for t in times:
         q.push(t, lambda: None)
     popped = []
@@ -154,157 +151,3 @@ def test_pop_order_is_always_nondecreasing(backend, times):
         popped.append(q.pop()[0])
     assert popped == sorted(popped)
     assert len(popped) == len(times)
-
-
-# -- cross-backend equivalence ---------------------------------------------------
-
-_EVENT_TIMES = st.floats(min_value=0, max_value=1e6, allow_nan=False)
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), _EVENT_TIMES, st.booleans()),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("peek")),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
-    ),
-    min_size=1, max_size=150,
-)
-
-
-@given(_OPS)
-def test_calendar_queue_matches_heap_exactly(ops):
-    """Golden cross-backend equivalence: any interleaving of pushes (handled
-    or not), pops, peeks and cancels yields the identical [time, seq] pop
-    sequence and live counts on both backends."""
-    heap, calendar = EventQueue(), CalendarQueue()
-    handles = []
-    for op in ops:
-        if op[0] == "push":
-            _, time, with_handle = op
-            if with_handle:
-                handles.append((heap.push_handle(time, lambda: None),
-                                calendar.push_handle(time, lambda: None)))
-            else:
-                heap.push(time, lambda: None)
-                calendar.push(time, lambda: None)
-        elif op[0] == "pop":
-            a, b = heap.pop(), calendar.pop()
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a[:2] == b[:2]
-        elif op[0] == "peek":
-            assert heap.peek_time() == calendar.peek_time()
-        else:  # cancel
-            if handles:
-                h1, h2 = handles.pop(op[1] % len(handles))
-                h1.cancel()
-                h2.cancel()
-        assert len(heap) == len(calendar)
-        assert bool(heap) == bool(calendar)
-    while True:
-        a, b = heap.pop(), calendar.pop()
-        assert (a is None) == (b is None)
-        if a is None:
-            break
-        assert a[:2] == b[:2]
-
-
-def test_calendar_flood_drain_compacts_the_spine():
-    """Draining a same-timestamp flood must not shift the whole spine per pop
-    (quadratic) nor retain the consumed prefix: the physical spine stays
-    within a small factor of the live tail, and pushes landing mid-drain
-    (even behind already-popped times) still pop in order."""
-    q = CalendarQueue()
-    for _ in range(5000):
-        q.push(100.0, lambda: None)
-    for _ in range(2500):
-        q.pop()
-    assert len(q._spine) - q._spine_pos == len(q) == 2500
-    assert len(q._spine) <= 2 * len(q) + 128    # consumed prefix compacted
-    q.push(50.0, lambda: None)                  # behind every popped time
-    q.push(100.0, lambda: None)                 # ties break by insertion seq
-    assert q.pop()[0] == 50.0
-    drained = [q.pop()[:2] for _ in range(len(q))]
-    assert drained == sorted(drained)
-    assert q.pop() is None
-
-
-def test_calendar_narrow_with_active_spine_keeps_order():
-    """Regression: a _narrow() while the spine still holds live entries must
-    not leave the horizon inside the spine's time range — a later spine-range
-    push would land in the calendar and dispatch after later spine entries.
-    Surfaced as a SimulationError ('scheduled in the past') in smoke runs."""
-    heap, cal = EventQueue(), CalendarQueue()
-
-    def push(t):
-        heap.push(t, lambda: None)
-        cal.push(t, lambda: None)
-
-    for i in range(10):                      # one initial-width day (no. 2)
-        push(130.0 + i * 6.875)              # 130 .. 191.875
-    assert heap.pop()[:2] == cal.pop()[:2]   # promotes it: spine now active
-    for i in range(520):                     # adjacent hot day -> narrows
-        push(192.05 + i * 0.119)
-    push(191.5)                              # inside the live spine's range
-    drained = []
-    while heap:
-        a, b = heap.pop(), cal.pop()
-        assert a[:2] == b[:2]
-        drained.append(a[0])
-    assert drained == sorted(drained)
-    assert cal.pop() is None
-
-
-def test_calendar_clear_restores_initial_geometry():
-    """clear() must undo a _narrow()-shrunken day width: a reset simulator
-    would otherwise inherit pathologically fine one-event days."""
-    q = CalendarQueue()
-    for i in range(600):  # one hot day spanning nonzero time -> narrows
-        q.push(1000.0 + i * 0.001, lambda: None)
-    assert q._width < q._initial_width
-    q.clear()
-    assert q._width == q._initial_width
-    assert q._horizon_day == 0 and len(q) == 0
-    # ...and the queue still orders correctly afterwards.
-    heap = EventQueue()
-    for t in (5.0, 1.0, 9.0, 1.0):
-        q.push(t, lambda: None)
-        heap.push(t, lambda: None)
-    while heap:
-        assert q.pop()[0] == heap.pop()[0]
-
-
-def test_calendar_same_time_flood_and_narrow_keep_order():
-    """A same-timestamp flood (unsplittable) and a wide spread (which narrows
-    the day width) must both preserve the heap's order exactly."""
-    for times in ([100.0] * 2000,
-                  [(i * 37 % 1000) * 0.25 for i in range(2000)]):
-        heap, calendar = EventQueue(), CalendarQueue()
-        for t in times:
-            heap.push(t, lambda: None)
-            calendar.push(t, lambda: None)
-        while heap:
-            assert heap.pop()[:2] == calendar.pop()[:2]
-        assert calendar.pop() is None
-
-
-# -- backend registry ------------------------------------------------------------
-
-def test_registry_and_default():
-    assert set(SCHEDULER_BACKENDS) == {"heap", "calendar"}
-    assert DEFAULT_SCHEDULER == "heap"
-    assert isinstance(make_event_queue("heap"), EventQueue)
-    assert isinstance(make_event_queue("calendar"), CalendarQueue)
-
-
-def test_resolve_scheduler_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert resolve_scheduler() == "heap"
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert resolve_scheduler() == "calendar"
-    assert resolve_scheduler("heap") == "heap"   # explicit beats the env
-    assert resolve_scheduler(" Calendar ") == "calendar"
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        resolve_scheduler("splay-tree")
-    monkeypatch.setenv("REPRO_SCHEDULER", "nonsense")
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        resolve_scheduler()

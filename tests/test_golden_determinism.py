@@ -6,17 +6,17 @@ the golden values below — final cycle count, executed event count and a SHA-25
 digest over the full stats snapshot — were captured from the pre-optimization
 seed code and every scheme must keep reproducing them bit-for-bit.
 
-The same bar applies across scheduler backends: the calendar queue promises
-the binary heap's exact ``[time, seq]`` dispatch order, so the golden digests
-must hold under either backend — and across failure-free routing policies:
-``resilient`` builds byte-identical tables and only diverges live columns on
-the first state change, so with no failures injected it must reproduce the
-``static`` goldens bit-for-bit (the scheme x scheduler x routing matrix).
+The same bar applies across failure-free routing policies: ``resilient``
+builds byte-identical tables and only diverges live columns on the first
+state change, so with no failures injected it must reproduce the ``static``
+goldens bit-for-bit (the scheme x routing matrix).  The tests keep one-value
+``heap``/``reservoir`` parametrisations so their IDs read as they did when a
+second scheduler and a second summary backend ran beside these.
 
 Fault injection is deterministic too: the failure timeline is a pure function
 of ``(topology, failure_rate, failure_seed)`` and every interruption resolves
 on the ``[time, seq]`` queue, so a fixed-seed degraded run has its own golden
-cell, held across scheduler backends like every other result.
+cell.
 """
 
 import dataclasses
@@ -24,8 +24,7 @@ import hashlib
 
 import pytest
 
-from repro.sim import SUMMARY_BACKENDS
-from repro.sim.event_queue import SCHEDULER_BACKENDS
+from repro.sim import Histogram
 from repro.system import CONFIG_ORDER, collect_results, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
@@ -76,14 +75,11 @@ def tiny_pagerank_program(config):
     return workload.generate(mode)
 
 
-def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
-                      net=None, program=None):
+def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None,
+                      program=None):
     # ``routing`` exports the kernel-testing env knob ($REPRO_ROUTING), the
     # path CI's resilient job exercises; ``net`` passes explicit network
     # overrides through the config, the path the CLI and the suite use.
-    if scheduler is not None:
-        assert monkeypatch is not None
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
     if routing is not None:
         assert monkeypatch is not None
         monkeypatch.setenv("REPRO_ROUTING", routing)
@@ -96,15 +92,13 @@ def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
 
 
 @pytest.mark.parametrize("routing", ["static", "resilient"])
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_BACKENDS))
+@pytest.mark.parametrize("scheduler", ["heap"])
 @pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
 def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
                                                monkeypatch):
     # The resilient policy is bit-identical to static on a failure-free
     # network (the lockstep contract), so ONE golden row serves both columns.
-    system = run_tiny_pagerank(kind, scheduler=scheduler, monkeypatch=monkeypatch,
-                               routing=routing)
-    assert system.sim.scheduler == scheduler
+    system = run_tiny_pagerank(kind, monkeypatch=monkeypatch, routing=routing)
     cycles, events, digest = GOLDEN[kind.value]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
@@ -160,10 +154,9 @@ DEGRADED_GOLDEN = (3554.0445920204475, 6178,
                    "a4d56536adffa669883601f6722e43d8a3e4083acdd5717b11ad3d3d1b64c4c9")
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_BACKENDS))
-def test_degraded_golden_fixed_failure_seed(scheduler, monkeypatch):
-    system = run_tiny_pagerank("ARF-tid", scheduler=scheduler,
-                               monkeypatch=monkeypatch,
+@pytest.mark.parametrize("scheduler", ["heap"])
+def test_degraded_golden_fixed_failure_seed(scheduler):
+    system = run_tiny_pagerank("ARF-tid",
                                net=dict(routing="resilient",
                                         failure_rate=10.0, failure_seed=7))
     cycles, events, digest = DEGRADED_GOLDEN
@@ -174,21 +167,18 @@ def test_degraded_golden_fixed_failure_seed(scheduler, monkeypatch):
     assert system.sim.stats.snapshot()["network.dropped"] > 0
 
 
-@pytest.mark.parametrize("summary", sorted(SUMMARY_BACKENDS))
+@pytest.mark.parametrize("summary", ["reservoir"])
 @pytest.mark.parametrize("kind", ["HMC", "ARF-tid"])
-def test_golden_digest_holds_under_every_summary_backend(kind, summary,
-                                                         monkeypatch):
-    # The stats snapshot records per-histogram mean and count only, and every
-    # summary backend accumulates count/total exactly — so swapping the
-    # reservoir for the sketch must reproduce the SAME golden digests, not
-    # new ones.  (Percentile estimates may differ; digests may not.)
-    monkeypatch.setenv("REPRO_SUMMARY", summary)
+def test_golden_digest_holds_under_every_summary_backend(kind, summary):
+    # Every registry summary is the reservoir Histogram (or its folded
+    # subclass), and the snapshot records per-histogram mean and count.
     system = run_tiny_pagerank(kind)
     cycles, events, digest = GOLDEN[kind]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
     assert snapshot_digest(system.sim.stats) == digest
-    assert system.sim.stats.summary_backend == summary
+    assert all(isinstance(hist, Histogram)
+               for hist in system.sim.stats._histograms.values())
 
 
 #: Open-driver golden: ARF-tid, two-tenant mac+pagerank stream at a fixed
@@ -199,21 +189,13 @@ OPEN_DRIVER_PARAMS = dict(driver="open", arrival_rate=20.0,
                           stream_keys=256)
 
 
-def test_open_driver_runs_repeat_bit_identically_across_backends(monkeypatch):
+def test_open_driver_runs_repeat_bit_identically_across_backends():
     from repro.system import run_workload
 
     baseline = run_workload("ARF-tid", "mac", num_threads=4,
                             **OPEN_DRIVER_PARAMS)
-    fingerprint = (baseline.cycles, baseline.instructions,
-                   baseline.events_executed,
-                   sorted(baseline.summary().items()))
-    for scheduler in sorted(SCHEDULER_BACKENDS):
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-        again = run_workload("ARF-tid", "mac", num_threads=4,
-                             **OPEN_DRIVER_PARAMS)
-        assert (again.cycles, again.instructions, again.events_executed,
-                sorted(again.summary().items())) == fingerprint, scheduler
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    again = run_workload("ARF-tid", "mac", num_threads=4, **OPEN_DRIVER_PARAMS)
+    assert _result_fingerprint(again) == _result_fingerprint(baseline)
 
 
 def test_repeated_runs_are_identical():

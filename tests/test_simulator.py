@@ -1,20 +1,20 @@
 """Unit tests for the simulator driver.
 
-Execution-behavior tests run against both scheduler backends: the simulator
-promises identical event dispatch regardless of which one it was built on.
+Execution-behavior tests keep a one-value ``heap`` parametrisation so their
+IDs read ``[heap]``, as they did when a second scheduler backend ran beside
+the binary heap.
 """
 
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.event_queue import SCHEDULER_BACKENDS, CalendarQueue, EventQueue
 
-BACKENDS = sorted(SCHEDULER_BACKENDS)
+BACKENDS = ["heap"]
 
 
 @pytest.fixture(params=BACKENDS)
 def sim(request):
-    return Simulator(scheduler=request.param)
+    return Simulator()
 
 
 def test_schedule_and_run_advances_time(sim):
@@ -63,6 +63,22 @@ def test_finished_updates_on_bounded_runs(sim):
     assert not sim.finished          # still pending after another bounded run
     sim.run()
     assert sim.finished
+    # A zero event budget dispatches nothing, with or without a horizon, and
+    # still refreshes `finished`; a negative budget is rejected.
+    start = sim.now
+    fired = []
+    sim.schedule(1, lambda: fired.append(1))
+    sim.schedule(2, lambda: fired.append(2))
+    for until in (None, start + 5):
+        assert sim.run(until=until, max_events=0) == start
+        assert not sim.finished
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(until=until, max_events=-1)
+    assert fired == [] and sim.now == start and sim.executed_events == 2
+    sim.run(max_events=1)
+    assert fired == [1] and sim.now == start + 1 and not sim.finished
+    sim.run()
+    assert sim.run(max_events=0) == start + 2 and sim.finished
 
 
 def test_finished_true_when_only_cancelled_events_remain_beyond_bound(sim):
@@ -142,7 +158,7 @@ def test_reset_clears_state(sim):
     assert sim.now == 0
     assert len(sim.events) == 0
     assert sim.stats.counter("x") == 0
-    # The simulator is fully reusable after a reset, on either backend.
+    # The simulator is fully reusable after a reset.
     seen = []
     sim.schedule(2, lambda: seen.append(sim.now))
     sim.run_until_idle()
@@ -160,7 +176,7 @@ def test_schedule_cancellable_forwards_label(sim):
 
 def test_cancel_across_reset_is_inert(sim):
     """A handle held across Simulator.reset() must see its event as gone and
-    stay a no-op — on both backends — instead of corrupting the live count."""
+    stay a no-op instead of corrupting the live count."""
     fired = []
     handle = sim.schedule_cancellable(5, lambda: fired.append("stale"))
     sim.reset()
@@ -186,96 +202,11 @@ def test_cancelled_event_skipped_by_run_loop(sim):
     assert sim.executed_events == 1
 
 
-# -- scheduler selection ---------------------------------------------------------
-
-def test_scheduler_backend_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert isinstance(Simulator().events, EventQueue)
-    assert isinstance(Simulator(scheduler="heap").events, EventQueue)
-    assert isinstance(Simulator(scheduler="calendar").events, CalendarQueue)
-    assert Simulator(scheduler="calendar").scheduler == "calendar"
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        Simulator(scheduler="splay-tree")
-
-
-def test_scheduler_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert isinstance(Simulator().events, CalendarQueue)
-    # An explicit constructor argument beats the environment.
-    assert isinstance(Simulator(scheduler="heap").events, EventQueue)
-    monkeypatch.delenv("REPRO_SCHEDULER")
-    assert isinstance(Simulator().events, EventQueue)
-
-
-def test_future_backend_runs_through_the_generic_loop(monkeypatch):
-    """A backend that is neither the heap nor the calendar queue (the
-    C-accelerated-entries slot the ROADMAP reserves) must work out of the box
-    via Simulator's generic bound-method loop — interface only, no fused
-    loop required."""
-    from bisect import insort
-
-    class SortedListQueue:
-        """Minimal third backend: the interface, nothing else."""
-
-        def __init__(self):
-            self._entries = []
-            self._seq = 0
-            self._live = 0
-
-        def __len__(self):
-            return self._live
-
-        def __bool__(self):
-            return self._live > 0
-
-        def push(self, time, callback, label=""):
-            if time < 0:
-                raise ValueError("negative time")
-            insort(self._entries, [time, self._seq, callback])
-            self._seq += 1
-            self._live += 1
-
-        def peek_time(self):
-            for entry in self._entries:
-                if entry[2] is not None:
-                    return entry[0]
-            return None
-
-        def pop(self):
-            while self._entries:
-                entry = self._entries.pop(0)
-                if entry[2] is None:
-                    continue
-                callback = entry[2]
-                entry[2] = None
-                self._live -= 1
-                return [entry[0], entry[1], callback]
-            return None
-
-        def clear(self):
-            self._entries.clear()
-            self._live = 0
-
-    monkeypatch.setitem(SCHEDULER_BACKENDS, "sorted-list", SortedListQueue)
-    sim = Simulator(scheduler="sorted-list")
-    assert sim._run_impl == sim._run_generic
-    seen = []
-    sim.schedule(10, lambda: seen.append(sim.now))
-    sim.schedule(5, lambda: (seen.append(sim.now),
-                             sim.schedule(1, lambda: seen.append(sim.now))))
-    sim.run(until=7)
-    assert seen == [5, 6]
-    assert not sim.finished
-    sim.run()
-    assert seen == [5, 6, 10]
-    assert sim.finished and sim.executed_events == 3
-
-
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_backends_execute_identically(scheduler):
     """One seeded mixed workload of schedules + cancellations must land on
-    the same trace and final time on every backend."""
-    sim = Simulator(scheduler=scheduler)
+    the same trace and final time in two independent simulators."""
+    sim = Simulator()
     trace = []
 
     def spawner(depth):
@@ -289,7 +220,7 @@ def test_backends_execute_identically(scheduler):
 
     sim.schedule(0.5, lambda: spawner(0))
     sim.run_until_idle()
-    reference_sim = Simulator(scheduler="heap")
+    reference_sim = Simulator()
     reference = []
 
     def ref_spawner(depth):

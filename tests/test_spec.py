@@ -8,8 +8,7 @@ Three contracts are pinned here:
 * **Wire format** — ``from_json(to_json(spec)) == spec`` exactly, for every
   representable spec (Hypothesis).
 * **No aliasing** — distinct cache-participating axis choices always occupy
-  distinct cache entries, while the scheduler axis (bit-identical results)
-  deliberately contributes nothing.
+  distinct cache entries.
 """
 
 import json
@@ -25,17 +24,18 @@ from repro.core.spec import (AXES, ExperimentSpec, axes_for,
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
-from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
-from repro.sim.event_queue import DEFAULT_SCHEDULER
 from repro.system.config import SystemKind, make_system_config
 from repro.workloads import TrafficSpec
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
 #: Corpus entries retired with the axes they exercised (the sharded
-#: execution backend and its ``%sharded`` label fold are gone).  They were
-#: removed from the frozen file by name, never regenerated.
-RETIRED = {"sharded-default", "sharded3", "mesh-sharded4"}
+#: execution backend and its ``%sharded`` label fold, and the ``summary``
+#: axis and its non-default ``summary`` key entry, are gone).  They were
+#: removed from the frozen file by name, never regenerated; ``combo`` lost
+#: only its summary input and key entry.
+RETIRED = {"sharded-default", "sharded3", "mesh-sharded4", "sketch",
+           "sketch-open"}
 
 
 # ------------------------------------------------------------ frozen corpus
@@ -57,7 +57,7 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) == 22
+    assert len(corpus) == 20
     assert RETIRED.isdisjoint(entry["name"] for entry in corpus)
     for entry in corpus:
         inputs = entry["inputs"]
@@ -71,32 +71,11 @@ def test_frozen_corpus_labels_and_cache_keys_byte_identical():
         params = dict(inputs["params"])
         if inputs["traffic"] is not None:
             params.update(TrafficSpec(**inputs["traffic"]).params())
-        with summary_env(inputs["summary"]):
-            key = RunCache.make_key(scale=inputs["scale"],
-                                    workload=inputs["workload"],
-                                    params=params, config_label=config.label,
-                                    profile="scaled",
-                                    num_threads=inputs["num_threads"])
-        key.pop("digest")
-        assert key == entry["cache_key_sans_digest"], entry["name"]
-
-
-def test_spec_driven_keys_match_env_driven_keys():
-    """make_key(spec=...) and the legacy env path produce identical bytes."""
-    corpus = json.loads(CORPUS.read_text())
-    for entry in corpus:
-        inputs = entry["inputs"]
-        if "net" in inputs:
-            continue
-        config = _build_config(inputs)
-        params = dict(inputs["params"])
-        if inputs["traffic"] is not None:
-            params.update(TrafficSpec(**inputs["traffic"]).params())
-        spec = ExperimentSpec(summary=inputs["summary"])
         key = RunCache.make_key(scale=inputs["scale"],
-                                workload=inputs["workload"], params=params,
-                                config_label=config.label, profile="scaled",
-                                num_threads=inputs["num_threads"], spec=spec)
+                                workload=inputs["workload"],
+                                params=params, config_label=config.label,
+                                profile="scaled",
+                                num_threads=inputs["num_threads"])
         key.pop("digest")
         assert key == entry["cache_key_sans_digest"], entry["name"]
 
@@ -129,8 +108,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["tenant_mix"].default == traffic.tenant_mix
     assert AXES["stream_requests"].default == traffic.stream_requests
     assert AXES["stream_keys"].default == traffic.stream_keys
-    assert AXES["summary"].default == DEFAULT_SUMMARY
-    assert AXES["scheduler"].default == DEFAULT_SCHEDULER
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -182,11 +159,11 @@ def test_from_json_rejects_unknown_versions_and_axes():
 
 
 def test_resolution_precedence_explicit_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SUMMARY", raising=False)
-    assert ExperimentSpec().resolved("summary") == "reservoir"
-    monkeypatch.setenv("REPRO_SUMMARY", "sketch")
-    assert ExperimentSpec().resolved("summary") == "sketch"
-    assert ExperimentSpec(summary="reservoir").resolved("summary") == "reservoir"
+    monkeypatch.delenv("REPRO_ROUTING", raising=False)
+    assert ExperimentSpec().resolved("routing") == "static"
+    monkeypatch.setenv("REPRO_ROUTING", "resilient")
+    assert ExperimentSpec().resolved("routing") == "resilient"
+    assert ExperimentSpec(routing="static").resolved("routing") == "static"
 
 
 # ----------------------------------------------------------------- no aliasing
@@ -197,7 +174,7 @@ def _cell_key(spec):
     params.update(spec.cache_params())
     return RunCache.make_key(scale="tiny", workload="mac", params=params,
                              config_label=config.label, profile="scaled",
-                             num_threads=4, spec=spec)
+                             num_threads=4)
 
 
 def test_distinct_cache_participating_specs_never_alias():
@@ -215,16 +192,9 @@ def test_distinct_cache_participating_specs_never_alias():
         ExperimentSpec(driver="open", zipf_s=0.5),
         ExperimentSpec(driver="open", tenant_mix="mac,pagerank"),
         ExperimentSpec(driver="open", stream_requests=64),
-        ExperimentSpec(summary="sketch"),
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
-
-
-def test_scheduler_axis_does_not_touch_suite_keys():
-    """A bit-identical-result axis must share cache entries by design."""
-    base = _cell_key(ExperimentSpec())
-    assert _cell_key(ExperimentSpec(scheduler="calendar")) == base
 
 
 # ----------------------------------------------------- warm-cache invariant
@@ -233,8 +203,8 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
     """The cache-key construction vendored verbatim from the pre-spec code.
 
     ``code_digest()`` is evaluated at runtime on both sides, so it cancels:
-    what this pins is the *layout* — field names, order-insensitive content,
-    summary-only-when-non-default.
+    what this pins is the *layout* — field names and order-insensitive
+    content.
     """
     key = {
         "digest": code_digest(),
@@ -245,9 +215,6 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
         "profile": profile,
         "num_threads": num_threads,
     }
-    summary = resolve_summary()
-    if summary != DEFAULT_SUMMARY:
-        key["summary"] = summary
     return key
 
 
@@ -287,7 +254,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic", "summary", "scheduler")
+    groups = ("network", "traffic")
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",

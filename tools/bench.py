@@ -14,23 +14,18 @@ Usage::
     PYTHONPATH=src python tools/bench.py --prefetch tiny --workers 4
     PYTHONPATH=src python tools/bench.py --smoke --no-write \
         --check-against smoke-baseline --max-regression 1.5   # CI perf gate
-    PYTHONPATH=src python tools/bench.py --scheduler calendar  # calendar queue
-    PYTHONPATH=src python tools/bench.py --scheduler both      # heap/calendar A/B
-    PYTHONPATH=src python tools/bench.py --cubes 64 --scheduler both  # sweep scale
+    PYTHONPATH=src python tools/bench.py --cubes 64            # sweep scale
     PYTHONPATH=src python tools/bench.py --routing both        # static/resilient A/B
 
 The basket sizes match the profiled PageRank/`ARF-tid` case the kernel fast
 path was tuned on; ``--smoke`` shrinks every run to seconds-scale sizes for CI.
-``--scheduler`` selects the event-scheduler backend (results are bit-identical
-either way; only wall time differs), and ``both`` runs the basket under each
-backend with ``@heap``/``@calendar``-suffixed run keys plus a printed ratio.
-``--routing`` selects the routing policy the same way; ``--routing both`` is
+``--routing`` selects the routing policy; ``--routing both`` is
 an interleaved static/resilient A/B with ``@static``/``@resilient`` run keys
 that asserts the two policies agree bit-for-bit on the failure-free basket
 (the lockstep contract) and prints the overhead ratio of carrying the
 fault-capable machinery.  ``--cubes N`` rebuilds every HMC-backed
 configuration with an N-cube memory network (``+cN`` key suffix) — the
-64-cube sweep scale exercises the scheduler at much larger pending-event
+64-cube sweep scale exercises the event loop at much larger pending-event
 counts.  ``--prefetch SCALE`` benchmarks the evaluation-suite orchestration
 layer instead: a cold parallel prefetch into a throwaway cache directory,
 then a warm re-run that must perform zero simulations.
@@ -52,8 +47,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.network.routing import (ROUTING_BACKENDS, resolve_routing,  # noqa: E402
                                    routing_env)
-from repro.sim.event_queue import (SCHEDULER_BACKENDS, resolve_scheduler,  # noqa: E402
-                                   scheduler_env)
 from repro.system import make_system_config, run_workload  # noqa: E402
 
 #: The fixed measurement basket: (workload, configuration, params).
@@ -106,13 +99,11 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
 
 
 def run_basket(basket, num_threads: int = 4, repeat: int = 3,
-               scheduler=None, num_cubes=None, profile: bool = False,
-               routing=None):
+               num_cubes=None, profile: bool = False, routing=None):
     """Run every basket entry ``repeat`` times; keep the best wall time.
 
-    ``scheduler`` picks the event-scheduler backend for every run (``None``
-    keeps the ambient ``$REPRO_SCHEDULER``/default) and ``routing`` the
-    routing policy the same way; ``num_cubes`` rebuilds each HMC-backed
+    ``routing`` picks the routing policy for every run (``None`` keeps the
+    ambient ``$REPRO_ROUTING``/default); ``num_cubes`` rebuilds each HMC-backed
     configuration with that many memory cubes and suffixes the run keys with
     ``+cN`` so entries at different network scales never alias in the
     trajectory file.  ``profile`` adds one instrumented run per entry
@@ -127,7 +118,7 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             system_config = make_system_config(config, num_cubes=num_cubes)
         best = float("inf")
         result = None
-        with scheduler_env(scheduler), routing_env(routing):
+        with routing_env(routing):
             for _ in range(max(1, repeat)):
                 start = time.perf_counter()
                 result = run_workload(system_config, workload,
@@ -139,7 +130,6 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             "events_per_s": round(result.events_executed / best, 1),
             "cycles": result.cycles,
             "params": params,
-            "scheduler": resolve_scheduler(scheduler),
             "routing": resolve_routing(routing),
         }
         if num_cubes:
@@ -147,64 +137,9 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
         print(f"{key:24s} {best:7.3f}s  {runs[key]['events_per_s']:>11,.0f} ev/s  "
               f"cycles={result.cycles:,.0f}")
         if profile:
-            with scheduler_env(scheduler), routing_env(routing):
+            with routing_env(routing):
                 runs[key].update(profile_entry(key, system_config, workload,
                                                num_threads, params))
-    return runs
-
-
-def run_scheduler_ab(basket, num_threads: int = 4, repeat: int = 3,
-                     num_cubes=None):
-    """Run the basket under every scheduler backend and print the A/B ratios.
-
-    The repeats are *interleaved* per basket entry (after one untimed warm-up
-    run) so process warm-up — imports, allocator growth, frequency scaling —
-    lands on no particular backend; measuring one backend's whole basket
-    before the other's skews the first one measurably.  Run keys get an
-    ``@<scheduler>`` suffix so one history entry carries the whole
-    comparison; simulated results must agree bit-for-bit across backends
-    (asserted here — a mismatch is a determinism bug, not noise).
-    """
-    runs = {}
-    schedulers = sorted(SCHEDULER_BACKENDS)
-    suffix = f"+c{num_cubes}" if num_cubes else ""
-    for workload, config, params in basket:
-        base_key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
-        best = {scheduler: float("inf") for scheduler in schedulers}
-        result = {}
-        with scheduler_env("heap"):
-            run_workload(system_config, workload, num_threads=num_threads,
-                         **params)  # warm-up, untimed
-        for _ in range(max(1, repeat)):
-            for scheduler in schedulers:
-                with scheduler_env(scheduler):
-                    start = time.perf_counter()
-                    result[scheduler] = run_workload(
-                        system_config, workload, num_threads=num_threads, **params)
-                    best[scheduler] = min(best[scheduler],
-                                          time.perf_counter() - start)
-        fingerprints = {(result[s].events_executed, result[s].cycles)
-                        for s in schedulers}
-        if len(fingerprints) != 1:
-            raise SystemExit(f"scheduler backends diverged on {base_key}: "
-                             f"{fingerprints}")
-        for scheduler in schedulers:
-            wall = best[scheduler]
-            runs[f"{base_key}@{scheduler}"] = {
-                "wall_s": round(wall, 3),
-                "events": result[scheduler].events_executed,
-                "events_per_s": round(result[scheduler].events_executed / wall, 1),
-                "cycles": result[scheduler].cycles,
-                "params": params,
-                "scheduler": scheduler,
-                **({"num_cubes": num_cubes} if num_cubes else {}),
-            }
-        ratio = best["calendar"] / best["heap"] if best["heap"] else float("inf")
-        print(f"{base_key:24s} heap {best['heap']:7.3f}s  calendar "
-              f"{best['calendar']:7.3f}s  ({ratio:.2f}x; <1.00 = calendar wins)")
     return runs
 
 
@@ -215,13 +150,13 @@ AB_ROUTINGS = ("static", "resilient")
 
 
 def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
-                   num_cubes=None, scheduler=None):
+                   num_cubes=None):
     """Run the basket under the static and resilient policies, interleaved.
 
     The repeats are interleaved per basket entry (after one untimed warm-up
-    run) exactly like :func:`run_scheduler_ab`, so process warm-up lands on
-    no particular policy.  Run keys get an ``@<routing>`` suffix; simulated
-    results must agree bit-for-bit (the resilient policy is the static dense
+    run) so process warm-up — imports, allocator growth, frequency scaling —
+    lands on no particular policy.  Run keys get an ``@<routing>`` suffix;
+    simulated results must agree bit-for-bit (the resilient policy is the static dense
     tables plus dormant fault machinery on a failure-free network — a
     divergence is a lockstep bug, not noise), and the printed ratio is the
     overhead of carrying that machinery.
@@ -235,12 +170,12 @@ def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
             system_config = make_system_config(config, num_cubes=num_cubes)
         best = {routing: float("inf") for routing in AB_ROUTINGS}
         result = {}
-        with scheduler_env(scheduler), routing_env("static"):
+        with routing_env("static"):
             run_workload(system_config, workload, num_threads=num_threads,
                          **params)  # warm-up, untimed
         for _ in range(max(1, repeat)):
             for routing in AB_ROUTINGS:
-                with scheduler_env(scheduler), routing_env(routing):
+                with routing_env(routing):
                     start = time.perf_counter()
                     result[routing] = run_workload(
                         system_config, workload, num_threads=num_threads, **params)
@@ -260,7 +195,6 @@ def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
                 "events_per_s": round(result[routing].events_executed / wall, 1),
                 "cycles": result[routing].cycles,
                 "params": params,
-                "scheduler": resolve_scheduler(scheduler),
                 "routing": routing,
                 **({"num_cubes": num_cubes} if num_cubes else {}),
             }
@@ -315,9 +249,9 @@ def check_regression(output: Path, runs, baseline_label: str, max_ratio: float) 
     for key, run in runs.items():
         base = baseline.get(key)
         if base is None and "@" in key:
-            # A/B runs are keyed `workload/config@scheduler`; gate each one
+            # A/B runs are keyed `workload/config@routing`; gate each one
             # against the plain `workload/config` baseline when the baseline
-            # entry predates per-scheduler keys.
+            # entry has no such key.
             base = baseline.get(key.rsplit("@", 1)[0])
         if not base or not base.get("wall_s"):
             continue
@@ -382,11 +316,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny problem sizes (CI smoke run)")
-    parser.add_argument("--scheduler", default=None,
-                        choices=sorted(SCHEDULER_BACKENDS) + ["both"],
-                        help="event-scheduler backend for the basket; 'both' "
-                             "runs an A/B comparison with @heap/@calendar run "
-                             "keys (default: $REPRO_SCHEDULER or heap)")
     parser.add_argument("--routing", default=None,
                         choices=sorted(ROUTING_BACKENDS) + ["both"],
                         help="routing policy for the basket; 'both' runs an "
@@ -424,44 +353,26 @@ def main(argv=None) -> int:
         if args.cubes:
             parser.error("--cubes only applies to the kernel basket, not "
                          "--prefetch (the suite fixes its own network shapes)")
-        if args.scheduler == "both":
-            parser.error("--scheduler both is an A/B mode for the kernel "
-                         "basket; pick one backend for --prefetch")
         if args.profile:
             parser.error("--profile instruments kernel basket entries, not "
                          "--prefetch (profile the suite with cProfile directly)")
         if args.routing == "both":
             parser.error("--routing both is an A/B mode for the kernel "
                          "basket; pick one policy for --prefetch")
-        with scheduler_env(args.scheduler), routing_env(args.routing):
+        with routing_env(args.routing):
             runs = run_prefetch(args.prefetch, workers=args.workers)
     else:
         basket = SMOKE_BASKET if args.smoke else BASKET
-        ab_axes = [flag for flag, value in
-                   (("--scheduler", args.scheduler),
-                    ("--routing", args.routing)) if value == "both"]
-        if len(ab_axes) > 1:
-            parser.error(f"pick one A/B axis: {' or '.join(ab_axes)}, "
-                         "not several at once")
         if args.routing == "both":
             if args.profile:
                 parser.error("--profile composes with a single routing "
                              "policy, not the 'both' A/B mode")
             runs = run_routing_ab(basket, num_threads=args.threads,
-                                  repeat=args.repeat, num_cubes=args.cubes,
-                                  scheduler=args.scheduler)
-        elif args.scheduler == "both":
-            if args.profile:
-                parser.error("--profile composes with a single scheduler "
-                             "backend, not the 'both' A/B mode")
-            with routing_env(args.routing):
-                runs = run_scheduler_ab(basket, num_threads=args.threads,
-                                        repeat=args.repeat, num_cubes=args.cubes)
+                                  repeat=args.repeat, num_cubes=args.cubes)
         else:
             runs = run_basket(basket, num_threads=args.threads,
-                              repeat=args.repeat, scheduler=args.scheduler,
-                              num_cubes=args.cubes, profile=args.profile,
-                              routing=args.routing)
+                              repeat=args.repeat, num_cubes=args.cubes,
+                              profile=args.profile, routing=args.routing)
     if args.check_against:
         check_regression(args.output, runs, args.check_against, args.max_regression)
     if not args.no_write:
