@@ -15,17 +15,17 @@ cross product and renders the network-shape figure.  ``--workers 0`` means one
 worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
-routing + fault injection, link bandwidth, traffic driver — is *generated*
-from the declarative registry in :mod:`repro.core.spec` (``add_axis_flags``),
-which is also where each axis's ``$REPRO_*`` environment knob, default and
-label-folding rule are declared; run ``python -m repro.core.spec --table``
-for the full table.
+routing + fault injection, link bandwidth, traffic driver, quantile summary
+— is *generated* from the declarative registry in :mod:`repro.core.spec`
+(``add_axis_flags``), which is also where each axis's ``$REPRO_*``
+environment knob, default and label-folding rule are declared; run
+``python -m repro.core.spec --table`` for the full table.
 ``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
 ``--link-bandwidth``) for value-list spellings that become sweep dimensions,
 and owns plural ``--topologies``/``--num-cubes`` flags of its own.  The
 parsed flags land in one immutable :class:`~repro.core.spec.ExperimentSpec`,
-which every subcommand threads through config construction, suite creation
-and cache keys.
+which every subcommand threads through config construction, suite creation,
+cache keys and the worker-process environment export.
 """
 
 from __future__ import annotations
@@ -355,16 +355,19 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    # One ExperimentSpec carries every axis from here on.
+    # One ExperimentSpec carries every axis from here on.  The env-propagated
+    # axis (--summary) routes through its environment variable for the
+    # duration of the command so prefetch worker processes inherit it too.
     spec = ExperimentSpec.from_args(args)
-    if args.command == "run":
-        return _cmd_run(args, spec)
-    if args.command == "report":
-        return _cmd_report(args, spec)
-    if args.command == "prefetch":
-        return _cmd_prefetch(args, spec)
-    if args.command == "sweep":
-        return _cmd_sweep(args, spec)
+    with spec.env_context():
+        if args.command == "run":
+            return _cmd_run(args, spec)
+        if args.command == "report":
+            return _cmd_report(args, spec)
+        if args.command == "prefetch":
+            return _cmd_prefetch(args, spec)
+        if args.command == "sweep":
+            return _cmd_sweep(args, spec)
     raise SystemExit(f"unknown command {args.command!r}")
 
 

@@ -1,18 +1,21 @@
 """Generic registry for the library's small pluggable backends.
 
-Two subsystems follow the same pattern — a name -> class table, a default,
+Three subsystems follow the same pattern — a name -> class table, a default,
 an environment-variable override, and ``resolve_*``/``make_*``/``*_env``
 helpers with identical resolution order and error wording:
 
 * traffic drivers (:mod:`repro.workloads.drivers`, ``$REPRO_DRIVER``),
-* routing policies (:mod:`repro.network.routing`, ``$REPRO_ROUTING``).
+* routing policies (:mod:`repro.network.routing`, ``$REPRO_ROUTING``),
+* quantile summaries (:mod:`repro.sim.stats`, ``$REPRO_SUMMARY``).
 
 Each keeps its public module-level API (``DRIVER_BACKENDS``,
-``resolve_routing`` and friends are stable interfaces) but delegates the
+``resolve_summary`` and friends are stable interfaces) but delegates the
 shared machinery to one :class:`BackendRegistry` instance.
 
-This module imports nothing from ``repro``, so any subsystem can import it
-without an import cycle.
+This module must import nothing from ``repro``: the simulation kernel pulls
+it in while ``repro.core`` is still initialising (``repro/__init__`` imports
+``repro.core`` which imports ``repro.sim`` which imports this leaf module),
+so any sibling import here would close that cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ class BackendRegistry:
     """A named family of interchangeable backend classes.
 
     ``kind`` is the human-readable family name used in error messages
-    ("traffic driver", "routing policy"); ``backends`` maps canonical
+    ("traffic driver", "summary backend", ...); ``backends`` maps canonical
     lower-case names to classes; ``env_var`` is consulted when no explicit
     name is given.
     """

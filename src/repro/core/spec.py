@@ -1,20 +1,21 @@
 """Declarative experiment-axis registry and the :class:`ExperimentSpec`.
 
 Every experiment dimension the reproduction has grown — network shape,
-routing + fault process, link bandwidth, traffic driver — is declared
-exactly once here as an :class:`Axis`: its CLI flag, ``$REPRO_*``
-environment knob, default, label-folding rule (with default-elision) and
-cache-key participation all live in the one declaration, gem5-config-style.
-The CLI generates its shared flag set from this registry
-(``run``/``report``/``prefetch``/``sweep`` used to carry four hand-copied flag
-blocks) and the config labels compose their folded fragments from the
-per-axis rules.
+routing + fault process, link bandwidth, traffic driver, quantile-summary
+backend — is declared exactly once here as an :class:`Axis`: its CLI flag,
+``$REPRO_*`` environment knob, default, label-folding rule (with
+default-elision) and cache-key participation all live in the one
+declaration, gem5-config-style.  The CLI generates its shared
+flag set from this registry (``run``/``report``/``prefetch``/``sweep`` used to
+carry four hand-copied flag blocks), the config labels compose their folded
+fragments from the per-axis rules, and the run cache folds the summary
+backend through the same object.
 
 An :class:`ExperimentSpec` is one immutable choice of axis values — ``None``
 meaning *unset*, so the explicit > environment > default precedence the
 backend registries established stays observable — and is the single object
 flowing CLI → config construction → :class:`~repro.experiments.EvaluationSuite`
-→ run-cache key.  ``to_json``/``from_json``
+→ run-cache key → worker-process env export.  ``to_json``/``from_json``
 round-trip it losslessly, which is the wire format the ROADMAP's experiment
 service will submit jobs in.
 
@@ -37,10 +38,11 @@ markdown table embedded in the README (see ``tools/check_docs.py``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 #: Version tag of the ``to_json`` wire format.
 SPEC_VERSION = 1
@@ -67,6 +69,21 @@ def _routing_choices() -> Sequence[str]:
 def _driver_choices() -> Sequence[str]:
     from ..workloads import DRIVER_BACKENDS
     return sorted(DRIVER_BACKENDS)
+
+
+def _summary_choices() -> Sequence[str]:
+    from ..sim import SUMMARY_BACKENDS
+    return sorted(SUMMARY_BACKENDS)
+
+
+# ---------------------------------------------------------------- env export
+# The one knob the CLI exports to worker processes delegates to the exact env
+# context manager it always used, so export semantics (canonicalization,
+# restore-on-exit) cannot drift.
+
+def _summary_env(value):
+    from ..sim import summary_env
+    return summary_env(value)
 
 
 # -------------------------------------------------------------------- folding
@@ -116,7 +133,7 @@ class Axis:
     flag: str
     #: Which label/config family the axis belongs to: ``network`` axes fold
     #: into the HMCNetworkConfig fingerprint, ``traffic`` into the params
-    #: dict.
+    #: dict, and ``summary`` is a process-wide backend choice.
     group: str
     help: str
     #: ``$REPRO_*`` knob consulted between explicit value and default.
@@ -129,7 +146,7 @@ class Axis:
     #: the axis is folded by a sibling (failure_seed) or never labeled.
     fold: Optional[Callable[[Mapping[str, object]], str]] = None
     #: How the axis reaches run-cache keys (documentation for the table; the
-    #: mechanics live in the config label and ExperimentSpec.cache_params).
+    #: mechanics live in ExperimentSpec.cache_params/cache_key_extras).
     cache: str = "via the config label"
     validate: Optional[Callable[[object], Optional[str]]] = None
     metavar: Optional[str] = None
@@ -139,6 +156,8 @@ class Axis:
     sweep: str = "single"
     sweep_dest: Optional[str] = None
     sweep_help: Optional[str] = None
+    #: Env context-manager factory for the axes the CLI exports to workers.
+    env_context: Optional[Callable[[object], object]] = None
 
     def resolve(self, value: object) -> object:
         """Effective value under explicit > ``$ENV`` > default precedence."""
@@ -184,7 +203,7 @@ def _at_least_one(value) -> Optional[str]:
 
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth, traffic.
+#: bandwidth, traffic, summary.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -278,6 +297,16 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          validate=_at_least_one,
          help="open driver: keys (elements) per tenant operand array "
               "(default: 4096; implies --driver open)"),
+    Axis(name="summary", type=str, default="reservoir", flag="--summary",
+         group="summary", env="REPRO_SUMMARY", choices=_summary_choices,
+         label_form="(never in labels)",
+         cache="``summary`` key entry when non-default",
+         env_context=_summary_env,
+         help="quantile-summary backend for every histogram (default: "
+              "$REPRO_SUMMARY or reservoir); 'reservoir' keeps a bounded "
+              "sample, 'sketch' a mergeable log-bucketed sketch; means and "
+              "counts — and thus golden digests — are identical across "
+              "backends"),
 )}
 
 
@@ -322,6 +351,7 @@ class ExperimentSpec:
     tenant_mix: Optional[str] = None
     stream_requests: Optional[int] = None
     stream_keys: Optional[int] = None
+    summary: Optional[str] = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentSpec":
@@ -375,6 +405,36 @@ class ExperimentSpec:
         so no knob change can alias a cached result.
         """
         return self.traffic_spec().params()
+
+    def cache_key_extras(self) -> Dict[str, object]:
+        """Key entries beyond scale/workload/params/config/profile/threads.
+
+        Today: the summary backend, only when non-default (non-default
+        summaries change percentile fields; eliding the default keeps every
+        pre-existing key byte-identical).
+        """
+        from ..sim import DEFAULT_SUMMARY
+        summary = self.resolved("summary")
+        if summary != DEFAULT_SUMMARY:
+            return {"summary": summary}
+        return {}
+
+    # -- worker-process propagation ---------------------------------------------------
+    @contextlib.contextmanager
+    def env_context(self) -> Iterator[None]:
+        """Export the env-propagated axes through their ``$REPRO_*`` knobs.
+
+        Exactly the summary export the CLI has always performed
+        (worker processes inherit the environment); unset axes leave the
+        environment untouched, and previous values are
+        restored on exit.  Network and traffic axes are *not* exported: they
+        flow through configs and params dicts instead.
+        """
+        with contextlib.ExitStack() as stack:
+            for name, axis in AXES.items():
+                if axis.env_context is not None:
+                    stack.enter_context(axis.env_context(getattr(self, name)))
+            yield
 
     # -- wire format --------------------------------------------------------------
     def to_json(self) -> str:

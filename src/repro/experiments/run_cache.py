@@ -28,6 +28,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
+from ..core.spec import ExperimentSpec
+from ..sim import DEFAULT_SUMMARY, resolve_summary
 from ..system import RunResult
 
 Key = Dict[str, object]
@@ -114,8 +116,9 @@ class RunCache:
 
     @staticmethod
     def make_key(*, scale: str, workload: str, params: Dict[str, object],
-                 config_label: str, profile: str, num_threads: int) -> Key:
-        return {
+                 config_label: str, profile: str, num_threads: int,
+                 spec: "ExperimentSpec | None" = None) -> Key:
+        key = {
             "digest": code_digest(),
             "scale": scale,
             "workload": workload,
@@ -124,6 +127,19 @@ class RunCache:
             "profile": profile,
             "num_threads": num_threads,
         }
+        # Summaries other than the default reservoir change the result's
+        # percentile fields, so the backend is folded into the key — but only
+        # when non-default, keeping every pre-existing key byte-identical.
+        # With a spec the extras resolve through its axes (explicit > env >
+        # default — identical bytes, since the CLI exports explicit choices
+        # into the environment anyway); without one, straight from the env.
+        if spec is not None:
+            key.update(spec.cache_key_extras())
+        else:
+            summary = resolve_summary()
+            if summary != DEFAULT_SUMMARY:
+                key["summary"] = summary
+        return key
 
     def path_for(self, key: Key) -> Path:
         canonical = json.dumps(key, sort_keys=True, separators=(",", ":"), default=str)

@@ -32,12 +32,23 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..core.backends import BackendRegistry
+
 #: Default retained-sample cap for histograms (see :class:`Histogram`).
 DEFAULT_HISTOGRAM_SAMPLES = 65_536
 
 #: Fixed seed for the histogram sampling reservoirs: every run draws the same
 #: pseudo-random replacement sequence, keeping simulations reproducible.
 DEFAULT_RESERVOIR_SEED = 0x5EED
+
+#: Relative-accuracy parameter for :class:`QuantileSketch` (DDSketch alpha):
+#: any quantile estimate is within ``alpha`` relative error of some sample
+#: whose rank is adjacent to the requested one.
+DEFAULT_SKETCH_ALPHA = 0.01
+
+#: Magnitudes below this collapse into the sketch's zero bucket (latencies in
+#: cycles never get near it; it only guards the log against true zeros).
+_SKETCH_MIN_MAGNITUDE = 1e-9
 
 
 class CounterHandle:
@@ -230,6 +241,182 @@ class Histogram:
         }
 
 
+class QuantileSketch:
+    """DDSketch-style mergeable quantile summary (log-bucketed counts).
+
+    Where :class:`Histogram` retains a capped sample reservoir, the sketch
+    keeps only integer counts in geometrically-spaced buckets
+    (``gamma = (1 + alpha) / (1 - alpha)``), so memory stays O(buckets) at any
+    event volume and :meth:`percentile` is guaranteed within ``alpha``
+    relative error of a sample rank-adjacent to the requested quantile —
+    exactly the regime the open-loop driver needs for p99/p999 at millions of
+    requests.  Because bucket counts are integers, :meth:`merge` is *exactly*
+    invariant to merge order (the reservoir's truncating merge is not).
+
+    ``count``/``total``/``min``/``max`` (and therefore ``mean``) are exact and
+    accumulated in the same order as the reservoir backend, so registry
+    snapshots — which flatten each summary to its mean and count — are
+    bit-identical across summary backends.  The surface mirrors
+    :class:`Histogram`: ``add``/``percentile``/``merge``/``as_dict``/``reset``.
+    """
+
+    __slots__ = ("alpha", "gamma", "_log_gamma", "count", "total", "minimum",
+                 "maximum", "truncated", "buckets", "negative_buckets",
+                 "zero_count")
+
+    def __init__(self, alpha: float = DEFAULT_SKETCH_ALPHA) -> None:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("sketch alpha must be within (0, 1)")
+        self.alpha = alpha
+        self.gamma = (1.0 + alpha) / (1.0 - alpha)
+        self._log_gamma = math.log(self.gamma)
+        self.count = 0
+        self.total = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+        #: Sketches never drop observations; kept for Histogram duck-typing.
+        self.truncated = False
+        self.buckets: Dict[int, int] = {}
+        self.negative_buckets: Dict[int, int] = {}
+        self.zero_count = 0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+        if value > _SKETCH_MIN_MAGNITUDE:
+            key = math.ceil(math.log(value) / self._log_gamma)
+            self.buckets[key] = self.buckets.get(key, 0) + 1
+        elif value < -_SKETCH_MIN_MAGNITUDE:
+            key = math.ceil(math.log(-value) / self._log_gamma)
+            self.negative_buckets[key] = self.negative_buckets.get(key, 0) + 1
+        else:
+            self.zero_count += 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def _bucket_value(self, key: int) -> float:
+        """Bucket midpoint: within ``alpha`` relative error of every value
+        the bucket covers."""
+        return 2.0 * self.gamma ** key / (self.gamma + 1.0)
+
+    def percentile(self, fraction: float) -> float:
+        """Return the ``fraction`` quantile (0..1) estimate.
+
+        Walks the buckets in ascending numeric order (negatives, zeros,
+        positives) to the sample rank ``floor(fraction * (count - 1))`` —
+        the lower rank of the reservoir backend's interpolation — and
+        returns that bucket's midpoint, clamped into the exact
+        ``[min, max]`` range so p0/p100 are exact.
+        """
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("percentile fraction must be within [0, 1]")
+        if self.count == 0:
+            return 0.0
+        target = math.floor(fraction * (self.count - 1))
+        cumulative = 0
+        estimate: Optional[float] = None
+        # Negatives ascend from the most negative, i.e. descending magnitude.
+        for key in sorted(self.negative_buckets, reverse=True):
+            cumulative += self.negative_buckets[key]
+            if cumulative > target:
+                estimate = -self._bucket_value(key)
+                break
+        if estimate is None and self.zero_count:
+            cumulative += self.zero_count
+            if cumulative > target:
+                estimate = 0.0
+        if estimate is None:
+            for key in sorted(self.buckets):
+                cumulative += self.buckets[key]
+                if cumulative > target:
+                    estimate = self._bucket_value(key)
+                    break
+        if estimate is None:  # float corner at fraction == 1.0
+            estimate = self.maximum
+        return min(max(estimate, self.minimum), self.maximum)
+
+    def merge(self, other: "QuantileSketch") -> None:
+        """Fold another sketch in.  Integer bucket sums make the quantile
+        estimates exactly independent of merge order."""
+        if not isinstance(other, QuantileSketch):
+            raise TypeError("a QuantileSketch can only merge another "
+                            f"QuantileSketch, not {type(other).__name__}")
+        if other.alpha != self.alpha:
+            raise ValueError("cannot merge sketches with different alpha")
+        self.count += other.count
+        self.total += other.total
+        if other.minimum < self.minimum:
+            self.minimum = other.minimum
+        if other.maximum > self.maximum:
+            self.maximum = other.maximum
+        for key, n in other.buckets.items():
+            self.buckets[key] = self.buckets.get(key, 0) + n
+        for key, n in other.negative_buckets.items():
+            self.negative_buckets[key] = self.negative_buckets.get(key, 0) + n
+        self.zero_count += other.zero_count
+
+    def reset(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+        self.buckets.clear()
+        self.negative_buckets.clear()
+        self.zero_count = 0
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "count": float(self.count),
+            "total": self.total,
+            "mean": self.mean,
+            "min": self.minimum if self.count else 0.0,
+            "max": self.maximum if self.count else 0.0,
+        }
+
+
+#: Pluggable latency-summary backends (the type StatsRegistry.observe /
+#: .histogram create).  ``reservoir`` is the PR 1-8 sampling Histogram and
+#: stays the default; ``sketch`` trades exact small-population percentiles for
+#: merge-order-invariant, bounded-memory quantiles.  FoldedHistogram
+#: aggregates and the Active-Routing engine's per-cube part histograms stay
+#: reservoir-backed under every backend: the fold concatenates the parts'
+#: sample lists and fixes the float summation order the golden digests were
+#: captured under.  Registry snapshots only read mean/count, so golden
+#: digests are backend-invariant.
+SUMMARY_BACKENDS: Dict[str, type] = {
+    "reservoir": Histogram,
+    "sketch": QuantileSketch,
+}
+
+DEFAULT_SUMMARY = "reservoir"
+
+SUMMARY_ENV = "REPRO_SUMMARY"
+
+SUMMARY_REGISTRY = BackendRegistry("summary backend", SUMMARY_BACKENDS,
+                                   DEFAULT_SUMMARY, SUMMARY_ENV)
+
+
+def resolve_summary(name: Optional[str] = None) -> str:
+    """Canonical summary-backend name (explicit > $REPRO_SUMMARY > default)."""
+    return SUMMARY_REGISTRY.resolve(name)
+
+
+def make_summary(name: Optional[str] = None):
+    """Instantiate the selected summary backend."""
+    return SUMMARY_REGISTRY.make(name)
+
+
+def summary_env(name: Optional[str]):
+    """Temporarily export a summary-backend choice through $REPRO_SUMMARY."""
+    return SUMMARY_REGISTRY.env(name)
+
+
 class FoldedHistogram(Histogram):
     """A histogram re-derived from per-writer part histograms.
 
@@ -294,15 +481,23 @@ class FoldedHistogram(Histogram):
 
 
 class StatsRegistry:
-    """A flat namespace of counters, gauges and histograms."""
+    """A flat namespace of counters, gauges and histograms.
 
-    def __init__(self) -> None:
+    ``summary`` selects the backend :meth:`observe`/:meth:`histogram` create
+    (see :data:`SUMMARY_BACKENDS`); resolved once at construction so every
+    summary in one registry — and, because worker processes inherit
+    $REPRO_SUMMARY, every simulation of one batch — uses the same type.
+    """
+
+    def __init__(self, summary: Optional[str] = None) -> None:
         self._counters: Dict[str, float] = defaultdict(float)
         self._handles: Dict[str, CounterHandle] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._flushables: List[object] = []
         self._flushable_ids: set = set()
+        self.summary_backend = resolve_summary(summary)
+        self._summary_factory = SUMMARY_BACKENDS[self.summary_backend]
 
     # -- epoch-batched sources ----------------------------------------------
     def register_flushable(self, source: object) -> None:
@@ -424,7 +619,7 @@ class StatsRegistry:
     def observe(self, name: str, value: float) -> None:
         hist = self._histograms.get(name)
         if hist is None:
-            hist = Histogram()
+            hist = self._summary_factory()
             self._histograms[name] = hist
         hist.add(value)
 
@@ -437,7 +632,7 @@ class StatsRegistry:
         """
         hist = self._histograms.get(name)
         if hist is None:
-            hist = Histogram()
+            hist = self._summary_factory()
             self._histograms[name] = hist
         elif self._flushables:
             # Folded histograms re-derive their aggregate fields on flush;

@@ -7,7 +7,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import ProgramTrace
 from ..power.energy_model import EnergyBreakdown, EnergyModel
-from ..sim import Histogram
 from .builder import BuiltSystem
 
 #: Relative tolerance used when checking reduction results against expectations.
@@ -166,7 +165,7 @@ def _tenant_fairness(core_hists: List[Tuple[int, object]], cycles: float,
             if core_index % len(tenants) != index:
                 continue
             if merged is None:
-                merged = Histogram()
+                merged = type(hist)()
             merged.merge(hist)
         count = float(merged.count) if merged is not None else 0.0
         throughput = count * 1000.0 / cycles if cycles else 0.0
@@ -189,8 +188,9 @@ def _collect_request_stats(system: BuiltSystem, cycles: float,
     """Merged open-loop request-latency percentiles across cores.
 
     Per-core ``core*.request_latency`` summaries (empty unless the trace
-    carried ArrivalOps) merge in core-id order into one :class:`Histogram`,
-    so the merge order is deterministic.  Multi-tenant open runs
+    carried ArrivalOps) merge in core-id order into one summary of the same
+    backend type, so the percentile semantics follow the selected summary
+    backend and the merge order is deterministic.  Multi-tenant open runs
     additionally report per-tenant counts/p99/throughput and Jain's fairness
     index (see :func:`_tenant_fairness`).
     """
@@ -203,7 +203,7 @@ def _collect_request_stats(system: BuiltSystem, cycles: float,
     if not core_hists:
         return {}
     parts = [hist for _, hist in core_hists]
-    merged = Histogram()
+    merged = type(parts[0])()
     for part in parts:
         merged.merge(part)
     out = {

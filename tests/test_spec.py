@@ -24,18 +24,16 @@ from repro.core.spec import (AXES, ExperimentSpec, axes_for,
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
+from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
 from repro.system.config import SystemKind, make_system_config
 from repro.workloads import TrafficSpec
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
 #: Corpus entries retired with the axes they exercised (the sharded
-#: execution backend and its ``%sharded`` label fold, and the ``summary``
-#: axis and its non-default ``summary`` key entry, are gone).  They were
-#: removed from the frozen file by name, never regenerated; ``combo`` lost
-#: only its summary input and key entry.
-RETIRED = {"sharded-default", "sharded3", "mesh-sharded4", "sketch",
-           "sketch-open"}
+#: execution backend and its ``%sharded`` label fold are gone).  They were
+#: removed from the frozen file by name, never regenerated.
+RETIRED = {"sharded-default", "sharded3", "mesh-sharded4"}
 
 
 # ------------------------------------------------------------ frozen corpus
@@ -57,7 +55,7 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) == 20
+    assert len(corpus) == 22
     assert RETIRED.isdisjoint(entry["name"] for entry in corpus)
     for entry in corpus:
         inputs = entry["inputs"]
@@ -71,11 +69,32 @@ def test_frozen_corpus_labels_and_cache_keys_byte_identical():
         params = dict(inputs["params"])
         if inputs["traffic"] is not None:
             params.update(TrafficSpec(**inputs["traffic"]).params())
+        with summary_env(inputs["summary"]):
+            key = RunCache.make_key(scale=inputs["scale"],
+                                    workload=inputs["workload"],
+                                    params=params, config_label=config.label,
+                                    profile="scaled",
+                                    num_threads=inputs["num_threads"])
+        key.pop("digest")
+        assert key == entry["cache_key_sans_digest"], entry["name"]
+
+
+def test_spec_driven_keys_match_env_driven_keys():
+    """make_key(spec=...) and the legacy env path produce identical bytes."""
+    corpus = json.loads(CORPUS.read_text())
+    for entry in corpus:
+        inputs = entry["inputs"]
+        if "net" in inputs:
+            continue
+        config = _build_config(inputs)
+        params = dict(inputs["params"])
+        if inputs["traffic"] is not None:
+            params.update(TrafficSpec(**inputs["traffic"]).params())
+        spec = ExperimentSpec(summary=inputs["summary"])
         key = RunCache.make_key(scale=inputs["scale"],
-                                workload=inputs["workload"],
-                                params=params, config_label=config.label,
-                                profile="scaled",
-                                num_threads=inputs["num_threads"])
+                                workload=inputs["workload"], params=params,
+                                config_label=config.label, profile="scaled",
+                                num_threads=inputs["num_threads"], spec=spec)
         key.pop("digest")
         assert key == entry["cache_key_sans_digest"], entry["name"]
 
@@ -108,6 +127,7 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["tenant_mix"].default == traffic.tenant_mix
     assert AXES["stream_requests"].default == traffic.stream_requests
     assert AXES["stream_keys"].default == traffic.stream_keys
+    assert AXES["summary"].default == DEFAULT_SUMMARY
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -159,11 +179,11 @@ def test_from_json_rejects_unknown_versions_and_axes():
 
 
 def test_resolution_precedence_explicit_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_ROUTING", raising=False)
-    assert ExperimentSpec().resolved("routing") == "static"
-    monkeypatch.setenv("REPRO_ROUTING", "resilient")
-    assert ExperimentSpec().resolved("routing") == "resilient"
-    assert ExperimentSpec(routing="static").resolved("routing") == "static"
+    monkeypatch.delenv("REPRO_SUMMARY", raising=False)
+    assert ExperimentSpec().resolved("summary") == "reservoir"
+    monkeypatch.setenv("REPRO_SUMMARY", "sketch")
+    assert ExperimentSpec().resolved("summary") == "sketch"
+    assert ExperimentSpec(summary="reservoir").resolved("summary") == "reservoir"
 
 
 # ----------------------------------------------------------------- no aliasing
@@ -174,7 +194,7 @@ def _cell_key(spec):
     params.update(spec.cache_params())
     return RunCache.make_key(scale="tiny", workload="mac", params=params,
                              config_label=config.label, profile="scaled",
-                             num_threads=4)
+                             num_threads=4, spec=spec)
 
 
 def test_distinct_cache_participating_specs_never_alias():
@@ -192,6 +212,7 @@ def test_distinct_cache_participating_specs_never_alias():
         ExperimentSpec(driver="open", zipf_s=0.5),
         ExperimentSpec(driver="open", tenant_mix="mac,pagerank"),
         ExperimentSpec(driver="open", stream_requests=64),
+        ExperimentSpec(summary="sketch"),
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
@@ -203,8 +224,8 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
     """The cache-key construction vendored verbatim from the pre-spec code.
 
     ``code_digest()`` is evaluated at runtime on both sides, so it cancels:
-    what this pins is the *layout* — field names and order-insensitive
-    content.
+    what this pins is the *layout* — field names, order-insensitive content,
+    summary-only-when-non-default.
     """
     key = {
         "digest": code_digest(),
@@ -215,6 +236,9 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
         "profile": profile,
         "num_threads": num_threads,
     }
+    summary = resolve_summary()
+    if summary != DEFAULT_SUMMARY:
+        key["summary"] = summary
     return key
 
 
@@ -254,7 +278,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic")
+    groups = ("network", "traffic", "summary")
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",
