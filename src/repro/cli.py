@@ -15,17 +15,16 @@ cross product and renders the network-shape figure.  ``--workers 0`` means one
 worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
-routing + fault injection, link bandwidth, traffic driver, quantile summary
-— is *generated* from the declarative registry in :mod:`repro.core.spec`
-(``add_axis_flags``), which is also where each axis's ``$REPRO_*``
-environment knob, default and label-folding rule are declared; run
-``python -m repro.core.spec --table`` for the full table.
+routing + fault injection, link bandwidth — is *generated* from the
+declarative registry in :mod:`repro.core.spec` (``add_axis_flags``), which
+is also where each axis's ``$REPRO_*`` environment knob, default and
+label-folding rule are declared; run ``python -m repro.core.spec --table``
+for the full table.
 ``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
 ``--link-bandwidth``) for value-list spellings that become sweep dimensions,
 and owns plural ``--topologies``/``--num-cubes`` flags of its own.  The
 parsed flags land in one immutable :class:`~repro.core.spec.ExperimentSpec`,
-which every subcommand threads through config construction, suite creation,
-cache keys and the worker-process environment export.
+which every subcommand threads through config construction.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .experiments import (FIGURE_REGISTRY, SCALES, EvaluationSuite,
                           default_cache_dir, fig_topology, full_report)
 from .network.topology import TOPOLOGY_BUILDERS
 from .system import CONFIG_ORDER, SystemKind, make_system_config, run_workload
-from .workloads import ALL_WORKLOADS, TrafficSpec
+from .workloads import ALL_WORKLOADS
 
 
 def _parse_workload_params(pairs: Sequence[str]) -> dict:
@@ -158,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _traffic_spec(spec: ExperimentSpec) -> TrafficSpec:
-    """The resolved traffic spec from the CLI axes (usage-error on conflicts)."""
-    try:
-        return spec.traffic_spec()
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}")
-
-
 def _add_suite_options(parser: argparse.ArgumentParser,
                        command: Optional[str] = None) -> None:
     """Shared suite knobs; ``command`` adds that subcommand's axis flags.
@@ -198,8 +189,7 @@ def _make_suite(args: argparse.Namespace, spec: ExperimentSpec,
         with _network_usage_errors():
             net = spec.network_config()
     return EvaluationSuite(args.scale, workloads=workloads, workers=args.workers,
-                           cache_dir=cache_dir, net=net,
-                           traffic=_traffic_spec(spec), spec=spec)
+                           cache_dir=cache_dir, net=net)
 
 
 @contextlib.contextmanager
@@ -218,10 +208,6 @@ def _network_usage_errors():
 
 def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     params = _parse_workload_params(args.param)
-    # The driver knobs ride inside the ordinary params dict; run_workload
-    # splits them back out (and the closed driver adds zero keys, keeping
-    # every existing invocation byte-identical).
-    params.update(_traffic_spec(spec).params())
     overrides = spec.network_overrides()
     if args.config == "DRAM" and spec.explicit("network"):
         raise SystemExit("repro: network options (--topology, --num-cubes, "
@@ -245,22 +231,6 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
         stats = result.network_stats
         rows.append(["hops interrupted", f"{stats['dropped']:,.0f}"])
         rows.append(["delivered traffic", f"{stats['delivered_fraction']:.4f}"])
-    request_stats = result.request_stats
-    if request_stats:
-        rows.append(["requests completed", f"{request_stats['count']:,.0f}"])
-        rows.append(["request p50/p99/p999",
-                     f"{request_stats['p50']:.1f} / {request_stats['p99']:.1f}"
-                     f" / {request_stats['p999']:.1f} cycles"])
-        rows.append(["delivered throughput",
-                     f"{request_stats['throughput']:.2f} req/kcycle"])
-    if "fairness" in request_stats:
-        tenants = str(result.metadata.get("tenants", "")).split(",")
-        for index, tenant in enumerate(tenants):
-            rows.append([f"tenant {tenant}",
-                         f"{request_stats[f'tenant{index}.throughput']:.2f} "
-                         f"req/kcycle, p99 "
-                         f"{request_stats[f'tenant{index}.p99']:.1f} cycles"])
-        rows.append(["fairness (Jain)", f"{request_stats['fairness']:.3f}"])
     if result.mode == "active":
         rows.append(["update round-trip", f"{result.update_roundtrip:.0f} cycles"])
         checked, mismatched = result.flow_checks
@@ -355,19 +325,16 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    # One ExperimentSpec carries every axis from here on.  The env-propagated
-    # axis (--summary) routes through its environment variable for the
-    # duration of the command so prefetch worker processes inherit it too.
+    # One ExperimentSpec carries every axis from here on.
     spec = ExperimentSpec.from_args(args)
-    with spec.env_context():
-        if args.command == "run":
-            return _cmd_run(args, spec)
-        if args.command == "report":
-            return _cmd_report(args, spec)
-        if args.command == "prefetch":
-            return _cmd_prefetch(args, spec)
-        if args.command == "sweep":
-            return _cmd_sweep(args, spec)
+    if args.command == "run":
+        return _cmd_run(args, spec)
+    if args.command == "report":
+        return _cmd_report(args, spec)
+    if args.command == "prefetch":
+        return _cmd_prefetch(args, spec)
+    if args.command == "sweep":
+        return _cmd_sweep(args, spec)
     raise SystemExit(f"unknown command {args.command!r}")
 
 

@@ -1,23 +1,18 @@
 """Declarative experiment-axis registry and the :class:`ExperimentSpec`.
 
 Every experiment dimension the reproduction has grown — network shape,
-routing + fault process, link bandwidth, traffic driver, quantile-summary
-backend — is declared exactly once here as an :class:`Axis`: its CLI flag,
-``$REPRO_*`` environment knob, default, label-folding rule (with
-default-elision) and cache-key participation all live in the one
-declaration, gem5-config-style.  The CLI generates its shared
-flag set from this registry (``run``/``report``/``prefetch``/``sweep`` used to
-carry four hand-copied flag blocks), the config labels compose their folded
-fragments from the per-axis rules, and the run cache folds the summary
-backend through the same object.
+routing + fault process, link bandwidth — is declared exactly once here as
+an :class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default and
+label-folding rule (with default-elision) all live in the one declaration,
+gem5-config-style.  The CLI generates its shared flag set from this registry
+(``run``/``report``/``prefetch``/``sweep`` used to carry four hand-copied
+flag blocks), and the config labels — which key every run-cache entry —
+compose their folded fragments from the per-axis rules.
 
 An :class:`ExperimentSpec` is one immutable choice of axis values — ``None``
-meaning *unset*, so the explicit > environment > default precedence the
-backend registries established stays observable — and is the single object
-flowing CLI → config construction → :class:`~repro.experiments.EvaluationSuite`
-→ run-cache key → worker-process env export.  ``to_json``/``from_json``
-round-trip it losslessly, which is the wire format the ROADMAP's experiment
-service will submit jobs in.
+meaning *unset*, so the explicit > environment > default precedence stays
+observable — and is the single object flowing from the CLI into config
+construction.
 
 Byte-identity contract: every label, cache key and golden digest produced
 before this layer existed is reproduced byte-for-byte.  Default-valued axes
@@ -28,8 +23,8 @@ pre-refactor code.
 
 This module imports only the standard library at module level: the config
 modules that delegate their label folding here sit early in the package's
-import chain, so everything repro-internal (backend tables, constructors) is
-imported late, inside the functions that need it.
+import chain, so everything repro-internal (topology and routing tables,
+constructors) is imported late, inside the functions that need it.
 
 ``python -m repro.core.spec --table`` renders the axis registry as the
 markdown table embedded in the README (see ``tools/check_docs.py``).
@@ -38,23 +33,19 @@ markdown table embedded in the README (see ``tools/check_docs.py``).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
-
-#: Version tag of the ``to_json`` wire format.
-SPEC_VERSION = 1
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 #: The CLI subcommands whose axis flags come out of this registry.
 COMMANDS = ("run", "report", "prefetch", "sweep")
 
 
 # --------------------------------------------------------------------- choices
-# Late-bound: the backend tables live in modules that import (transitively)
-# the config modules which delegate their label folding here, so the tables
-# are only consulted when a parser or table is actually built.
+# Late-bound: the topology and routing tables live in modules that import
+# (transitively) the config modules which delegate their label folding here,
+# so the tables are only consulted when a parser or table is actually built.
 
 def _topology_choices() -> Sequence[str]:
     from ..network.topology import TOPOLOGY_BUILDERS
@@ -64,26 +55,6 @@ def _topology_choices() -> Sequence[str]:
 def _routing_choices() -> Sequence[str]:
     from ..network.routing import ROUTING_BACKENDS
     return sorted(ROUTING_BACKENDS)
-
-
-def _driver_choices() -> Sequence[str]:
-    from ..workloads import DRIVER_BACKENDS
-    return sorted(DRIVER_BACKENDS)
-
-
-def _summary_choices() -> Sequence[str]:
-    from ..sim import SUMMARY_BACKENDS
-    return sorted(SUMMARY_BACKENDS)
-
-
-# ---------------------------------------------------------------- env export
-# The one knob the CLI exports to worker processes delegates to the exact env
-# context manager it always used, so export semantics (canonicalization,
-# restore-on-exit) cannot drift.
-
-def _summary_env(value):
-    from ..sim import summary_env
-    return summary_env(value)
 
 
 # -------------------------------------------------------------------- folding
@@ -124,30 +95,27 @@ def _fold_bandwidth(v: Mapping[str, object]) -> str:
 
 @dataclass(frozen=True)
 class Axis:
-    """One experiment dimension: flag, env knob, default, fold, cache rule."""
+    """One experiment dimension: flag, env knob, default and label fold."""
 
     name: str
     #: Python value type (also the argparse ``type`` for non-choice axes).
     type: type
     default: object
     flag: str
-    #: Which label/config family the axis belongs to: ``network`` axes fold
-    #: into the HMCNetworkConfig fingerprint, ``traffic`` into the params
-    #: dict, and ``summary`` is a process-wide backend choice.
+    #: Which label/config family the axis belongs to; ``network`` axes fold
+    #: into the HMCNetworkConfig fingerprint.
     group: str
     help: str
     #: ``$REPRO_*`` knob consulted between explicit value and default.
     env: Optional[str] = None
-    #: Late-bound valid-name provider (backends/topologies); None = free-form.
+    #: Late-bound valid-name provider (routing policies/topologies); None =
+    #: free-form.
     choices: Optional[Callable[[], Sequence[str]]] = None
     #: Human-readable label rule for the generated axes table.
     label_form: str = "(never in labels)"
     #: Label fragment producer over the group's value mapping, or None when
     #: the axis is folded by a sibling (failure_seed) or never labeled.
     fold: Optional[Callable[[Mapping[str, object]], str]] = None
-    #: How the axis reaches run-cache keys (documentation for the table; the
-    #: mechanics live in ExperimentSpec.cache_params/cache_key_extras).
-    cache: str = "via the config label"
     validate: Optional[Callable[[object], Optional[str]]] = None
     metavar: Optional[str] = None
     #: Per-subcommand behavior on ``sweep``: ``single`` (same scalar flag),
@@ -156,8 +124,6 @@ class Axis:
     sweep: str = "single"
     sweep_dest: Optional[str] = None
     sweep_help: Optional[str] = None
-    #: Env context-manager factory for the axes the CLI exports to workers.
-    env_context: Optional[Callable[[object], object]] = None
 
     def resolve(self, value: object) -> object:
         """Effective value under explicit > ``$ENV`` > default precedence."""
@@ -203,7 +169,7 @@ def _at_least_one(value) -> Optional[str]:
 
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth, traffic, summary.
+#: bandwidth.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -260,53 +226,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          sweep_help="memory-network link bandwidths to sweep, in bytes per "
                     "CPU cycle (default: Table 4.1's 12.5, i.e. 25 GB/s "
                     "per direction)"),
-    Axis(name="driver", type=str, default="closed", flag="--driver",
-         group="traffic", env="REPRO_DRIVER", choices=_driver_choices,
-         label_form="(never in labels)",
-         cache="full traffic spec in the params dict when open",
-         help="traffic driver (default: $REPRO_DRIVER or closed); 'closed' "
-              "runs the paper's fixed kernels, 'open' synthesizes a seeded "
-              "open-loop request stream shaped like the workload"),
-    Axis(name="arrival_rate", type=float, default=8.0, flag="--arrival-rate",
-         group="traffic", metavar="RATE",
-         cache="in the params dict when the driver is open",
-         validate=_positive,
-         help="open driver: mean requests per thread per 1000 cycles while "
-              "a burst is on (implies --driver open)"),
-    Axis(name="zipf_s", type=float, default=1.1, flag="--zipf-s",
-         group="traffic", metavar="S",
-         cache="in the params dict when the driver is open",
-         validate=_non_negative,
-         help="open driver: zipfian key-popularity exponent (implies "
-              "--driver open)"),
-    Axis(name="tenant_mix", type=str, default="", flag="--tenant-mix",
-         group="traffic", metavar="W1,W2,...",
-         cache="in the params dict when the driver is open",
-         help="open driver: comma-separated workload names whose request "
-              "shapes share the memory network, e.g. mac,pagerank (implies "
-              "--driver open)"),
-    Axis(name="stream_requests", type=int, default=512,
-         flag="--stream-requests", group="traffic", metavar="N",
-         cache="in the params dict when the driver is open",
-         validate=_at_least_one,
-         help="open driver: requests synthesized per thread (default: 512; "
-              "implies --driver open)"),
-    Axis(name="stream_keys", type=int, default=4096, flag="--stream-keys",
-         group="traffic", metavar="N",
-         cache="in the params dict when the driver is open",
-         validate=_at_least_one,
-         help="open driver: keys (elements) per tenant operand array "
-              "(default: 4096; implies --driver open)"),
-    Axis(name="summary", type=str, default="reservoir", flag="--summary",
-         group="summary", env="REPRO_SUMMARY", choices=_summary_choices,
-         label_form="(never in labels)",
-         cache="``summary`` key entry when non-default",
-         env_context=_summary_env,
-         help="quantile-summary backend for every histogram (default: "
-              "$REPRO_SUMMARY or reservoir); 'reservoir' keeps a bounded "
-              "sample, 'sketch' a mergeable log-bucketed sketch; means and "
-              "counts — and thus golden digests — are identical across "
-              "backends"),
 )}
 
 
@@ -334,8 +253,7 @@ class ExperimentSpec:
 
     ``None`` means *unset*: the axis resolves through its environment knob to
     its default, exactly like the CLI flags always have.  Field order is
-    registry order; equality is field-wise, so the Hypothesis round-trip
-    property ``from_json(to_json(spec)) == spec`` is exact.
+    registry order.
     """
 
     topology: Optional[str] = None
@@ -345,13 +263,6 @@ class ExperimentSpec:
     failure_rate: Optional[float] = None
     failure_seed: Optional[int] = None
     link_bandwidth: Optional[float] = None
-    driver: Optional[str] = None
-    arrival_rate: Optional[float] = None
-    zipf_s: Optional[float] = None
-    tenant_mix: Optional[str] = None
-    stream_requests: Optional[int] = None
-    stream_keys: Optional[int] = None
-    summary: Optional[str] = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentSpec":
@@ -387,82 +298,6 @@ class ExperimentSpec:
         """The validated :class:`HMCNetworkConfig` for the network axes."""
         from ..system.config import make_network_config
         return make_network_config(**self.network_overrides())
-
-    def traffic_spec(self):
-        """The resolved :class:`~repro.workloads.TrafficSpec` (may raise)."""
-        from ..workloads import TrafficSpec
-        return TrafficSpec.from_args(
-            driver=self.driver, arrival_rate=self.arrival_rate,
-            zipf_s=self.zipf_s, tenant_mix=self.tenant_mix,
-            stream_requests=self.stream_requests, stream_keys=self.stream_keys)
-
-    # -- cache-key participation ----------------------------------------------------
-    def cache_params(self) -> Dict[str, object]:
-        """The traffic axes' contribution to a cell's run/cache params dict.
-
-        Empty under the default closed driver — every pre-driver cache key
-        stays byte-identical — and the full effective traffic spec when open,
-        so no knob change can alias a cached result.
-        """
-        return self.traffic_spec().params()
-
-    def cache_key_extras(self) -> Dict[str, object]:
-        """Key entries beyond scale/workload/params/config/profile/threads.
-
-        Today: the summary backend, only when non-default (non-default
-        summaries change percentile fields; eliding the default keeps every
-        pre-existing key byte-identical).
-        """
-        from ..sim import DEFAULT_SUMMARY
-        summary = self.resolved("summary")
-        if summary != DEFAULT_SUMMARY:
-            return {"summary": summary}
-        return {}
-
-    # -- worker-process propagation ---------------------------------------------------
-    @contextlib.contextmanager
-    def env_context(self) -> Iterator[None]:
-        """Export the env-propagated axes through their ``$REPRO_*`` knobs.
-
-        Exactly the summary export the CLI has always performed
-        (worker processes inherit the environment); unset axes leave the
-        environment untouched, and previous values are
-        restored on exit.  Network and traffic axes are *not* exported: they
-        flow through configs and params dicts instead.
-        """
-        with contextlib.ExitStack() as stack:
-            for name, axis in AXES.items():
-                if axis.env_context is not None:
-                    stack.enter_context(axis.env_context(getattr(self, name)))
-            yield
-
-    # -- wire format --------------------------------------------------------------
-    def to_json(self) -> str:
-        """Canonical JSON wire form (explicit axes only; unset axes elide)."""
-        axes = {name: getattr(self, name) for name in AXES
-                if getattr(self, name) is not None}
-        return json.dumps({"spec": SPEC_VERSION, "axes": axes},
-                          sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Parse :meth:`to_json` output; rejects unknown versions and axes."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a JSON experiment spec: {exc}") from exc
-        if not isinstance(data, dict) or data.get("spec") != SPEC_VERSION:
-            raise ValueError(
-                f"unsupported experiment-spec payload (want "
-                f"{{'spec': {SPEC_VERSION}, 'axes': ...}}), got {data!r}")
-        axes = data.get("axes", {})
-        if not isinstance(axes, dict):
-            raise ValueError(f"spec axes must be an object, got {axes!r}")
-        unknown = sorted(set(axes) - set(AXES))
-        if unknown:
-            raise ValueError(f"unknown experiment axes {unknown}; known: "
-                             f"{sorted(AXES)}")
-        return cls(**axes)
 
 
 # ------------------------------------------------------------- CLI generation

@@ -15,11 +15,9 @@ count (and therefore Python run time) manageable.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
-    ArrivalOp,
     AtomicOp,
     BarrierOp,
     ComputeOp,
@@ -74,12 +72,6 @@ class Core(Component):
 
         #: Bound histogram: one sample per completed memory miss.
         self._hist_mem_latency = sim.stats.histogram(f"{self.name}.mem_latency")
-        #: Open-loop request latency, measured from the *intended* arrival
-        #: cycle (the preceding ArrivalOp) to completion, so client-side
-        #: queueing under saturation is included.  Empty for closed kernels.
-        self._hist_request_latency = sim.stats.histogram(f"{self.name}.request_latency")
-        #: Intended arrival cycle of the in-flight open-loop request, if any.
-        self._pending_arrival: Optional[float] = None
         #: (instructions, cycle) samples for IPC-over-time analysis (Fig. 5.8).
         self.ipc_samples: List[Tuple[int, float]] = []
         self._next_sample = config.ipc_sample_interval
@@ -140,17 +132,6 @@ class Core(Component):
         if self.pc >= len(self.trace):
             self._maybe_finish()
 
-    def _request_done(self, arrival: float, latency: float) -> None:
-        """Miss completion for the memory op heading an open-loop request."""
-        self._hist_request_latency.add(self.now - arrival)
-        self.count("requests_completed")
-        self._mem_done(latency)
-
-    def _request_hit(self, arrival: float, completion: float) -> None:
-        """Cache-hit completion for the op heading an open-loop request."""
-        self._hist_request_latency.add(completion - arrival)
-        self.count("requests_completed")
-
     def _mi_space(self) -> None:
         if self._waiting_for_mi_slot:
             self._waiting_for_mi_slot = False
@@ -201,24 +182,12 @@ class Core(Component):
                     return
                 self._retire(op)
                 used += cfg.mem_issue_cycles
-                arrival = self._pending_arrival
-                if arrival is None:
-                    on_complete = self._mem_done
-                else:
-                    # First memory op after an ArrivalOp heads an open-loop
-                    # request: its completion samples request_latency from
-                    # the intended arrival cycle.
-                    self._pending_arrival = None
-                    on_complete = partial(self._request_done, arrival)
-                latency = self.hierarchy.access(self.core_id, op.addr, kind is StoreOp,
-                                                on_complete)
-                if latency is None:
+                if self.hierarchy.access(self.core_id, op.addr, kind is StoreOp,
+                                         self._mem_done) is None:
                     self.outstanding_mem += 1
                     self._n_mem_misses_issued += 1
                 else:
                     self._n_mem_hits += 1
-                    if arrival is not None:
-                        self._request_hit(arrival, self.now + latency)
                 continue
 
             if kind is UpdateOp:
@@ -239,15 +208,6 @@ class Core(Component):
                 used += cfg.update_issue_cycles
                 self._n_updates_issued += 1
                 self.mi.offload_update(op)
-                if self._pending_arrival is not None:
-                    # Offloaded requests complete network-side; sample the
-                    # client-visible latency (arrival to MI accept, i.e. the
-                    # queueing the request experienced before entering the
-                    # memory network).  The network round trip is measured
-                    # separately by ar.update_latency.*.
-                    self._hist_request_latency.add(self.now - self._pending_arrival)
-                    self.count("requests_completed")
-                    self._pending_arrival = None
                 continue
 
             # The remaining operations block the core; start them only at the
@@ -255,18 +215,6 @@ class Core(Component):
             if used > 0:
                 self._schedule_advance(used)
                 return
-
-            if kind is ArrivalOp:
-                self._retire(op)
-                self._pending_arrival = op.at
-                if op.at > self.now:
-                    # Idle until the intended arrival cycle; the wait is a
-                    # distinct stall reason so open-loop idle time never
-                    # pollutes the contention stall breakdown.
-                    self._block("arrival")
-                    self.schedule(op.at - self.now, self._unblock)
-                    return
-                continue
 
             if kind is GatherOp:
                 self._retire(op)

@@ -24,7 +24,6 @@ from . import (
     fig_latency,
     fig_lud_heatmap,
     fig_power_energy,
-    fig_saturation,
     fig_speedup,
     fig_topology,
 )
@@ -62,6 +61,4 @@ FIGURE_REGISTRY: Dict[str, FigureSpec] = {
                            extra_jobs=fig_topology.extra_jobs),
     "degraded": FigureSpec(fig_degraded.required_pairs,
                            extra_jobs=fig_degraded.extra_jobs),
-    "saturation": FigureSpec(fig_saturation.required_pairs,
-                             bespoke_jobs=fig_saturation.bespoke_jobs),
 }

@@ -11,7 +11,6 @@ from . import (
     fig_latency,
     fig_lud_heatmap,
     fig_power_energy,
-    fig_saturation,
     fig_speedup,
     fig_topology,
 )
@@ -35,7 +34,6 @@ RENDERERS: List[Tuple[str, object]] = [
     ("edp", fig_power_energy.run_edp),
     ("topology", fig_topology.run),
     ("degraded", fig_degraded.run),
-    ("saturation", fig_saturation.run),
     ("dynamic_offload", fig_dynamic_offload.run),
 ]
 

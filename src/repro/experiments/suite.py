@@ -28,14 +28,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.spec import ExperimentSpec
 from ..hmc.config import HMCNetworkConfig
 from ..isa import ProgramTrace
 from ..network.topology import build_network_topology
 from ..system import (CONFIG_ORDER, RunResult, SystemConfig, SystemKind,
                       make_system_config, normalize_workers, run_jobs,
                       run_program, run_workload)
-from ..workloads import ALL_WORKLOADS, BENCHMARKS, MICROBENCHMARKS, TrafficSpec
+from ..workloads import ALL_WORKLOADS, BENCHMARKS, MICROBENCHMARKS
 from ..workloads.base import Workload
 from .run_cache import RunCache
 
@@ -160,9 +159,7 @@ class EvaluationSuite:
                  kinds: Optional[Iterable[SystemKind]] = None,
                  workers: int = 1,
                  cache_dir: "str | os.PathLike | None" = None,
-                 net: Optional[HMCNetworkConfig] = None,
-                 traffic: Optional[TrafficSpec] = None,
-                 spec: Optional[ExperimentSpec] = None) -> None:
+                 net: Optional[HMCNetworkConfig] = None) -> None:
         if isinstance(scale, str):
             scale = SCALES[scale]
         self.scale = scale
@@ -181,24 +178,6 @@ class EvaluationSuite:
             build_network_topology(net.topology, num_cubes=net.num_cubes,
                                    num_controllers=net.num_controllers)
         self.net = net
-        #: The experiment spec behind this suite.  CLI entry points hand the
-        #: parsed spec in; direct constructions fall back to an all-default
-        #: one, whose axes resolve through the same env > default chain the
-        #: pre-spec code used — cache keys come out byte-identical.
-        self.spec = spec if spec is not None else ExperimentSpec()
-        #: Traffic driver for every matrix cell.  The default closed driver
-        #: adds zero parameters, so labels and cache keys are byte-identical
-        #: to a suite without a traffic spec; the open driver folds its full
-        #: effective spec into every cell's params (and therefore disk key).
-        #: An explicit ``traffic`` wins; a given spec's traffic axes resolve
-        #: it next (the CLI path); a bare construction keeps the closed
-        #: default exactly as before.
-        if traffic is not None:
-            self.traffic = traffic
-        elif spec is not None:
-            self.traffic = spec.traffic_spec()
-        else:
-            self.traffic = TrafficSpec()
         self._results: Dict[Tuple[str, str], RunResult] = {}
         #: kind -> config label under the suite-wide network; building a
         #: SystemConfig just to read its label is the expensive part of key
@@ -233,22 +212,12 @@ class EvaluationSuite:
             self._labels[kind] = label
         return label
 
-    def _params_for(self, workload: str) -> Dict[str, object]:
-        """Run/cache parameters for one matrix cell: the scale's kernel sizes
-        under the closed driver; the traffic spec's knobs under the open one
-        (an open stream replaces the kernel's problem sizes — the kernel name
-        only shapes the requests)."""
-        if self.traffic.is_default:
-            return self.scale.params_for(workload)
-        return self.traffic.params()
-
     def _cache_key(self, workload: str, config_label: str,
                    params: Dict[str, object]) -> Dict[str, object]:
         return RunCache.make_key(scale=self.scale.name, workload=workload,
                                  params=params, config_label=config_label,
                                  profile=self.profile,
-                                 num_threads=self.scale.num_threads,
-                                 spec=self.spec)
+                                 num_threads=self.scale.num_threads)
 
     def _cache_get(self, workload: str, config_label: str,
                    params: Dict[str, object]) -> Optional[RunResult]:
@@ -318,7 +287,7 @@ class EvaluationSuite:
         cached = self._results.get(key)
         if cached is not None:
             return cached
-        params = self._params_for(workload)
+        params = self.scale.params_for(workload)
         result = self._cache_get(workload, config.label, params)
         if result is None:
             result = run_workload(config, workload,
@@ -377,7 +346,7 @@ class EvaluationSuite:
             key = (workload, label)
             if key in self._results:
                 continue
-            params = self._params_for(workload)
+            params = self.scale.params_for(workload)
             result = self._cache_get(workload, label, params)
             if result is not None:
                 self._results[key] = result
@@ -469,7 +438,7 @@ class EvaluationSuite:
             total += 1
             if key in self._results:
                 continue
-            params = self._params_for(workload)
+            params = self.scale.params_for(workload)
             result = self._cache_get(workload, config.label, params)
             if result is not None:
                 self._results[key] = result

@@ -1,7 +1,6 @@
 """ISA extension and trace format: Update/Gather operations, program traces."""
 
 from .operations import (
-    ArrivalOp,
     AtomicOp,
     BarrierOp,
     ComputeOp,
@@ -15,10 +14,9 @@ from .operations import (
     count_instructions,
     count_kinds,
 )
-from .program import ChunkedThreadTrace, ProgramTrace, TraceBuilder, make_program
+from .program import ProgramTrace, TraceBuilder, make_program
 
 __all__ = [
-    "ArrivalOp",
     "AtomicOp",
     "BarrierOp",
     "ComputeOp",
@@ -31,7 +29,6 @@ __all__ = [
     "UpdateOp",
     "count_instructions",
     "count_kinds",
-    "ChunkedThreadTrace",
     "ProgramTrace",
     "TraceBuilder",
     "make_program",

@@ -141,29 +141,6 @@ class BarrierOp(Operation):
         return f"BarrierOp(id={self.barrier_id}, participants={self.participants})"
 
 
-class ArrivalOp(Operation):
-    """Open-loop pacing: the thread may not issue past this point before
-    absolute cycle ``at``.
-
-    The open traffic driver stamps one per synthesized request; the core
-    treats the wait as a distinct ``arrival`` stall and measures the
-    request's latency from the *intended* arrival time, not from issue, so
-    client-side queueing under saturation is captured instead of hidden
-    (the coordinated-omission trap of closed-loop measurement).
-    """
-
-    __slots__ = ("at",)
-    instructions = 0
-
-    def __init__(self, at: float) -> None:
-        if at < 0:
-            raise ValueError("arrival time must be non-negative")
-        self.at = float(at)
-
-    def __repr__(self) -> str:
-        return f"ArrivalOp(at={self.at})"
-
-
 class PhaseMarkerOp(Operation):
     """Zero-cost marker delimiting program phases (used by the Fig. 5.8 analysis)."""
 

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .operations import (
-    ArrivalOp,
     AtomicOp,
     BarrierOp,
     ComputeOp,
@@ -61,16 +59,9 @@ class ProgramTrace:
         store_opcodes = {"mov", "const_assign"}
         for tid, trace in enumerate(self.threads):
             seen_gather_targets = set()
-            last_arrival = 0.0
             for op in trace:
                 if not isinstance(op, Operation):
                     raise TypeError(f"thread {tid} contains a non-operation: {op!r}")
-                if isinstance(op, ArrivalOp):
-                    if op.at < last_arrival:
-                        raise ValueError(
-                            f"thread {tid} arrival times regress "
-                            f"({op.at} after {last_arrival})")
-                    last_arrival = op.at
                 if (isinstance(op, UpdateOp) and op.opcode not in store_opcodes
                         and op.target in seen_gather_targets):
                     raise ValueError(
@@ -79,84 +70,6 @@ class ProgramTrace:
                     )
                 if isinstance(op, GatherOp):
                     seen_gather_targets.add(op.target)
-
-
-class ChunkedThreadTrace(Sequence):
-    """A thread trace synthesized on demand from a restartable generator.
-
-    Looks exactly like the ``List[Operation]`` the cores and validators
-    consume (``len``, integer/slice indexing, iteration) while holding at most
-    ``chunk`` operations in memory.  ``factory`` must return a *fresh*
-    iterator producing the same operation sequence every time — the open
-    traffic driver's seeded per-thread generator is the canonical producer —
-    and ``length`` is the (precomputed) total operation count.
-
-    Access is O(1) for the forward-monotone pattern the cores use (a sliding
-    window of the last ``chunk`` operations is kept); an index behind the
-    window restarts the generator, trading time for the memory bound.
-    """
-
-    def __init__(self, factory: Callable[[], Iterator["Operation"]],
-                 length: int, chunk: int = 4096) -> None:
-        if length < 0:
-            raise ValueError(f"trace length must be >= 0, got {length}")
-        self._factory = factory
-        self._length = int(length)
-        self._chunk = max(1, int(chunk))
-        self._iter: Optional[Iterator["Operation"]] = None
-        self._window: List["Operation"] = []
-        #: Absolute index of ``self._window[0]``.
-        self._base = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._length))]
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("trace index out of range")
-        if index < self._base:
-            # Behind the window: replay from the start (correct, but slow —
-            # nothing in the simulator walks a trace backwards).
-            self._iter = None
-        if self._iter is None:
-            self._iter = iter(self._factory())
-            self._window = []
-            self._base = 0
-        while self._base + len(self._window) <= index:
-            try:
-                self._window.append(next(self._iter))
-            except StopIteration:
-                raise IndexError(
-                    f"trace generator stopped at {self._base + len(self._window)} "
-                    f"operations but {self._length} were promised") from None
-            if len(self._window) > self._chunk:
-                drop = len(self._window) - self._chunk
-                del self._window[:drop]
-                self._base += drop
-        return self._window[index - self._base]
-
-    def __iter__(self) -> Iterator["Operation"]:
-        # A fresh pass over a fresh generator: iteration never disturbs the
-        # sliding window the executing core is working through.
-        produced = 0
-        for op in self._factory():
-            if produced >= self._length:
-                break
-            produced += 1
-            yield op
-
-    # The live generator is not picklable (and not worth shipping): peers
-    # rebuild it lazily from the factory on first access.
-    def __getstate__(self):
-        return {"factory": self._factory, "length": self._length,
-                "chunk": self._chunk}
-
-    def __setstate__(self, state):
-        self.__init__(state["factory"], state["length"], chunk=state["chunk"])
 
 
 class TraceBuilder:
@@ -185,11 +98,6 @@ class TraceBuilder:
 
     def load(self, addr: int) -> "TraceBuilder":
         self.ops.append(LoadOp(addr))
-        return self
-
-    def arrival(self, at: float) -> "TraceBuilder":
-        """Open-loop pacing point: issue must wait until absolute cycle ``at``."""
-        self.ops.append(ArrivalOp(at))
         return self
 
     def store(self, addr: int) -> "TraceBuilder":

@@ -61,11 +61,11 @@ Dense layout (node ids are small contiguous ints):
 
 from __future__ import annotations
 
+import os
 from array import array
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple, Type
 
-from ..core.backends import BackendRegistry
 from .topology import Topology
 
 #: Dense-table marker for an unreachable (or non-existent) destination.
@@ -428,11 +428,6 @@ DEFAULT_ROUTING = "static"
 #: Environment variable consulted when no explicit policy is requested.
 ROUTING_ENV = "REPRO_ROUTING"
 
-#: The shared resolve/make/env machinery (see repro.core.backends); the
-#: module-level helpers below stay the public API.
-ROUTING_REGISTRY = BackendRegistry("routing policy", ROUTING_BACKENDS,
-                                   DEFAULT_ROUTING, ROUTING_ENV)
-
 
 def resolve_routing(name: Optional[str] = None) -> str:
     """Canonical routing-policy name for a request.
@@ -445,19 +440,15 @@ def resolve_routing(name: Optional[str] = None) -> str:
     config — whose label keys every cache entry — and treat the environment
     variable as a kernel-testing knob.
     """
-    return ROUTING_REGISTRY.resolve(name)
+    if name is None:
+        name = os.environ.get(ROUTING_ENV) or DEFAULT_ROUTING
+    canonical = str(name).strip().lower()
+    if canonical not in ROUTING_BACKENDS:
+        raise ValueError(f"unknown routing policy {name!r}; choose from "
+                         f"{', '.join(sorted(ROUTING_BACKENDS))}")
+    return canonical
 
 
 def make_routing(topology: Topology, name: Optional[str] = None) -> RoutingTable:
     """Instantiate the routing policy selected by :func:`resolve_routing`."""
-    return ROUTING_REGISTRY.make(name, topology)
-
-
-def routing_env(name: Optional[str]):
-    """Temporarily export a routing choice through ``$REPRO_ROUTING``.
-
-    Worker processes inherit the environment, so one export covers serial
-    and parallel paths; the previous value is restored on exit.  ``None``
-    leaves the environment untouched.
-    """
-    return ROUTING_REGISTRY.env(name)
+    return ROUTING_BACKENDS[resolve_routing(name)](topology)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..isa import ProgramTrace
 from ..power.energy_model import EnergyBreakdown, EnergyModel
@@ -32,10 +32,6 @@ class RunResult:
     #: packets, accumulated link queue delay.  The topology-sweep figure reads
     #: queueing pressure from here; empty for the DRAM baseline.
     network_stats: Dict[str, float] = field(default_factory=dict)
-    #: Open-loop request-latency summary (empty for closed kernels): completed
-    #: request count, p50/p95/p99/p999 latency measured from intended arrival,
-    #: and delivered throughput in requests per 1000 cycles.
-    request_stats: Dict[str, float] = field(default_factory=dict)
     flow_checks: Tuple[int, int] = (0, 0)
     ipc_samples: List[Tuple[float, int]] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
@@ -89,7 +85,6 @@ class RunResult:
         }
         out.update({f"data.{k}": v for k, v in self.data_movement.items()})
         out.update({f"latency.{k}": v for k, v in self.update_latency.items()})
-        out.update({f"request.{k}": v for k, v in self.request_stats.items()})
         return out
 
 
@@ -138,93 +133,6 @@ def _collect_update_latency(system: BuiltSystem) -> Dict[str, float]:
     for component in ("request", "stall", "response", "total"):
         hist = histograms.get(f"ar.update_latency.{component}")
         out[component] = hist.mean if hist is not None else 0.0
-    return out
-
-
-def _tenant_fairness(core_hists: List[Tuple[int, object]], cycles: float,
-                     metadata: Optional[Dict[str, object]]) -> Dict[str, float]:
-    """Per-tenant request split and Jain's fairness index for open runs.
-
-    Threads round-robin over the tenant mix (``thread_id % len(tenants)`` in
-    :class:`repro.workloads.drivers.OpenStreamWorkload`) and thread ``t`` runs
-    on core ``t``, so grouping the per-core latency summaries by core index
-    modulo the tenant count recovers each tenant's request population.  Only
-    multi-tenant open runs grow these keys; every other run's
-    ``request_stats`` stays byte-identical.
-    """
-    if not metadata or metadata.get("driver") != "open":
-        return {}
-    tenants = [name for name in str(metadata.get("tenants", "")).split(",") if name]
-    if len(tenants) < 2:
-        return {}
-    out: Dict[str, float] = {}
-    throughputs = []
-    for index in range(len(tenants)):
-        merged = None
-        for core_index, hist in core_hists:
-            if core_index % len(tenants) != index:
-                continue
-            if merged is None:
-                merged = type(hist)()
-            merged.merge(hist)
-        count = float(merged.count) if merged is not None else 0.0
-        throughput = count * 1000.0 / cycles if cycles else 0.0
-        throughputs.append(throughput)
-        out[f"tenant{index}.count"] = count
-        out[f"tenant{index}.p99"] = (merged.percentile(0.99)
-                                     if merged is not None else 0.0)
-        out[f"tenant{index}.throughput"] = throughput
-    total = sum(throughputs)
-    squares = sum(x * x for x in throughputs)
-    # Jain's index: 1.0 when every tenant gets equal delivered throughput,
-    # approaching 1/n as one tenant monopolizes the network.
-    out["fairness"] = (total * total) / (len(throughputs) * squares) if squares else 0.0
-    return out
-
-
-def _collect_request_stats(system: BuiltSystem, cycles: float,
-                           metadata: Optional[Dict[str, object]] = None
-                           ) -> Dict[str, float]:
-    """Merged open-loop request-latency percentiles across cores.
-
-    Per-core ``core*.request_latency`` summaries (empty unless the trace
-    carried ArrivalOps) merge in core-id order into one summary of the same
-    backend type, so the percentile semantics follow the selected summary
-    backend and the merge order is deterministic.  Multi-tenant open runs
-    additionally report per-tenant counts/p99/throughput and Jain's fairness
-    index (see :func:`_tenant_fairness`).
-    """
-    stats = system.sim.stats
-    core_hists = []
-    for core_index, core in enumerate(system.cmp.cores):
-        hist = stats._histograms.get(f"{core.name}.request_latency")
-        if hist is not None and hist.count:
-            core_hists.append((core_index, hist))
-    if not core_hists:
-        return {}
-    parts = [hist for _, hist in core_hists]
-    merged = type(parts[0])()
-    for part in parts:
-        merged.merge(part)
-    out = {
-        "count": float(merged.count),
-        "mean": merged.mean,
-        "max": merged.maximum,
-        "p50": merged.percentile(0.50),
-        "p95": merged.percentile(0.95),
-        "p99": merged.percentile(0.99),
-        "p999": merged.percentile(0.999),
-        # Requests completed per 1000 cycles, all cores: the delivered side
-        # of the offered-vs-delivered saturation curve.
-        "throughput": merged.count * 1000.0 / cycles if cycles else 0.0,
-    }
-    # For Active-Routing configs the client-side sample excludes the network
-    # round trip; surface the engine-side tail alongside it.
-    roundtrip = stats._histograms.get("ar.update_latency.total")
-    if roundtrip is not None and roundtrip.count:
-        out["update_p99"] = roundtrip.percentile(0.99)
-        out["update_p999"] = roundtrip.percentile(0.999)
-    out.update(_tenant_fairness(core_hists, cycles, metadata))
     return out
 
 
@@ -290,7 +198,6 @@ def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
         energy=energy,
         data_movement=_collect_data_movement(system, counters),
         network_stats=_collect_network(system, counters),
-        request_stats=_collect_request_stats(system, cycles, program.metadata),
         update_latency=_collect_update_latency(system),
         stall_breakdown=system.cmp.stall_breakdown(counters),
         cache_stats=cache_stats,

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..isa import ProgramTrace
 from ..sim import SimulationError
-from ..workloads import WorkloadConfig, make_driver, split_driver_params
+from ..workloads import WorkloadConfig, make_workload
 from ..workloads.base import Workload
 from .builder import build_system
 from .config import CONFIG_ORDER, SystemConfig, SystemKind, make_system_config
@@ -64,17 +64,14 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
                  **workload_params) -> RunResult:
     """Build the system and the workload, generate the right trace mode, run it.
 
-    ``workload_params`` may carry traffic-driver knobs (``driver``,
-    ``arrival_rate``, ``zipf_s``, ``tenant_mix``, ...) alongside kernel sizes;
-    they are split back out here and the selected driver builds the workload —
-    the default closed driver reproduces ``make_workload`` exactly.  When
-    ``workload`` is already a Workload instance the params are cache-key
-    context only (the instance was built by its driver upstream).
+    ``workload_params`` are the kernel's problem-size overrides, handed to
+    :func:`~repro.workloads.make_workload`.  When ``workload`` is already a
+    Workload instance the params are cache-key context only (the instance was
+    built upstream).
     """
     if not isinstance(config, SystemConfig):
         config = make_system_config(config)
     if isinstance(workload, str):
-        spec, kernel_params = split_driver_params(workload_params)
         if workload_config is None:
             wconfig = WorkloadConfig()
         else:
@@ -83,8 +80,7 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
             wconfig = replace(workload_config, extra=dict(workload_config.extra))
         if num_threads is not None:
             wconfig.num_threads = num_threads
-        workload = make_driver(spec.driver).build(workload, wconfig, spec,
-                                                  **kernel_params)
+        workload = make_workload(workload, wconfig, **workload_params)
     if workload.num_threads > config.cmp.num_cores:
         raise ValueError(
             f"workload uses {workload.num_threads} threads but the configuration has "

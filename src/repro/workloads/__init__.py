@@ -11,20 +11,6 @@ from .base import (
     split_range,
     workload_names,
 )
-from .drivers import (
-    DEFAULT_DRIVER,
-    DRIVER_BACKENDS,
-    DRIVER_PARAM_NAMES,
-    ClosedDriver,
-    OpenDriver,
-    OpenStreamWorkload,
-    TrafficDriver,
-    TrafficSpec,
-    driver_env,
-    make_driver,
-    resolve_driver,
-    split_driver_params,
-)
 from .graph import CSRGraph, CSRMatrix, generate_power_law_graph, generate_sparse_matrix
 from .lud import LUDWorkload
 from .micro import MacMicro, RandMacMicro, RandReduceMicro, ReduceMicro
@@ -39,18 +25,6 @@ ALL_WORKLOADS = BENCHMARKS + MICROBENCHMARKS
 
 __all__ = [
     "BackpropWorkload",
-    "DEFAULT_DRIVER",
-    "DRIVER_BACKENDS",
-    "DRIVER_PARAM_NAMES",
-    "ClosedDriver",
-    "OpenDriver",
-    "OpenStreamWorkload",
-    "TrafficDriver",
-    "TrafficSpec",
-    "driver_env",
-    "make_driver",
-    "resolve_driver",
-    "split_driver_params",
     "ELEMENT_SIZE",
     "Workload",
     "WorkloadConfig",

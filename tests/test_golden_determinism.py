@@ -9,8 +9,7 @@ seed code and every scheme must keep reproducing them bit-for-bit.
 The same bar applies across failure-free routing policies: ``resilient``
 builds byte-identical tables and only diverges live columns on the first
 state change, so with no failures injected it must reproduce the ``static``
-goldens bit-for-bit (the scheme x routing matrix) — and across summary
-backends, since the snapshot reads only means and counts.  The tests keep a
+goldens bit-for-bit (the scheme x routing matrix).  The tests keep a
 one-value ``heap`` parametrisation so their IDs read as they did when a
 second scheduler ran beside the heap.
 
@@ -25,7 +24,6 @@ import hashlib
 
 import pytest
 
-from repro.sim import SUMMARY_BACKENDS
 from repro.system import CONFIG_ORDER, collect_results, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
@@ -111,7 +109,9 @@ def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
 #: Two fields are left out: ``metadata["wall_s"]`` is host time, and
 #: ``per_cube["vault_accesses"]`` changed meaning when it stopped summing
 #: every ``hmc.cube{n}.vault*`` counter (bytes, energy, TSV and bank cells
-#: included) and became the cube's vault access count.
+#: included) and became the cube's vault access count.  One is put back:
+#: the digests were captured while ``RunResult`` carried an open-loop
+#: ``request_stats`` field, which was always empty for these closed kernels.
 RESULT_GOLDEN = {
     "DRAM": "964fb678f572f4ea02f701539b06cf85218769e4a8ab4e00cfba02a41f8ce37d",
     "HMC": "15ae2a53d8f3130d76ad08c843d2500c0b61eaf3bd37c23945ba5d089e7b4d43",
@@ -135,6 +135,7 @@ def result_digest(result) -> str:
     fields = dataclasses.asdict(result)
     fields["metadata"].pop("wall_s", None)
     fields["per_cube"].pop("vault_accesses", None)
+    fields["request_stats"] = {}
     return hashlib.sha256(_canonical(fields).encode()).hexdigest()
 
 
@@ -166,40 +167,6 @@ def test_degraded_golden_fixed_failure_seed(scheduler):
     assert snapshot_digest(system.sim.stats) == digest
     # The run did degrade: interruptions were recorded and recovered from.
     assert system.sim.stats.snapshot()["network.dropped"] > 0
-
-
-@pytest.mark.parametrize("summary", sorted(SUMMARY_BACKENDS))
-@pytest.mark.parametrize("kind", ["HMC", "ARF-tid"])
-def test_golden_digest_holds_under_every_summary_backend(kind, summary,
-                                                         monkeypatch):
-    # The stats snapshot records per-histogram mean and count only, and every
-    # summary backend accumulates count/total exactly — so swapping the
-    # reservoir for the sketch must reproduce the SAME golden digests, not
-    # new ones.  (Percentile estimates may differ; digests may not.)
-    monkeypatch.setenv("REPRO_SUMMARY", summary)
-    system = run_tiny_pagerank(kind)
-    cycles, events, digest = GOLDEN[kind]
-    assert system.sim.now == cycles
-    assert system.sim.executed_events == events
-    assert snapshot_digest(system.sim.stats) == digest
-    assert system.sim.stats.summary_backend == summary
-
-
-#: Open-driver golden: ARF-tid, two-tenant mac+pagerank stream at a fixed
-#: seed and rate.  Pins the open driver's entire arrival timeline and stats
-#: so an accidental RNG or event-order change cannot slip through.
-OPEN_DRIVER_PARAMS = dict(driver="open", arrival_rate=20.0,
-                          tenant_mix="mac,pagerank", stream_requests=64,
-                          stream_keys=256)
-
-
-def test_open_driver_runs_repeat_bit_identically_across_backends():
-    from repro.system import run_workload
-
-    baseline = run_workload("ARF-tid", "mac", num_threads=4,
-                            **OPEN_DRIVER_PARAMS)
-    again = run_workload("ARF-tid", "mac", num_threads=4, **OPEN_DRIVER_PARAMS)
-    assert _result_fingerprint(again) == _result_fingerprint(baseline)
 
 
 def test_repeated_runs_are_identical():

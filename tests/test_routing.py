@@ -23,7 +23,6 @@ from repro.network import (
     build_mesh,
     make_routing,
     resolve_routing,
-    routing_env,
 )
 from repro.network.routing import NO_ROUTE
 from repro.sim import Simulator
@@ -231,22 +230,9 @@ def test_resolve_routing_precedence(monkeypatch):
     monkeypatch.setenv(ROUTING_ENV, "")
     assert resolve_routing() == DEFAULT_ROUTING       # empty env -> default
     assert resolve_routing("  Resilient ") == "resilient"  # normalized
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown routing policy 'wormhole'; "
+                                         "choose from adaptive, resilient, static$"):
         resolve_routing("wormhole")
-
-
-def test_routing_env_round_trip(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
-    import os
-    with routing_env("resilient"):
-        assert os.environ[ROUTING_ENV] == "resilient"
-        with routing_env(None):  # None leaves the environment untouched
-            assert os.environ[ROUTING_ENV] == "resilient"
-    assert ROUTING_ENV not in os.environ
-    monkeypatch.setenv(ROUTING_ENV, "adaptive")
-    with routing_env("static"):
-        assert os.environ[ROUTING_ENV] == "static"
-    assert os.environ[ROUTING_ENV] == "adaptive"  # previous value restored
 
 
 def test_make_routing_instantiates_registered_class(monkeypatch):

@@ -348,8 +348,7 @@ def test_suite_normalizes_workers():
 def test_registry_covers_every_figure():
     assert set(FIGURE_REGISTRY) == {"speedup", "latency", "lud_heatmap",
                                     "data_movement", "power", "energy", "edp",
-                                    "dynamic_offload", "topology", "degraded",
-                                    "saturation"}
+                                    "dynamic_offload", "topology", "degraded"}
 
 
 def test_required_pairs_per_figure():
@@ -537,50 +536,3 @@ def test_suite_rejects_impossible_network_at_construction(tmp_path):
 
     with pytest.raises(ValueError, match="exactly 18 cubes"):
         EvaluationSuite("tiny", net=HMCNetworkConfig(num_cubes=18))
-
-
-def test_saturation_figure_prefetches_then_renders_warm(tmp_path):
-    """The saturation sweep's open-stream cells behave like every other
-    bespoke run: one cold prefetch batch, then a warm suite renders the
-    figure byte-identically with zero simulations."""
-    from repro.experiments import fig_saturation
-
-    rates = [10.0, 160.0]
-    topologies = ["dragonfly"]
-    cold = EvaluationSuite("tiny", workers=2, cache_dir=tmp_path)
-    jobs = fig_saturation.bespoke_jobs(cold, topologies=topologies,
-                                       rates=rates)
-    assert len(jobs) == 2 * len(rates)             # 2 schemes x 2 rates
-    text = fig_saturation.render(fig_saturation.compute(
-        cold, topologies=topologies, rates=rates))
-    assert cold.simulations_run == len(jobs)
-    assert "p999" in text and "knee" in text
-
-    warm = EvaluationSuite("tiny", cache_dir=tmp_path)
-    warm_text = fig_saturation.render(fig_saturation.compute(
-        warm, topologies=topologies, rates=rates))
-    assert warm.simulations_run == 0               # zero simulations
-    assert warm.disk_hits == len(jobs)
-    assert warm_text == text                       # byte-identical figure
-
-
-def test_suite_traffic_spec_routes_open_params_into_cells(tmp_path):
-    """A suite built with an open TrafficSpec runs open streams for its
-    matrix cells — and keys them apart from the closed cells on disk."""
-    from repro.workloads import TrafficSpec
-
-    spec = TrafficSpec(driver="open", arrival_rate=30.0,
-                       stream_requests=32, stream_keys=128)
-    suite = EvaluationSuite("tiny", workloads=["mac"], cache_dir=tmp_path,
-                            traffic=spec)
-    assert suite._params_for("mac") == spec.params()
-    result = suite.result("mac", "HMC")
-    assert result.workload == "open:mac"
-    assert result.request_stats["count"] == 4 * 32
-
-    closed = EvaluationSuite("tiny", workloads=["mac"], cache_dir=tmp_path)
-    assert closed._params_for("mac") == closed.scale.params_for("mac")
-    # The open run must not alias the closed cell's cache entry.
-    closed_result = closed.result("mac", "HMC")
-    assert closed.simulations_run == 1
-    assert closed_result.workload == "mac"

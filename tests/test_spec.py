@@ -1,12 +1,10 @@
 """The declarative experiment-axis layer (repro.core.spec).
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 * **Byte-identity** — every label and cache key the pre-spec code produced is
   reproduced byte-for-byte by the axis folds, against a corpus frozen from
   the pre-refactor implementation (``tests/data/spec_corpus.json``).
-* **Wire format** — ``from_json(to_json(spec)) == spec`` exactly, for every
-  representable spec (Hypothesis).
 * **No aliasing** — distinct cache-participating axis choices always occupy
   distinct cache entries.
 """
@@ -15,25 +13,23 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.spec import (AXES, ExperimentSpec, axes_for,
                              fold_network_label, render_axes_table)
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
-from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
 from repro.system.config import SystemKind, make_system_config
-from repro.workloads import TrafficSpec
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
-#: Corpus entries retired with the axes they exercised (the sharded
-#: execution backend and its ``%sharded`` label fold are gone).  They were
-#: removed from the frozen file by name, never regenerated.
-RETIRED = {"sharded-default", "sharded3", "mesh-sharded4"}
+#: Corpus entries retired with the axes they exercised: the sharded
+#: execution backend and its ``%sharded`` label fold, the open-loop traffic
+#: axes and their params-dict entries, and the ``summary`` axis and its
+#: non-default ``summary`` key entry are gone.  They were removed from the
+#: frozen file by name, never regenerated; ``combo`` lost only its traffic
+#: and summary inputs and the key entries they produced.
+RETIRED = {"sharded-default", "sharded3", "mesh-sharded4", "open-defaults",
+           "open-tuned", "open-sized", "sketch", "sketch-open"}
 
 
 # ------------------------------------------------------------ frozen corpus
@@ -55,7 +51,7 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) == 22
+    assert len(corpus) == 17
     assert RETIRED.isdisjoint(entry["name"] for entry in corpus)
     for entry in corpus:
         inputs = entry["inputs"]
@@ -66,35 +62,11 @@ def test_frozen_corpus_labels_and_cache_keys_byte_identical():
             continue
         net_label = config.hmc_net.label if config.kind.uses_hmc else None
         assert net_label == entry["network_label"], entry["name"]
-        params = dict(inputs["params"])
-        if inputs["traffic"] is not None:
-            params.update(TrafficSpec(**inputs["traffic"]).params())
-        with summary_env(inputs["summary"]):
-            key = RunCache.make_key(scale=inputs["scale"],
-                                    workload=inputs["workload"],
-                                    params=params, config_label=config.label,
-                                    profile="scaled",
-                                    num_threads=inputs["num_threads"])
-        key.pop("digest")
-        assert key == entry["cache_key_sans_digest"], entry["name"]
-
-
-def test_spec_driven_keys_match_env_driven_keys():
-    """make_key(spec=...) and the legacy env path produce identical bytes."""
-    corpus = json.loads(CORPUS.read_text())
-    for entry in corpus:
-        inputs = entry["inputs"]
-        if "net" in inputs:
-            continue
-        config = _build_config(inputs)
-        params = dict(inputs["params"])
-        if inputs["traffic"] is not None:
-            params.update(TrafficSpec(**inputs["traffic"]).params())
-        spec = ExperimentSpec(summary=inputs["summary"])
         key = RunCache.make_key(scale=inputs["scale"],
-                                workload=inputs["workload"], params=params,
+                                workload=inputs["workload"],
+                                params=inputs["params"],
                                 config_label=config.label, profile="scaled",
-                                num_threads=inputs["num_threads"], spec=spec)
+                                num_threads=inputs["num_threads"])
         key.pop("digest")
         assert key == entry["cache_key_sans_digest"], entry["name"]
 
@@ -120,14 +92,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["failure_rate"].default == net.failure_rate
     assert AXES["failure_seed"].default == net.failure_seed
     assert AXES["link_bandwidth"].default == net.link.bandwidth_bytes_per_cycle
-    traffic = TrafficSpec()
-    assert AXES["driver"].default == traffic.driver
-    assert AXES["arrival_rate"].default == traffic.arrival_rate
-    assert AXES["zipf_s"].default == traffic.zipf_s
-    assert AXES["tenant_mix"].default == traffic.tenant_mix
-    assert AXES["stream_requests"].default == traffic.stream_requests
-    assert AXES["stream_keys"].default == traffic.stream_keys
-    assert AXES["summary"].default == DEFAULT_SUMMARY
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -136,65 +100,22 @@ def test_every_axis_default_is_a_valid_choice():
             assert axis.default in axis.choices(), axis.name
 
 
-# ---------------------------------------------------------------- wire format
-def _axis_values(name):
-    axis = AXES[name]
-    if axis.choices is not None:
-        return st.sampled_from(sorted(axis.choices()))
-    if axis.type is int:
-        return st.integers(min_value=0, max_value=10**9)
-    if axis.type is float:
-        return st.floats(min_value=0.0, max_value=1e12,
-                         allow_nan=False, allow_infinity=False)
-    return st.sampled_from(["", "mac", "mac,pagerank", "reduce,spmv,lud"])
-
-
-SPECS = st.fixed_dictionaries(
-    {}, optional={name: _axis_values(name) for name in AXES}
-).map(lambda axes: ExperimentSpec(**axes))
-
-
-@settings(max_examples=200, deadline=None)
-@given(SPECS)
-def test_json_round_trip_is_lossless(spec):
-    assert ExperimentSpec.from_json(spec.to_json()) == spec
-
-
-@settings(max_examples=50, deadline=None)
-@given(SPECS)
-def test_to_json_elides_unset_axes_only(spec):
-    payload = json.loads(spec.to_json())
-    assert payload["spec"] == 1
-    assert set(payload["axes"]) == {name for name in AXES
-                                   if getattr(spec, name) is not None}
-
-
-def test_from_json_rejects_unknown_versions_and_axes():
-    with pytest.raises(ValueError, match="unsupported"):
-        ExperimentSpec.from_json('{"spec": 2, "axes": {}}')
-    with pytest.raises(ValueError, match="unknown experiment axes"):
-        ExperimentSpec.from_json('{"spec": 1, "axes": {"warp_speed": 9}}')
-    with pytest.raises(ValueError, match="not a JSON"):
-        ExperimentSpec.from_json("topology=mesh")
-
-
 def test_resolution_precedence_explicit_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SUMMARY", raising=False)
-    assert ExperimentSpec().resolved("summary") == "reservoir"
-    monkeypatch.setenv("REPRO_SUMMARY", "sketch")
-    assert ExperimentSpec().resolved("summary") == "sketch"
-    assert ExperimentSpec(summary="reservoir").resolved("summary") == "reservoir"
+    monkeypatch.delenv("REPRO_ROUTING", raising=False)
+    assert ExperimentSpec().resolved("routing") == "static"
+    monkeypatch.setenv("REPRO_ROUTING", "resilient")
+    assert ExperimentSpec().resolved("routing") == "resilient"
+    assert ExperimentSpec(routing="static").resolved("routing") == "static"
 
 
 # ----------------------------------------------------------------- no aliasing
 def _cell_key(spec):
     """The cache key of one (mac, HMC) suite cell under ``spec``."""
     config = make_system_config("HMC", **spec.network_overrides())
-    params = {"array_elements": 1024}
-    params.update(spec.cache_params())
-    return RunCache.make_key(scale="tiny", workload="mac", params=params,
+    return RunCache.make_key(scale="tiny", workload="mac",
+                             params={"array_elements": 1024},
                              config_label=config.label, profile="scaled",
-                             num_threads=4, spec=spec)
+                             num_threads=4)
 
 
 def test_distinct_cache_participating_specs_never_alias():
@@ -207,12 +128,6 @@ def test_distinct_cache_participating_specs_never_alias():
         ExperimentSpec(routing="resilient"),
         ExperimentSpec(routing="resilient", failure_rate=10.0),
         ExperimentSpec(routing="resilient", failure_rate=10.0, failure_seed=7),
-        ExperimentSpec(driver="open"),
-        ExperimentSpec(driver="open", arrival_rate=2.0),
-        ExperimentSpec(driver="open", zipf_s=0.5),
-        ExperimentSpec(driver="open", tenant_mix="mac,pagerank"),
-        ExperimentSpec(driver="open", stream_requests=64),
-        ExperimentSpec(summary="sketch"),
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
@@ -224,8 +139,8 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
     """The cache-key construction vendored verbatim from the pre-spec code.
 
     ``code_digest()`` is evaluated at runtime on both sides, so it cancels:
-    what this pins is the *layout* — field names, order-insensitive content,
-    summary-only-when-non-default.
+    what this pins is the *layout* — field names and order-insensitive
+    content.
     """
     key = {
         "digest": code_digest(),
@@ -236,9 +151,6 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
         "profile": profile,
         "num_threads": num_threads,
     }
-    summary = resolve_summary()
-    if summary != DEFAULT_SUMMARY:
-        key["summary"] = summary
     return key
 
 
@@ -255,7 +167,7 @@ def test_warm_pre_refactor_cache_serves_post_refactor_suite(tmp_path):
     # pre-refactor key logic would have chosen.
     for kind in kinds:
         label = cold.config_for(kind).label
-        params = cold._params_for("mac")
+        params = cold.scale.params_for("mac")
         frozen = _frozen_pre_refactor_key(
             scale="tiny", workload="mac", params=params, config_label=label,
             profile="scaled", num_threads=cold.scale.num_threads)
@@ -278,7 +190,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic", "summary")
+    groups = ("network",)
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",

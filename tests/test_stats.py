@@ -285,11 +285,9 @@ def test_clear_resets_bound_histogram_in_place():
     hist = stats.histogram("lat")          # component-style pre-bound reference
     hist.add(5.0)
     stats.clear()
-    # Backend-agnostic reset check: both the reservoir and the sketch empty
-    # out in place (the reservoir also drops its samples and truncated flag).
+    # The histogram empties out in place, samples and truncated flag too.
     assert hist.count == 0 and hist.total == 0.0
-    if isinstance(hist, Histogram):
-        assert hist.samples == [] and not hist.truncated
+    assert hist.samples == [] and not hist.truncated
     hist.add(7.0)                          # the bound reference stays live...
     assert stats.histogram("lat") is hist  # ...and the registry sees the same object
     assert stats.snapshot()["lat.mean"] == 7.0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DynamicOffloadPolicy
 from repro.isa import GatherOp, LoadOp, UpdateOp, count_kinds
+from repro.system import run_workload
 from repro.workloads import (
     ALL_WORKLOADS,
     BENCHMARKS,
@@ -148,3 +149,19 @@ def test_workload_param_override_and_scale():
     explicit = make_workload("reduce", WorkloadConfig(num_threads=2), array_elements=100)
     assert explicit.num_elements == 100
     assert small.num_elements == 8 * 1024
+
+
+def test_unknown_workload_param_fails_fast_with_valid_list():
+    workload = make_workload("mac", WorkloadConfig(num_threads=2),
+                             array_elementz=512)
+    with pytest.raises(ValueError) as excinfo:
+        workload.generate("active")
+    message = str(excinfo.value)
+    assert "array_elementz" in message          # the offending name
+    assert "array_elements" in message          # the valid list names the fix
+    assert "mac" in message
+
+
+def test_unknown_param_fails_fast_through_run_workload():
+    with pytest.raises(ValueError, match="unknown parameter"):
+        run_workload("HMC", "reduce", num_threads=2, array_element=128)

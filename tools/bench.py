@@ -41,12 +41,13 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.network.routing import (ROUTING_BACKENDS, resolve_routing,  # noqa: E402
-                                   routing_env)
+from repro.network.routing import (ROUTING_BACKENDS, ROUTING_ENV,  # noqa: E402
+                                   resolve_routing)
 from repro.system import make_system_config, run_workload  # noqa: E402
 
 #: The fixed measurement basket: (workload, configuration, params).
@@ -63,6 +64,17 @@ SMOKE_BASKET = [
     ("mac", "ARF-tid", {"array_elements": 1024}),
     ("reduce", "HMC", {"array_elements": 1024}),
 ]
+
+
+def routing_env(name):
+    """Export a routing choice through ``$REPRO_ROUTING`` for a ``with`` block.
+
+    Worker processes inherit the environment, so one export covers serial and
+    parallel runs; the previous value is restored on exit.  ``None`` leaves
+    the environment untouched.
+    """
+    return mock.patch.dict(os.environ,
+                           {} if name is None else {ROUTING_ENV: resolve_routing(name)})
 
 
 def profile_entry(key, system_config, workload, num_threads, params, top: int = 20):
