@@ -217,6 +217,10 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
                          "an HMC-backed configuration")
     with _network_usage_errors():
         config = make_system_config(args.config, **overrides)
+    cores = config.cmp.num_cores
+    if not 1 <= args.threads <= cores:
+        raise SystemExit(f"repro: --threads must be between 1 and the {cores} "
+                         f"cores of {config.label}, got {args.threads}")
     result = run_workload(config, args.workload, num_threads=args.threads, **params)
     rows = [
         ["cycles", f"{result.cycles:,.0f}"],

@@ -67,7 +67,3 @@ class PortSelector:
             cube = self.hmc.mapping.cube_of(anchor)
             return self._nearest_port_of_cube[cube]
         raise ValueError(f"unhandled scheme {self.scheme}")
-
-    def nearest_port(self, cube: int) -> int:
-        """Precomputed nearest port for a cube (exposed for tests/analysis)."""
-        return self._nearest_port_of_cube[cube]

@@ -116,7 +116,6 @@ class Axis:
     #: Label fragment producer over the group's value mapping, or None when
     #: the axis is folded by a sibling (failure_seed) or never labeled.
     fold: Optional[Callable[[Mapping[str, object]], str]] = None
-    validate: Optional[Callable[[object], Optional[str]]] = None
     metavar: Optional[str] = None
     #: Per-subcommand behavior on ``sweep``: ``single`` (same scalar flag),
     #: ``list`` (becomes a swept value list under ``sweep_dest``) or
@@ -143,30 +142,6 @@ class Axis:
             return canonical
         return value
 
-    def check(self, value: object) -> None:
-        """Raise ``ValueError`` when an explicit value violates the axis."""
-        if value is None:
-            return
-        if self.validate is not None:
-            message = self.validate(self.type(value))
-            if message:
-                raise ValueError(f"--{self.flag.lstrip('-')}: {message}")
-        if self.choices is not None:
-            self.resolve(value)
-
-
-def _positive(value) -> Optional[str]:
-    return None if value > 0 else f"must be > 0, got {value}"
-
-
-def _non_negative(value) -> Optional[str]:
-    return None if value >= 0 else f"must be >= 0, got {value}"
-
-
-def _at_least_one(value) -> Optional[str]:
-    return None if value >= 1 else f"must be >= 1, got {value}"
-
-
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
 #: bandwidth.
@@ -182,7 +157,7 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="num_cubes", type=int, default=16, flag="--num-cubes",
          group="network", metavar="N",
          label_form="cube count inside the fingerprint (``mesh16c4``)",
-         fold=_fold_num_cubes, validate=_at_least_one,
+         fold=_fold_num_cubes,
          help="memory-network cube count (default: 16); the topology is "
               "built with exactly this many cubes or the request is "
               "rejected up front",
@@ -190,7 +165,7 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="num_controllers", type=int, default=4, flag="--num-controllers",
          group="network", metavar="N",
          label_form="controller count inside the fingerprint (``mesh16c4``)",
-         fold=_fold_num_controllers, validate=_at_least_one,
+         fold=_fold_num_controllers,
          help="host-side memory-controller count (default: Table 4.1's 4)",
          sweep="list", sweep_dest="controller_counts",
          sweep_help="host-side memory-controller counts to sweep "
@@ -206,7 +181,7 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="failure_rate", type=float, default=0.0, flag="--failure-rate",
          group="network", metavar="RATE",
          label_form="``-f{rate:g}s{seed}`` when positive (``-f10s7``)",
-         fold=_fold_failure, validate=_non_negative,
+         fold=_fold_failure,
          help="expected random link failures per 10,000 cycles (default: "
               "0 = failure-free; a positive rate needs --routing resilient "
               "or adaptive)"),
@@ -219,7 +194,7 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="link_bandwidth", type=float, default=12.5,
          flag="--link-bandwidth", group="network", metavar="BYTES_PER_CYCLE",
          label_form="``-bw{N:g}`` when non-default (``-bw25``)",
-         fold=_fold_bandwidth, validate=_positive,
+         fold=_fold_bandwidth,
          help="memory-network link bandwidth in bytes per CPU cycle "
               "(default: Table 4.1's 12.5, i.e. 25 GB/s per direction)",
          sweep="list", sweep_dest="link_bandwidths",
@@ -269,25 +244,16 @@ class ExperimentSpec:
         """The spec carried by a parsed CLI namespace (absent attrs = unset)."""
         return cls(**{name: getattr(args, name, None) for name in AXES})
 
-    # -- precedence and validation ------------------------------------------------
+    # -- precedence -----------------------------------------------------------------
     def resolved(self, name: str) -> object:
         """Axis value under explicit > environment > default precedence."""
         return AXES[name].resolve(getattr(self, name))
-
-    def is_explicit(self, name: str) -> bool:
-        return getattr(self, name) is not None
 
     def explicit(self, group: Optional[str] = None) -> Dict[str, object]:
         """The explicitly-set axis values, optionally for one group only."""
         return {name: getattr(self, name) for name, axis in AXES.items()
                 if (group is None or axis.group == group)
                 and getattr(self, name) is not None}
-
-    def validate(self) -> "ExperimentSpec":
-        """Check every explicit value against its axis; returns self."""
-        for name, axis in AXES.items():
-            axis.check(getattr(self, name))
-        return self
 
     # -- derived configuration objects ----------------------------------------------
     def network_overrides(self) -> Dict[str, object]:

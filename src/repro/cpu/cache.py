@@ -352,7 +352,3 @@ class CacheHierarchy(Component):
         hits = counters.get(f"{prefix}hits", 0.0)
         total = counters.get(f"{prefix}accesses", 0.0)
         return hits / total if total else 0.0
-
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self._mshrs)

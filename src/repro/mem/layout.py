@@ -9,7 +9,7 @@ over the whole memory network exactly like the paper's workloads do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,6 @@ class Array:
     def addr2d(self, row: int, col: int, num_cols: int) -> int:
         """Row-major 2-D addressing convenience for matrix workloads."""
         return self.addr(row * num_cols + col)
-
-    def slice_addrs(self, start: int, stop: int, step: int = 1) -> Iterator[int]:
-        """Addresses of elements ``start:stop:step``."""
-        for index in range(start, stop, step):
-            yield self.addr(index)
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end

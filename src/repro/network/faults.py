@@ -106,9 +106,9 @@ class FaultInjector:
         if self.failure_rate < 0:
             raise ValueError(f"failure_rate must be >= 0, got {failure_rate}")
         self._rng = random.Random(seed)
-        # Internal agenda: [time, seq, action] heap.  Actions are small
+        # Internal agenda: (time, seq, action) heap.  Actions are small
         # tuples — ("link", a, b, up), ("cube", node, up), ("random",).
-        self._agenda: List[list] = []
+        self._agenda: List[tuple] = []
         self._seq = 0
         self._armed = False
         self._quiesced = False
@@ -131,7 +131,7 @@ class FaultInjector:
             self._push(first, ("random",))
 
     def _push(self, time: float, action: tuple) -> None:
-        heapq.heappush(self._agenda, [time, self._seq, action])
+        heapq.heappush(self._agenda, (time, self._seq, action))
         self._seq += 1
 
     def arm(self) -> None:
@@ -160,7 +160,7 @@ class FaultInjector:
                 if finish is not None and \
                         self.sim.now >= finish + QUIESCE_GRACE_CYCLES:
                     self._quiesced = True
-            elif len(self.sim.events) == 0:
+            elif self.sim.pending == 0:
                 self._quiesced = True
         now = self.sim.now
         while self._agenda and self._agenda[0][0] <= now:

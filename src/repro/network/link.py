@@ -29,10 +29,6 @@ class LinkConfig:
     latency_cycles: float = 4.0
     energy_pj_per_bit: float = 5.0
 
-    def serialization_cycles(self, size_bytes: int) -> float:
-        return size_bytes / self.bandwidth_bytes_per_cycle
-
-
 class Link(SharedResource):
     """One direction of a cube-to-cube or controller-to-cube connection."""
 

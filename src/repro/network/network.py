@@ -74,10 +74,11 @@ class MemoryNetwork(Component):
             link for link in self._link_list
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
         # _hop() runs once per network hop: keep a direct reference to the
-        # dense next-hop matrix.  The delivery push mirrors the simulator's
-        # scheduler fast path: it pushes straight onto the aliased heap list.
+        # dense next-hop matrix.  The delivery push mirrors
+        # Simulator.schedule_at: it pushes straight onto the simulator's heap
+        # and draws from the simulator's sequence counter.
         self._event_heap = sim._heap
-        self._events = sim.events
+        self._next_seq = sim._next_seq
         self._next_rows = self.routing.next_hop_table
         self._h_injected = self.counter_handle("injected")
         self._h_hops = self.counter_handle("hops")
@@ -207,14 +208,11 @@ class MemoryNetwork(Component):
         # and the event loop's call goes straight to the bound method.
         packet.hops += 1
         callback = partial(self._receivers[nxt], packet, current)
-        # Inlined EventQueue.push (delivery times are never negative): one hop
-        # schedules exactly one delivery and the wrapper call is measurable.
-        heap = self._event_heap
-        events = self._events
-        heappush(heap, [finish + link._latency + self.router_delay, events._seq,
-                        callback])
-        events._seq += 1
-        events._live += 1
+        # Inlined Simulator.schedule_at (delivery times are never in the
+        # past): one hop schedules exactly one delivery and the wrapper call
+        # is measurable.
+        heappush(self._event_heap, (finish + link._latency + self.router_delay,
+                                    self._next_seq(), callback))
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -351,12 +349,8 @@ class MemoryNetwork(Component):
         link_acc[packet._cat_index] += size
         packet.hops += 1
         callback = partial(self._arrive_flex, packet, link, current, nxt)
-        arrival = finish + link._latency + self.router_delay
-        heap = self._event_heap
-        events = self._events
-        heappush(heap, [arrival, events._seq, callback])
-        events._seq += 1
-        events._live += 1
+        heappush(self._event_heap, (finish + link._latency + self.router_delay,
+                                    self._next_seq(), callback))
 
     def _arrive_flex(self, packet: Packet, link: Link, current: int,
                      nxt: int) -> None:

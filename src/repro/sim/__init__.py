@@ -1,7 +1,6 @@
-"""Discrete-event simulation kernel: event scheduler, simulator, components, stats."""
+"""Discrete-event simulation kernel: simulator and event scheduler, components, stats."""
 
 from .component import Component, SharedResource
-from .event_queue import EventHandle, EventQueue
 from .simulator import SimulationError, Simulator
 from .stats import CounterHandle, Histogram, StatsRegistry, geometric_mean
 
@@ -9,8 +8,6 @@ __all__ = [
     "Component",
     "SharedResource",
     "CounterHandle",
-    "EventHandle",
-    "EventQueue",
     "SimulationError",
     "Simulator",
     "Histogram",

@@ -4,17 +4,19 @@ All components share a single :class:`Simulator` instance.  Time is expressed in
 CPU cycles of the host clock (2 GHz by default, Table 4.1); components running at
 other frequencies convert their own latencies into host cycles.
 
-The simulator owns one binary-heap event scheduler (see
-:mod:`repro.sim.event_queue`), which dispatches events in ``[time, seq]``
-order so every run is reproducible.
+The simulator owns the event scheduler: a binary heap (``heapq``) of
+immutable ``(time, seq, callback)`` tuples.  The sequence number comes from
+one shared counter, so events scheduled for the same cycle dispatch in
+insertion order (and, because it is unique, the callback never takes part in
+a comparison); every run is therefore reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Callable, Optional
 
-from .event_queue import EventHandle, EventQueue
 from .stats import StatsRegistry
 
 
@@ -30,12 +32,10 @@ class Simulator:
             raise ValueError("cpu_freq_ghz must be positive")
         self.cpu_freq_ghz = cpu_freq_ghz
         self.now: float = 0.0
-        self.events = EventQueue()
-        # Fused fast path: the heap's storage list is aliased here so
-        # schedule()/run() (and the network hot path) can push/pop without
-        # any wrapper call.  clear() empties the heap list in place, so the
-        # alias stays valid across reset().
-        self._heap = self.events._heap
+        # The network's hop path pushes onto this heap directly, drawing its
+        # sequence numbers from the same counter.
+        self._heap: list = []
+        self._next_seq = itertools.count().__next__
         self.stats = StatsRegistry()
         self._executed_events = 0
         self._finished = False
@@ -45,31 +45,13 @@ class Simulator:
         """Run ``callback`` after ``delay`` cycles (relative to ``now``)."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        events = self.events
-        heap = self._heap
-        # Inlined EventQueue.push: scheduling runs once per event and the
-        # wrapper's negative-time check is subsumed by the delay check.
-        heapq.heappush(heap, [self.now + delay, events._seq, callback])
-        events._seq += 1
-        events._live += 1
+        heapq.heappush(self._heap, (self.now + delay, self._next_seq(), callback))
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute ``time`` (must not be in the past)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        events = self.events
-        heap = self._heap
-        heapq.heappush(heap, [time, events._seq, callback])
-        events._seq += 1
-        events._live += 1
-
-    def schedule_cancellable(self, delay: float, callback: Callable[[], None],
-                             label: str = "") -> EventHandle:
-        """Like :meth:`schedule`, but returns an :class:`EventHandle` so the
-        caller can cancel the event before it fires."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.events.push_handle(self.now + delay, callback, label)
+        heapq.heappush(self._heap, (time, self._next_seq(), callback))
 
     # -- execution -----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -77,17 +59,13 @@ class Simulator:
         ``max_events`` have been processed.  Returns the final simulated time.
 
         This is the simulator's innermost loop: it walks the event heap
-        directly (peek, pop, dispatch fused into one pass) so no event pays a
-        wrapper call.  A ``max_events`` of 0 dispatches nothing; a negative
-        one raises ``ValueError``.  ``finished`` is refreshed on *every* exit
+        directly (pop, past-time guard, dispatch) so no event pays a wrapper
+        call.  A ``max_events`` of 0 dispatches nothing; a negative one
+        raises ``ValueError``.  ``finished`` is refreshed on *every* exit
         path — normal drain, ``until`` horizon, ``max_events`` budget, or a
         callback raising — so it never reports a previous run's outcome.
         """
-        return self._run_heap(until, max_events)
-
-    def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> float:
-        events = self.events
-        heap = events._heap
+        heap = self._heap
         heappop = heapq.heappop
         processed = 0
         # Folding the budget into a float drops the ``is not None`` test from
@@ -98,18 +76,12 @@ class Simulator:
             # The loop tests the budget only after a dispatch.
             if budget < 0:
                 raise ValueError(f"max_events must be non-negative, got {max_events}")
-            self._finished = not events
+            self._finished = not heap
             return self.now
         try:
             if until is None:
                 while heap:
-                    entry = heappop(heap)
-                    callback = entry[2]
-                    if callback is None:  # cancelled
-                        continue
-                    entry[2] = None  # make a late cancel() a no-op
-                    events._live -= 1
-                    time = entry[0]
+                    time, _, callback = heappop(heap)
                     if time < self.now:
                         if time < self.now - 1e-9:
                             raise SimulationError(
@@ -124,17 +96,10 @@ class Simulator:
                         break
             else:
                 while heap:
-                    entry = heap[0]
-                    time = entry[0]
-                    if time > until:
+                    if heap[0][0] > until:
                         self.now = until
                         return until
-                    heappop(heap)
-                    callback = entry[2]
-                    if callback is None:  # cancelled
-                        continue
-                    entry[2] = None  # make a late cancel() a no-op
-                    events._live -= 1
+                    time, _, callback = heappop(heap)
                     if time < self.now:
                         if time < self.now - 1e-9:
                             raise SimulationError(
@@ -151,16 +116,16 @@ class Simulator:
             self._executed_events += processed
             # In the finally block so an exception inside a callback cannot
             # leave the previous run's answer behind.
-            self._finished = not events
+            self._finished = not heap
         return self.now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> float:
         """Run until no events remain; guards against runaway simulations."""
         final = self.run(max_events=max_events)
-        if self.events:
+        if self._heap:
             raise SimulationError(
                 f"simulation did not converge within {max_events} events "
-                f"({len(self.events)} still pending at cycle {self.now})"
+                f"({self.pending} still pending at cycle {self.now})"
             )
         return final
 
@@ -171,17 +136,14 @@ class Simulator:
         return cycles / (self.cpu_freq_ghz * 1e9)
 
     @property
+    def pending(self) -> int:
+        """Number of scheduled events that have not been dispatched yet."""
+        return len(self._heap)
+
+    @property
     def executed_events(self) -> int:
         return self._executed_events
 
     @property
     def finished(self) -> bool:
         return self._finished
-
-    def reset(self) -> None:
-        """Reset time, events and statistics (components must be rebuilt)."""
-        self.now = 0.0
-        self.events.clear()
-        self.stats.clear()
-        self._executed_events = 0
-        self._finished = False

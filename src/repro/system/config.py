@@ -99,10 +99,6 @@ class SystemConfig:
         network = self.network_label
         return self.kind.value if network is None else f"{self.kind.value}@{network}"
 
-    def with_kind(self, kind: SystemKind) -> "SystemConfig":
-        """The same machine with a different memory/offload configuration."""
-        return replace(self, kind=kind)
-
     def with_network(self, net: HMCNetworkConfig) -> "SystemConfig":
         """The same machine with a different memory-network shape."""
         return replace(self, hmc_net=net)
@@ -139,6 +135,8 @@ def make_network_config(topology: Optional[str] = None,
         overrides["link"] = replace(default_network().link,
                                     bandwidth_bytes_per_cycle=link_bandwidth)
     net = replace(default_network(), **overrides) if overrides else default_network()
+    if net.num_controllers < 1:
+        raise ValueError(f"controller count must be >= 1, got {net.num_controllers}")
     if net.failure_rate < 0:
         raise ValueError(f"failure rate must be >= 0, got {net.failure_rate}")
     if net.failure_rate > 0 and not ROUTING_BACKENDS[net.routing].supports_faults:

@@ -42,10 +42,6 @@ class RunResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
     @property
-    def runtime_seconds(self) -> float:
-        return self.energy.runtime_s
-
-    @property
     def total_data_bytes(self) -> float:
         """Total off-chip traffic (request + response, normal + active)."""
         categories = ("norm_req", "norm_resp", "active_req", "active_resp")

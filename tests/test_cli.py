@@ -127,6 +127,30 @@ def test_cli_run_rejects_impossible_network(capsys):
               "--num-cubes", "18"])
 
 
+def test_cli_rejects_controller_count_below_one(tmp_path):
+    # Rejected by make_network_config like a bad bandwidth: a clean usage
+    # error for run and for sweep planning (no cache entries written), not a
+    # traceback from the nearest-port precompute.
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit, match=f"controller count must be >= 1, got {count}"):
+            main(["run", "--config", "HMC", "--workload", "reduce",
+                  "--num-controllers", count])
+    with pytest.raises(SystemExit, match="controller count must be >= 1, got 0"):
+        main(["sweep", "--scale", "tiny", "--topologies", "mesh",
+              "--num-controllers", "0", "--workloads", "mac",
+              "--cache-dir", str(tmp_path)])
+    assert list(tmp_path.glob("*.pkl")) == []
+
+
+def test_cli_run_rejects_more_threads_than_cores():
+    for threads in ("64", "0"):
+        with pytest.raises(SystemExit,
+                           match=f"--threads must be between 1 and the 4 cores "
+                                 f"of HMC, got {threads}"):
+            main(["run", "--config", "HMC", "--workload", "reduce",
+                  "--threads", threads])
+
+
 def test_cli_sweep_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["sweep", "--scale", "tiny"])

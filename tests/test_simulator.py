@@ -81,13 +81,6 @@ def test_finished_updates_on_bounded_runs(sim):
     assert sim.run(max_events=0) == start + 2 and sim.finished
 
 
-def test_finished_true_when_only_cancelled_events_remain_beyond_bound(sim):
-    handle = sim.schedule_cancellable(100, lambda: None)
-    handle.cancel()
-    sim.run(until=10)
-    assert sim.finished              # nothing live remains
-
-
 def test_finished_updates_when_a_callback_raises(sim):
     """An exception escaping a callback must not leave `finished` reporting
     the previous run's outcome (regression: it was only set on the normal
@@ -150,91 +143,29 @@ def test_invalid_frequency():
         Simulator(cpu_freq_ghz=0)
 
 
-def test_reset_clears_state(sim):
-    sim.schedule(5, lambda: None)
-    sim.run_until_idle()
-    sim.stats.add("x", 3)
-    sim.reset()
-    assert sim.now == 0
-    assert len(sim.events) == 0
-    assert sim.stats.counter("x") == 0
-    # The simulator is fully reusable after a reset.
-    seen = []
-    sim.schedule(2, lambda: seen.append(sim.now))
-    sim.run_until_idle()
-    assert seen == [2]
-
-
-def test_schedule_cancellable_forwards_label(sim):
-    handle = sim.schedule_cancellable(5.0, lambda: None, label="flow-timeout")
-    assert handle.label == "flow-timeout"
-    handle.cancel()
-    assert handle.cancelled
-    # The unlabeled form keeps working and defaults to an empty label.
-    assert sim.schedule_cancellable(1.0, lambda: None).label == ""
-
-
-def test_cancel_across_reset_is_inert(sim):
-    """A handle held across Simulator.reset() must see its event as gone and
-    stay a no-op instead of corrupting the live count."""
-    fired = []
-    handle = sim.schedule_cancellable(5, lambda: fired.append("stale"))
-    sim.reset()
-    assert handle.cancelled
-    handle.cancel()
-    handle.cancel()
-    sim.schedule(1, lambda: fired.append("fresh"))
-    sim.run_until_idle()
-    assert fired == ["fresh"]
-    assert len(sim.events) == 0
-    assert sim.finished
-
-
-def test_cancelled_event_skipped_by_run_loop(sim):
-    """The fused run loops must skip cancelled entries without dispatching
-    or counting them."""
-    fired = []
-    handle = sim.schedule_cancellable(5, lambda: fired.append("cancelled"))
-    sim.schedule(6, lambda: fired.append("kept"))
-    handle.cancel()
-    sim.run_until_idle()
-    assert fired == ["kept"]
-    assert sim.executed_events == 1
-
-
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_backends_execute_identically(scheduler):
-    """One seeded mixed workload of schedules + cancellations must land on
-    the same trace and final time in two independent simulators."""
-    sim = Simulator()
-    trace = []
+    """One seeded mixed workload of nested schedules, with same-cycle ties,
+    must land on the same trace and final time in two independent
+    simulators."""
+    def replay():
+        sim = Simulator()
+        trace = []
 
-    def spawner(depth):
-        trace.append((sim.now, depth))
-        if depth < 40:
-            sim.schedule((depth * 7) % 13 + 0.25, lambda: spawner(depth + 1))
-            handle = sim.schedule_cancellable((depth * 3) % 5 + 1,
-                                              lambda: trace.append(("x", depth)))
-            if depth % 3:
-                handle.cancel()
+        def spawner(depth):
+            trace.append((sim.now, depth))
+            if depth < 40:
+                sim.schedule((depth * 7) % 13 + 0.25, lambda: spawner(depth + 1))
+                sim.schedule((depth * 3) % 5 + 1, lambda: trace.append(("x", depth)))
+                sim.schedule_at(sim.now + 1, lambda: trace.append(("y", depth)))
 
-    sim.schedule(0.5, lambda: spawner(0))
-    sim.run_until_idle()
-    reference_sim = Simulator()
-    reference = []
+        sim.schedule(0.5, lambda: spawner(0))
+        sim.run_until_idle()
+        return sim, trace
 
-    def ref_spawner(depth):
-        reference.append((reference_sim.now, depth))
-        if depth < 40:
-            reference_sim.schedule((depth * 7) % 13 + 0.25,
-                                   lambda: ref_spawner(depth + 1))
-            handle = reference_sim.schedule_cancellable(
-                (depth * 3) % 5 + 1, lambda: reference.append(("x", depth)))
-            if depth % 3:
-                handle.cancel()
-
-    reference_sim.schedule(0.5, lambda: ref_spawner(0))
-    reference_sim.run_until_idle()
+    sim, trace = replay()
+    reference_sim, reference = replay()
+    assert len(trace) == 41 * 3 - 2
     assert trace == reference
     assert sim.now == reference_sim.now
-    assert sim.executed_events == reference_sim.executed_events
+    assert sim.executed_events == reference_sim.executed_events == len(trace)

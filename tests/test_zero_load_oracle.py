@@ -125,8 +125,8 @@ def test_idle_fabric_arrival_matches_the_hop_fold(case):
         if force_fault_mode:
             assert network._hop == network._hop_flex
         assert [arrived for arrived, _ in arrivals] == [packet]
-        # Every hop push kept the hand-maintained live count in step.
-        assert len(network.sim.events) == 0 and network.sim.finished
+        # Every hop push was dispatched: nothing is left on the heap.
+        assert network.sim.pending == 0 and network.sim.finished
         expected = _oracle_arrival(network, case["src"], case["dst"], case["size"],
                                    case["start"])
         assert arrivals[0][1] == expected
