@@ -39,7 +39,8 @@ from .core.spec import ExperimentSpec, add_axis_flags
 from .experiments import (FIGURE_REGISTRY, SCALES, EvaluationSuite,
                           default_cache_dir, fig_topology, full_report)
 from .network.topology import TOPOLOGY_BUILDERS
-from .system import CONFIG_ORDER, SystemKind, make_system_config, run_workload
+from .system import (CONFIG_ORDER, SystemKind, generate_program, make_system_config,
+                     run_program)
 from .workloads import ALL_WORKLOADS
 
 
@@ -48,7 +49,7 @@ def _parse_workload_params(pairs: Sequence[str]) -> dict:
     params = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"workload parameter {pair!r} is not of the form key=value")
+            raise SystemExit(f"repro: workload parameter {pair!r} is not of the form key=value")
         key, value = pair.split("=", 1)
         try:
             params[key] = int(value)
@@ -186,19 +187,20 @@ def _make_suite(args: argparse.Namespace, spec: ExperimentSpec,
     # The sweep subcommand has no suite-wide network (its options apply per
     # swept cell instead), so it passes suite_network=False.
     if suite_network and spec.explicit("network"):
-        with _network_usage_errors():
+        with _usage_errors():
             net = spec.network_config()
     return EvaluationSuite(args.scale, workloads=workloads, workers=args.workers,
                            cache_dir=cache_dir, net=net)
 
 
 @contextlib.contextmanager
-def _network_usage_errors():
-    """Turn network-shape ValueErrors into clean CLI errors.
+def _usage_errors():
+    """Turn ValueErrors from checking the request into clean CLI errors.
 
-    An impossible ``--topology``/``--num-cubes`` request is a usage mistake
-    like an unknown ``--config``; the user gets the builder's actionable
-    message, not a traceback.
+    An impossible ``--topology``/``--num-cubes`` request or a bad ``--param``
+    is a usage mistake like an unknown ``--config``; the user gets the
+    builder's actionable message, not a traceback.  Only the up-front checks
+    run inside this; simulation errors keep their tracebacks.
     """
     try:
         yield
@@ -215,13 +217,16 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
                          "--failure-rate, --failure-seed) have no effect on "
                          "the DRAM baseline (it has no memory network); pick "
                          "an HMC-backed configuration")
-    with _network_usage_errors():
+    with _usage_errors():
         config = make_system_config(args.config, **overrides)
     cores = config.cmp.num_cores
     if not 1 <= args.threads <= cores:
         raise SystemExit(f"repro: --threads must be between 1 and the {cores} "
                          f"cores of {config.label}, got {args.threads}")
-    result = run_workload(config, args.workload, num_threads=args.threads, **params)
+    with _usage_errors():
+        program = generate_program(config, args.workload, num_threads=args.threads,
+                                   **params)
+    result = run_program(config, program)
     rows = [
         ["cycles", f"{result.cycles:,.0f}"],
         ["instructions", f"{result.instructions:,d}"],
@@ -298,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     detail = {name: value for name, value in spec.explicit("network").items()
               if name not in ("topology", "num_cubes", "num_controllers",
                               "link_bandwidth")}
-    with _network_usage_errors():
+    with _usage_errors():
         # Planning-time shape validation only; simulation/rendering errors
         # below keep their tracebacks.
         fig_topology.sweep_networks(args.topologies, args.cube_counts,

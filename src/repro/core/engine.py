@@ -118,8 +118,8 @@ class ActiveRoutingEngine(Component):
         # straight to the four parts' sample lists and leaves count, total,
         # min and max to Histogram.fold_appended(), which the folded
         # aggregate runs on every registry read.  The four lists always have
-        # the same length (registry.clear() resets them together), so one
-        # length test covers all four.
+        # the same length (every round-trip feeds all four), so one length
+        # test covers all four.
         self._hists_latency = (self._hist_latency_request, self._hist_latency_stall,
                                self._hist_latency_response, self._hist_latency_total)
         self._latency_cap = self._hist_latency_total.max_samples

@@ -52,6 +52,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..sim import Simulator
 from .network import MemoryNetwork
+from .topology import is_connected
 
 #: Mean exponential downtime of a randomly failed link, in cycles.
 MEAN_REPAIR_CYCLES = 1_000.0
@@ -221,18 +222,9 @@ class FaultInjector:
     def _disconnects(self, live: List[Tuple[int, int]],
                      removed: Tuple[int, int]) -> bool:
         """Would dropping ``removed`` from the ``live`` edge set partition it?"""
-        nodes = list(self.network.topology.graph.nodes)
-        adjacency = {node: [] for node in nodes}
+        adjacency = {node: [] for node in self.network.topology.adjacency}
         for a, b in live:
             if (a, b) != removed:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) != len(nodes)
+        return not is_connected(adjacency)

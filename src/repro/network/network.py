@@ -49,7 +49,7 @@ class MemoryNetwork(Component):
         # Dense (src, dst) -> Link grid: node ids are contiguous ints, so a
         # hop resolves its link with two list indexings instead of a tuple
         # allocation + dict hash.  Endpoints get the same treatment.
-        num_nodes = max(topology.graph.nodes) + 1
+        num_nodes = max(topology.adjacency) + 1
         self._num_nodes = num_nodes
         self._link_grid: List[List[Optional[Link]]] = [
             [None] * num_nodes for _ in range(num_nodes)]
@@ -136,7 +136,7 @@ class MemoryNetwork(Component):
 
     # -- construction ---------------------------------------------------------
     def register_endpoint(self, node_id: int, endpoint: NetworkEndpoint) -> None:
-        if node_id not in self.topology.graph:
+        if node_id not in self.topology.adjacency:
             raise ValueError(f"node {node_id} does not exist in topology {self.topology.name}")
         self.endpoints[node_id] = endpoint
         self._receivers[node_id] = endpoint.receive_packet
@@ -263,7 +263,7 @@ class MemoryNetwork(Component):
         it, slowly — the cube is *degraded*, not unreachable).  Recovery
         brings every adjacent link back up.
         """
-        neighbors = sorted(self.topology.graph.neighbors(node))
+        neighbors = self.topology.adjacency[node]
         if not neighbors:
             raise ValueError(f"node {node} has no links to fail")
         if up:
@@ -421,4 +421,4 @@ class MemoryNetwork(Component):
         column = [0.0] * self._num_nodes
         for link in self._link_list:
             column[link.src] += link.total_bytes()
-        return {n: column[n] for n in self.topology.graph.nodes}
+        return {n: column[n] for n in self.topology.adjacency}

@@ -104,8 +104,8 @@ class RoutingTable:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        nodes = sorted(topology.graph.nodes)
-        size = (max(nodes) + 1) if nodes else 0
+        adjacency = topology.adjacency
+        size = (max(adjacency) + 1) if adjacency else 0
         self._size = size
         #: ``next_hop_table[current][dst]`` -> neighbour toward ``dst``
         #: (``current`` itself when ``current == dst``, :data:`NO_ROUTE` when
@@ -117,9 +117,8 @@ class RoutingTable:
         self._parents: List[array] = []
         self._dist: List[array] = []
         self._split_cache: Dict[Tuple[int, int, int], int] = {}
-        in_graph = [n in topology.graph for n in range(size)]
-        neighbor_lists = [sorted(topology.graph.neighbors(n)) if in_graph[n] else []
-                          for n in range(size)]
+        in_graph = [n in adjacency for n in range(size)]
+        neighbor_lists = [adjacency.get(n, []) for n in range(size)]
         self._in_graph = in_graph
         self._neighbor_lists = neighbor_lists
         #: Live next-hop view consulted for packets that may reroute around

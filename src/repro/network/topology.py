@@ -15,20 +15,46 @@ actionable message, never silently building a different network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-import networkx as nx
+
+def is_connected(adjacency: Mapping[int, Iterable[int]]) -> bool:
+    """Whether every node of ``adjacency`` reaches every other one.
+
+    ``adjacency`` maps each node to its neighbours, every link listed from
+    both ends; a graph without nodes is not connected.
+    """
+    start = next(iter(adjacency), None)
+    if start is None:
+        return False
+    seen = {start}
+    stack = [start]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return len(seen) == len(adjacency)
 
 
 @dataclass
 class Topology:
-    """An undirected memory-network graph plus the controller attachment points."""
+    """An undirected memory-network graph plus the controller attachment points.
+
+    ``adjacency`` maps every node to its sorted neighbours.  The builders key
+    it cubes ``0 .. num_cubes-1`` first, then the controllers, so iterating
+    :attr:`nodes` visits node ids in ascending order.
+    """
 
     name: str
     num_cubes: int
-    graph: nx.Graph
+    adjacency: Dict[int, List[int]]
     controller_nodes: List[int] = field(default_factory=list)
     controller_attach: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def nodes(self) -> List[int]:
+        return list(self.adjacency)
 
     def is_cube(self, node: int) -> bool:
         return 0 <= node < self.num_cubes
@@ -40,24 +66,37 @@ class Topology:
         return list(range(self.num_cubes))
 
     def neighbors(self, node: int) -> List[int]:
-        return sorted(self.graph.neighbors(node))
+        return list(self.adjacency[node])
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return b in self.adjacency.get(a, ())
 
     def edges(self) -> List[Tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.graph.edges())
+        """Every link once, as ``(low, high)`` pairs in ascending order."""
+        return sorted((a, b) for a, neighbors in self.adjacency.items()
+                      for b in neighbors if a <= b)
 
     def validate(self) -> None:
         """Cross-check the whole record; raises ``ValueError`` on a broken build.
 
-        Checks connectivity, that the graph holds exactly the advertised cube
-        nodes ``0 .. num_cubes-1`` plus the controller nodes (so an address
-        mapping sized from ``num_cubes`` can never route to a nonexistent
-        cube), that controller ids are disjoint from the cube id range and
-        listed without duplicates, and that every controller is attached to an
-        existing cube by a real edge.
+        Checks that every neighbour list is sorted, duplicate-free and
+        mirrored by the neighbour's own list, connectivity, that the graph
+        holds exactly the advertised cube nodes ``0 .. num_cubes-1`` plus the
+        controller nodes (so an address mapping sized from ``num_cubes`` can
+        never route to a nonexistent cube), that controller ids are disjoint
+        from the cube id range and listed without duplicates, and that every
+        controller is attached to an existing cube by a real edge.
         """
         if self.num_cubes < 1:
             raise ValueError(f"topology {self.name!r} has no cubes")
-        nodes = set(self.graph.nodes)
+        adjacency = self.adjacency
+        for node, neighbors in adjacency.items():
+            if (neighbors != sorted(set(neighbors))
+                    or any(node not in adjacency.get(n, ()) for n in neighbors)):
+                raise ValueError(
+                    f"topology {self.name!r}: the neighbours {neighbors} of node "
+                    f"{node} are not a sorted list of links mirrored at both ends")
+        nodes = set(adjacency)
         cube_nodes = set(range(self.num_cubes))
         missing = cube_nodes - nodes
         if missing:
@@ -81,26 +120,33 @@ class Topology:
             raise ValueError(
                 f"topology {self.name!r} contains unexpected nodes {sorted(extras)} "
                 f"(neither cube nor controller)")
-        if not nx.is_connected(self.graph):
+        if not is_connected(adjacency):
             raise ValueError(f"topology {self.name!r} is not connected")
         for ctrl, cube in self.controller_attach.items():
             if cube not in cube_nodes:
                 raise ValueError(
                     f"controller {ctrl} attaches to {cube}, which is not a cube")
-            if not self.graph.has_edge(ctrl, cube):
+            if not self.has_edge(ctrl, cube):
                 raise ValueError(f"controller {ctrl} is not attached to cube {cube}")
 
 
-def _add_controllers(graph: nx.Graph, num_cubes: int, attach_cubes: List[int]) -> Tuple[List[int], Dict[int, int]]:
-    controller_nodes = []
-    attach = {}
-    for i, cube in enumerate(attach_cubes):
-        ctrl = num_cubes + i
-        graph.add_node(ctrl)
-        graph.add_edge(ctrl, cube)
-        controller_nodes.append(ctrl)
-        attach[ctrl] = cube
-    return controller_nodes, attach
+def _assemble(name: str, num_cubes: int, links: List[Tuple[int, int]],
+              attach_cubes: List[int]) -> Topology:
+    """The validated topology of ``links`` among the cubes, plus one controller
+    node per entry of ``attach_cubes`` (ids from ``num_cubes`` up), each linked
+    to its cube.  A link listed twice is one link."""
+    controller_nodes = [num_cubes + i for i in range(len(attach_cubes))]
+    attach = dict(zip(controller_nodes, attach_cubes))
+    neighbors: Dict[int, set] = {node: set() for node in range(num_cubes)}
+    neighbors.update((ctrl, set()) for ctrl in controller_nodes)
+    for a, b in links + list(attach.items()):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    topo = Topology(name=name, num_cubes=num_cubes,
+                    adjacency={node: sorted(ns) for node, ns in neighbors.items()},
+                    controller_nodes=controller_nodes, controller_attach=attach)
+    topo.validate()
+    return topo
 
 
 def build_dragonfly(num_groups: int = 4, routers_per_group: int = 4,
@@ -117,8 +163,7 @@ def build_dragonfly(num_groups: int = 4, routers_per_group: int = 4,
     if num_groups - 1 > routers_per_group:
         raise ValueError("not enough routers per group to host all global links")
     num_cubes = num_groups * routers_per_group
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_cubes))
+    links: List[Tuple[int, int]] = []
 
     def node(group: int, router: int) -> int:
         return group * routers_per_group + router
@@ -127,22 +172,19 @@ def build_dragonfly(num_groups: int = 4, routers_per_group: int = 4,
         members = [node(group, r) for r in range(routers_per_group)]
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                graph.add_edge(a, b)
+                links.append((a, b))
 
     for g1 in range(num_groups):
         for g2 in range(g1 + 1, num_groups):
             r1 = (g2 - g1 - 1) % routers_per_group
             r2 = (g1 - g2 - 1) % routers_per_group
-            graph.add_edge(node(g1, r1), node(g2, r2))
+            links.append((node(g1, r1), node(g2, r2)))
 
     if num_controllers > num_groups:
         raise ValueError("at most one controller per group is supported")
     attach_cubes = [node(g, routers_per_group - 1) for g in range(num_controllers)]
-    controllers, attach = _add_controllers(graph, num_cubes, attach_cubes)
-    topo = Topology(name=f"dragonfly{num_groups}x{routers_per_group}", num_cubes=num_cubes,
-                    graph=graph, controller_nodes=controllers, controller_attach=attach)
-    topo.validate()
-    return topo
+    return _assemble(f"dragonfly{num_groups}x{routers_per_group}", num_cubes,
+                     links, attach_cubes)
 
 
 def _corner_attach(rows: int, cols: int, num_controllers: int) -> List[int]:
@@ -166,9 +208,7 @@ def build_mesh(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topolo
     """2-D mesh of cubes with controllers attached at the four corners."""
     if rows < 1 or cols < 1:
         raise ValueError("mesh dimensions must be positive")
-    num_cubes = rows * cols
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_cubes))
+    links: List[Tuple[int, int]] = []
 
     def node(r: int, c: int) -> int:
         return r * cols + c
@@ -176,16 +216,12 @@ def build_mesh(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topolo
     for r in range(rows):
         for c in range(cols):
             if c + 1 < cols:
-                graph.add_edge(node(r, c), node(r, c + 1))
+                links.append((node(r, c), node(r, c + 1)))
             if r + 1 < rows:
-                graph.add_edge(node(r, c), node(r + 1, c))
+                links.append((node(r, c), node(r + 1, c)))
 
-    attach_cubes = _corner_attach(rows, cols, num_controllers)
-    controllers, attach = _add_controllers(graph, num_cubes, attach_cubes)
-    topo = Topology(name=f"mesh{rows}x{cols}", num_cubes=num_cubes, graph=graph,
-                    controller_nodes=controllers, controller_attach=attach)
-    topo.validate()
-    return topo
+    return _assemble(f"mesh{rows}x{cols}", rows * cols, links,
+                     _corner_attach(rows, cols, num_controllers))
 
 
 def build_torus(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topology:
@@ -201,9 +237,7 @@ def build_torus(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topol
     """
     if rows < 1 or cols < 1:
         raise ValueError("torus dimensions must be positive")
-    num_cubes = rows * cols
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_cubes))
+    links: List[Tuple[int, int]] = []
 
     def node(r: int, c: int) -> int:
         return r * cols + c
@@ -211,16 +245,12 @@ def build_torus(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topol
     for r in range(rows):
         for c in range(cols):
             if cols > 1:
-                graph.add_edge(node(r, c), node(r, (c + 1) % cols))
+                links.append((node(r, c), node(r, (c + 1) % cols)))
             if rows > 1:
-                graph.add_edge(node(r, c), node((r + 1) % rows, c))
+                links.append((node(r, c), node((r + 1) % rows, c)))
 
-    attach_cubes = _corner_attach(rows, cols, num_controllers)
-    controllers, attach = _add_controllers(graph, num_cubes, attach_cubes)
-    topo = Topology(name=f"torus{rows}x{cols}", num_cubes=num_cubes, graph=graph,
-                    controller_nodes=controllers, controller_attach=attach)
-    topo.validate()
-    return topo
+    return _assemble(f"torus{rows}x{cols}", rows * cols, links,
+                     _corner_attach(rows, cols, num_controllers))
 
 
 def build_flattened_butterfly(rows: int = 4, cols: int = 4,
@@ -233,9 +263,7 @@ def build_flattened_butterfly(rows: int = 4, cols: int = 4,
     """
     if rows < 1 or cols < 1:
         raise ValueError("flattened butterfly dimensions must be positive")
-    num_cubes = rows * cols
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_cubes))
+    links: List[Tuple[int, int]] = []
 
     def node(r: int, c: int) -> int:
         return r * cols + c
@@ -243,34 +271,23 @@ def build_flattened_butterfly(rows: int = 4, cols: int = 4,
     for r in range(rows):
         for c1 in range(cols):
             for c2 in range(c1 + 1, cols):
-                graph.add_edge(node(r, c1), node(r, c2))
+                links.append((node(r, c1), node(r, c2)))
     for c in range(cols):
         for r1 in range(rows):
             for r2 in range(r1 + 1, rows):
-                graph.add_edge(node(r1, c), node(r2, c))
+                links.append((node(r1, c), node(r2, c)))
 
-    attach_cubes = _corner_attach(rows, cols, num_controllers)
-    controllers, attach = _add_controllers(graph, num_cubes, attach_cubes)
-    topo = Topology(name=f"fbfly{rows}x{cols}", num_cubes=num_cubes, graph=graph,
-                    controller_nodes=controllers, controller_attach=attach)
-    topo.validate()
-    return topo
+    return _assemble(f"fbfly{rows}x{cols}", rows * cols, links,
+                     _corner_attach(rows, cols, num_controllers))
 
 
 def build_chain(num_cubes: int = 4, num_controllers: int = 1) -> Topology:
     """A daisy chain of cubes; controllers attach to the first cubes."""
     if num_cubes < 1:
         raise ValueError("chain needs at least one cube")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_cubes))
-    for i in range(num_cubes - 1):
-        graph.add_edge(i, i + 1)
+    links = [(i, i + 1) for i in range(num_cubes - 1)]
     attach_cubes = [i % num_cubes for i in range(num_controllers)]
-    controllers, attach = _add_controllers(graph, num_cubes, attach_cubes)
-    topo = Topology(name=f"chain{num_cubes}", num_cubes=num_cubes, graph=graph,
-                    controller_nodes=controllers, controller_attach=attach)
-    topo.validate()
-    return topo
+    return _assemble(f"chain{num_cubes}", num_cubes, links, attach_cubes)
 
 
 TOPOLOGY_BUILDERS = {

@@ -209,17 +209,6 @@ class Histogram:
             return list(pool)
         return self._rng.sample(pool, size)
 
-    def reset(self) -> None:
-        """Return to the freshly-constructed state (configuration fields stay)."""
-        self.samples.clear()
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.truncated = False
-        self._seen = 0
-        self._rng = None
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "count": float(self.count),
@@ -286,11 +275,6 @@ class FoldedHistogram(Histogram):
         self.maximum = maximum
         self.truncated = truncated
         self.samples[:] = samples
-
-    def reset(self) -> None:
-        for part in self.parts:
-            part.reset()
-        super().reset()
 
 
 class StatsRegistry:
@@ -500,23 +484,6 @@ class StatsRegistry:
 
     def __iter__(self) -> Iterator[Tuple[str, float]]:
         return iter(self.snapshot().items())
-
-    def clear(self) -> None:
-        # Flush first so batching components' accumulators restart from zero
-        # along with the cells they feed.
-        if self._flushables:
-            self.flush()
-        self._counters.clear()
-        # Bound cells stay registered (components hold references to them) but
-        # restart from zero, matching the string-keyed counters.
-        for handle in self._handles.values():
-            handle.value = 0.0
-        self._gauges.clear()
-        # Histograms are likewise reset in place rather than dropped, so a
-        # component-bound Histogram and the registry never diverge into two
-        # stores for the same name.
-        for hist in self._histograms.values():
-            hist.reset()
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -11,8 +11,8 @@ from .config import (
     table_4_1,
 )
 from .results import RunResult, collect_results
-from .runner import (normalize_workers, run_jobs, run_program, run_suite,
-                     run_workload, speedups_over)
+from .runner import (generate_program, normalize_workers, run_jobs, run_program,
+                     run_suite, run_workload, speedups_over)
 
 __all__ = [
     "BuiltSystem",
@@ -26,6 +26,7 @@ __all__ = [
     "table_4_1",
     "RunResult",
     "collect_results",
+    "generate_program",
     "normalize_workers",
     "run_jobs",
     "run_program",

@@ -71,6 +71,21 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
     """
     if not isinstance(config, SystemConfig):
         config = make_system_config(config)
+    program = generate_program(config, workload, num_threads=num_threads,
+                               workload_config=workload_config, **workload_params)
+    return run_program(config, program, max_events=max_events)
+
+
+def generate_program(config: SystemConfig, workload: Union[Workload, str],
+                     num_threads: Optional[int] = None,
+                     workload_config: Optional[WorkloadConfig] = None,
+                     **workload_params) -> ProgramTrace:
+    """The trace :func:`run_workload` simulates, in ``config``'s mode.
+
+    Every problem with the workload or its parameters (an unknown name, a
+    non-positive size, more threads than cores) raises ``ValueError`` here,
+    before any system is built.
+    """
     if isinstance(workload, str):
         if workload_config is None:
             wconfig = WorkloadConfig()
@@ -87,8 +102,7 @@ def run_workload(config: Union[SystemConfig, SystemKind, str],
             f"only {config.cmp.num_cores} cores"
         )
     mode = "active" if config.kind.uses_active_routing else "baseline"
-    program = workload.generate(mode)
-    return run_program(config, program, max_events=max_events)
+    return workload.generate(mode)
 
 
 def normalize_workers(workers: Optional[int]) -> int:

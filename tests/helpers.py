@@ -24,3 +24,14 @@ TINY_WORKLOAD_PARAMS = {
 def tiny_params(workload: str) -> dict:
     """Tiny problem sizes for a workload (helper used by integration tests)."""
     return dict(TINY_WORKLOAD_PARAMS.get(workload, {}))
+
+
+def reference_graph(topology):
+    """The topology as a ``networkx.Graph``: the independent oracle the
+    hand-written adjacency is checked against (networkx is a test-only
+    dependency, so it is imported here, not at module load)."""
+    import networkx as nx
+
+    graph = nx.Graph(topology.edges())
+    graph.add_nodes_from(topology.nodes)
+    return graph

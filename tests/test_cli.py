@@ -151,6 +151,19 @@ def test_cli_run_rejects_more_threads_than_cores():
                   "--threads", threads])
 
 
+def test_cli_run_rejects_non_positive_workload_size():
+    with pytest.raises(SystemExit, match=r"^repro: num_elements must be positive"):
+        main(["run", "--config", "HMC", "--workload", "reduce",
+              "--param", "array_elements=0"])
+
+
+def test_cli_run_rejects_unknown_workload_parameter():
+    with pytest.raises(SystemExit,
+                       match=r"^repro: unknown parameter\(s\) 'bogus' for workload 'reduce'"):
+        main(["run", "--config", "HMC", "--workload", "reduce",
+              "--param", "array_elements=256", "--param", "bogus=3"])
+
+
 def test_cli_sweep_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["sweep", "--scale", "tiny"])

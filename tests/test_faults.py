@@ -45,7 +45,7 @@ def _build(routing="resilient", rows=2, cols=2):
     sim = Simulator()
     topo = build_mesh(rows=rows, cols=cols, num_controllers=1)
     net = MemoryNetwork(sim, topo, routing=routing)
-    sinks = {n: _Sink(n, net) for n in topo.graph.nodes}
+    sinks = {n: _Sink(n, net) for n in topo.nodes}
     for n, sink in sinks.items():
         net.register_endpoint(n, sink)
     return sim, topo, net, sinks
@@ -156,7 +156,7 @@ def test_outage_preserves_per_link_fifo_order():
 
 def test_cube_failure_keeps_one_degraded_attachment():
     sim, topo, net, sinks = _build()
-    neighbors = sorted(topo.graph.neighbors(3))
+    neighbors = sorted(topo.neighbors(3))
     net.set_cube_state(3, False)
     live = [n for n in neighbors if net.links[(3, n)].up]
     assert live == [neighbors[0]]  # exactly the lowest-id attachment survives

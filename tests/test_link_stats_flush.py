@@ -170,20 +170,6 @@ def test_merge_flushes_both_registries():
     assert merged["link.0->1.energy_pj"] == mirror_a.energy_pj + mirror_b.energy_pj
 
 
-def test_clear_discards_pending_accumulators():
-    sim, link = _make_link()
-    mirror = _PerPacketMirror(link)
-    for _ in range(4):
-        mirror.transmit(_packet(PacketType.READ_REQ))
-    sim.stats.clear()                         # never read: accumulators still dirty
-    assert sim.stats.counter(f"{link.name}.packets") == 0.0
-    assert sim.stats.counters(f"{link.name}.") == {}
-    # Post-clear traffic counts from zero again.
-    fresh = _PerPacketMirror(link)
-    fresh.transmit(_packet(PacketType.READ_RESP))
-    assert sim.stats.counters(f"{link.name}.") == fresh.expected_counters()
-
-
 def test_utilization_sees_unflushed_busy_cycles():
     sim, link = _make_link()
     mirror = _PerPacketMirror(link)
@@ -200,7 +186,7 @@ def test_network_hop_counters_match_link_totals():
     class _Sink:
         def __init__(self, node_id): self.node_id = node_id
         def receive_packet(self, packet, from_node): pass
-    for node in net.topology.graph.nodes:
+    for node in net.topology.nodes:
         net.register_endpoint(node, _Sink(node))
     for i in range(10):
         net.inject(MemReadPacket(src=0, dst=3, addr=i * 64), 0)

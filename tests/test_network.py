@@ -65,7 +65,7 @@ def _build_network():
     sim = Simulator()
     topo = build_mesh(rows=2, cols=2, num_controllers=1)
     net = MemoryNetwork(sim, topo)
-    sinks = {n: _Sink(n, net) for n in topo.graph.nodes}
+    sinks = {n: _Sink(n, net) for n in topo.nodes}
     for n, sink in sinks.items():
         net.register_endpoint(n, sink)
     return sim, topo, net, sinks
@@ -134,7 +134,7 @@ def test_created_at_zero_not_restamped_on_reinjection():
     sim = Simulator()
     topo = build_mesh(rows=2, cols=2, num_controllers=1)
     net = MemoryNetwork(sim, topo)
-    for node in topo.graph.nodes:
+    for node in topo.nodes:
         net.register_endpoint(node, _Sink(node))
     packet = MemReadPacket(src=0, dst=3, addr=0x40)
     assert packet.created_at is None
@@ -155,7 +155,7 @@ def test_network_hop_matches_link_transmit():
     sim_b = Simulator()
     topo = build_mesh(rows=1, cols=2, num_controllers=1)
     net = MemoryNetwork(sim_b, topo, LinkConfig())
-    for node in topo.graph.nodes:
+    for node in topo.nodes:
         net.register_endpoint(node, _Sink(node))
 
     arrivals = []
@@ -206,5 +206,5 @@ def test_offchip_aggregation_avoids_full_registry_flushes():
                                    "active_req", "active_resp")}
     assert load == {n: sum(sim.stats.counter(f"{link.name}.bytes")
                            for (src, _dst), link in net.links.items() if src == n)
-                    for n in topo.graph.nodes}
+                    for n in topo.nodes}
     assert sum(load.values()) > 0

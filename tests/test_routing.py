@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_graph
 from repro.network import (
     DEFAULT_ROUTING,
     ROUTING_BACKENDS,
@@ -29,7 +30,8 @@ from repro.sim import Simulator
 
 TOPO = build_dragonfly()
 TABLE = RoutingTable(TOPO)
-NODES = sorted(TOPO.graph.nodes)
+NODES = sorted(TOPO.nodes)
+REFERENCE = reference_graph(TOPO)
 
 
 def test_path_endpoints_and_adjacency():
@@ -38,13 +40,13 @@ def test_path_endpoints_and_adjacency():
             path = TABLE.path(src, dst)
             assert path[0] == src and path[-1] == dst
             for a, b in zip(path, path[1:]):
-                assert TOPO.graph.has_edge(a, b)
+                assert REFERENCE.has_edge(a, b)
 
 
 def test_paths_are_shortest():
     for src in (0, 5, 16):
         for dst in (3, 10, 19):
-            expected = nx.shortest_path_length(TOPO.graph, src, dst)
+            expected = nx.shortest_path_length(REFERENCE, src, dst)
             assert TABLE.distance(src, dst) == expected
 
 
@@ -107,12 +109,12 @@ def _bfs_reference_paths(topo):
     from collections import deque
 
     paths = {}
-    for root in sorted(topo.graph.nodes):
+    for root in sorted(topo.nodes):
         parent = {root: root}
         queue = deque([root])
         while queue:
             current = queue.popleft()
-            for neighbor in sorted(topo.graph.neighbors(current)):
+            for neighbor in sorted(topo.neighbors(current)):
                 if neighbor not in parent:
                     parent[neighbor] = current
                     queue.append(neighbor)
@@ -146,11 +148,8 @@ def test_next_hop_unknown_destination_raises():
 
 
 def test_nearest_unreachable_candidate_raises():
-    disconnected = nx.Graph()
-    disconnected.add_nodes_from([0, 1, 2, 3])
-    disconnected.add_edge(0, 1)
-    disconnected.add_edge(2, 3)
-    topo = Topology(name="split", num_cubes=4, graph=disconnected)
+    disconnected = {0: [1], 1: [0], 2: [3], 3: [2]}     # links 0-1 and 2-3
+    topo = Topology(name="split", num_cubes=4, adjacency=disconnected)
     table = RoutingTable(topo)
     assert table.nearest(0, [0, 1]) == 0
     with pytest.raises(ValueError):
@@ -332,7 +331,7 @@ def test_adaptive_prefers_least_backlog_ascending_ties():
 
 def test_adaptive_hops_always_make_shortest_path_progress():
     sim, net, policy = _adaptive_network(rows=4, cols=4)
-    nodes = sorted(net.topology.graph.nodes)
+    nodes = sorted(net.topology.nodes)
     for src in nodes:
         for dst in nodes:
             if src == dst:

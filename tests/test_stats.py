@@ -188,15 +188,6 @@ def test_merge_sees_bound_handles():
     assert a.counter("x") == 6
 
 
-def test_clear_resets_bound_handles():
-    stats = StatsRegistry()
-    handle = stats.counter_handle("x")
-    handle.value += 9
-    stats.clear()
-    assert handle.value == 0.0
-    assert stats.counter("x") == 0.0
-
-
 # -- histogram retained-sample cap ----------------------------------------------
 
 def test_histogram_sample_cap_keeps_summary_exact():
@@ -266,31 +257,6 @@ def test_reservoir_merge_sees_both_sides():
     # The merged reservoir retains observations from both populations.
     assert any(v >= 100 for v in a.samples)
     assert any(v < 100 for v in a.samples)
-
-
-def test_histogram_reset_restores_reservoir_state():
-    hist = Histogram(max_samples=4)
-    for v in range(20):
-        hist.add(float(v))
-    hist.reset()
-    assert hist.count == 0 and hist.samples == [] and not hist.truncated
-    for v in range(4):
-        hist.add(float(v))
-    assert not hist.truncated
-    assert hist.samples == [0.0, 1.0, 2.0, 3.0]
-
-
-def test_clear_resets_bound_histogram_in_place():
-    stats = StatsRegistry()
-    hist = stats.histogram("lat")          # component-style pre-bound reference
-    hist.add(5.0)
-    stats.clear()
-    # The histogram empties out in place, samples and truncated flag too.
-    assert hist.count == 0 and hist.total == 0.0
-    assert hist.samples == [] and not hist.truncated
-    hist.add(7.0)                          # the bound reference stays live...
-    assert stats.histogram("lat") is hist  # ...and the registry sees the same object
-    assert stats.snapshot()["lat.mean"] == 7.0
 
 
 #: Marker for a registry read inside a value stream.

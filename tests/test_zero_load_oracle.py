@@ -83,7 +83,7 @@ def _oracle_arrival(network, src, dst, size, start):
 def _cases(draw):
     kind = draw(st.sampled_from(sorted(TOPOLOGIES)))
     topology = draw(TOPOLOGIES[kind])
-    nodes = sorted(topology.graph.nodes)
+    nodes = sorted(topology.nodes)
     src = draw(st.sampled_from(nodes))
     dst = draw(st.sampled_from([node for node in nodes if node != src]))
     return {
@@ -109,7 +109,7 @@ def _run_one(case, force_fault_mode):
     if force_fault_mode:
         network._enable_fault_mode()
     arrivals = []
-    for node in case["topology"].graph.nodes:
+    for node in case["topology"].nodes:
         network.register_endpoint(node, _Recorder(node, network, arrivals))
     packet = Packet(case["ptype"], src=case["src"], dst=case["dst"], size=case["size"])
     sim.schedule_at(case["start"], partial(network.inject, packet, case["src"]))
