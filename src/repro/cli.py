@@ -15,11 +15,10 @@ cross product and renders the network-shape figure.  ``--workers 0`` means one
 worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
-routing + fault injection, link bandwidth — is *generated* from the
-declarative registry in :mod:`repro.core.spec` (``add_axis_flags``), which
-is also where each axis's ``$REPRO_*`` environment knob, default and
-label-folding rule are declared; run ``python -m repro.core.spec --table``
-for the full table.
+fault injection, link bandwidth — is *generated* from the declarative
+registry in :mod:`repro.core.spec` (``add_axis_flags``), which is also where
+each axis's default and label-folding rule are declared; run
+``python -m repro.core.spec --table`` for the full table.
 ``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
 ``--link-bandwidth``) for value-list spellings that become sweep dimensions,
 and owns plural ``--topologies``/``--num-cubes`` flags of its own.  The
@@ -213,7 +212,7 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     overrides = spec.network_overrides()
     if args.config == "DRAM" and spec.explicit("network"):
         raise SystemExit("repro: network options (--topology, --num-cubes, "
-                         "--num-controllers, --link-bandwidth, --routing, "
+                         "--num-controllers, --link-bandwidth, "
                          "--failure-rate, --failure-seed) have no effect on "
                          "the DRAM baseline (it has no memory network); pick "
                          "an HMC-backed configuration")

@@ -1,29 +1,28 @@
 """Declarative experiment-axis registry and the :class:`ExperimentSpec`.
 
 Every experiment dimension the reproduction has grown — network shape,
-routing + fault process, link bandwidth — is declared exactly once here as
-an :class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default and
-label-folding rule (with default-elision) all live in the one declaration,
-gem5-config-style.  The CLI generates its shared flag set from this registry
+fault process, link bandwidth — is declared exactly once here as an
+:class:`Axis`: its CLI flag, default and label-folding rule (with
+default-elision) all live in the one declaration, gem5-config-style.  The
+CLI generates its shared flag set from this registry
 (``run``/``report``/``prefetch``/``sweep`` used to carry four hand-copied
 flag blocks), and the config labels — which key every run-cache entry —
 compose their folded fragments from the per-axis rules.
 
 An :class:`ExperimentSpec` is one immutable choice of axis values — ``None``
-meaning *unset*, so the explicit > environment > default precedence stays
-observable — and is the single object flowing from the CLI into config
-construction.
+meaning *unset*, so an explicit value stays distinguishable from the default
+— and is the single object flowing from the CLI into config construction.
 
 Byte-identity contract: every label, cache key and golden digest produced
 before this layer existed is reproduced byte-for-byte.  Default-valued axes
-elide from labels and keys; the fold fragments (``mesh16c4-resilient-f10s7``,
+elide from labels and keys; the fold fragments (``mesh16c4-f10s7``,
 ``-bw25``) are character-identical to the rules they replaced.
 ``tests/test_spec.py`` pins this against a corpus frozen from the
 pre-refactor code.
 
 This module imports only the standard library at module level: the config
 modules that delegate their label folding here sit early in the package's
-import chain, so everything repro-internal (topology and routing tables,
+import chain, so everything repro-internal (the topology table,
 constructors) is imported late, inside the functions that need it.
 
 ``python -m repro.core.spec --table`` renders the axis registry as the
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -43,18 +41,13 @@ COMMANDS = ("run", "report", "prefetch", "sweep")
 
 
 # --------------------------------------------------------------------- choices
-# Late-bound: the topology and routing tables live in modules that import
+# Late-bound: the topology table lives in a module that imports
 # (transitively) the config modules which delegate their label folding here,
-# so the tables are only consulted when a parser or table is actually built.
+# so the table is only consulted when a parser or table is actually built.
 
 def _topology_choices() -> Sequence[str]:
     from ..network.topology import TOPOLOGY_BUILDERS
     return sorted(TOPOLOGY_BUILDERS)
-
-
-def _routing_choices() -> Sequence[str]:
-    from ..network.routing import ROUTING_BACKENDS
-    return sorted(ROUTING_BACKENDS)
 
 
 # -------------------------------------------------------------------- folding
@@ -76,11 +69,6 @@ def _fold_num_controllers(v: Mapping[str, object]) -> str:
     return f"c{v['num_controllers']}"
 
 
-def _fold_routing(v: Mapping[str, object]) -> str:
-    routing = v["routing"]
-    return "" if routing == AXES["routing"].default else f"-{routing}"
-
-
 def _fold_failure(v: Mapping[str, object]) -> str:
     rate = v["failure_rate"]
     return f"-f{rate:g}s{v['failure_seed']}" if rate else ""
@@ -95,7 +83,7 @@ def _fold_bandwidth(v: Mapping[str, object]) -> str:
 
 @dataclass(frozen=True)
 class Axis:
-    """One experiment dimension: flag, env knob, default and label fold."""
+    """One experiment dimension: flag, default and label fold."""
 
     name: str
     #: Python value type (also the argparse ``type`` for non-choice axes).
@@ -106,10 +94,7 @@ class Axis:
     #: into the HMCNetworkConfig fingerprint.
     group: str
     help: str
-    #: ``$REPRO_*`` knob consulted between explicit value and default.
-    env: Optional[str] = None
-    #: Late-bound valid-name provider (routing policies/topologies); None =
-    #: free-form.
+    #: Late-bound valid-name provider (topologies); None = free-form.
     choices: Optional[Callable[[], Sequence[str]]] = None
     #: Human-readable label rule for the generated axes table.
     label_form: str = "(never in labels)"
@@ -124,27 +109,9 @@ class Axis:
     sweep_dest: Optional[str] = None
     sweep_help: Optional[str] = None
 
-    def resolve(self, value: object) -> object:
-        """Effective value under explicit > ``$ENV`` > default precedence."""
-        if value is None and self.env:
-            raw = os.environ.get(self.env)
-            if raw:
-                value = raw
-        if value is None:
-            return self.default
-        value = self.type(value)
-        if self.choices is not None:
-            canonical = str(value).strip().lower()
-            if canonical not in self.choices():
-                raise ValueError(
-                    f"unknown {self.name.replace('_', ' ')} {value!r}; choose "
-                    f"from {', '.join(sorted(self.choices()))}")
-            return canonical
-        return value
 
 #: The axis registry, in label-fold order within each group.  This order is
-#: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth.
+#: also the generated CLI flag order: network shape, faults, link bandwidth.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -170,21 +137,12 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          sweep="list", sweep_dest="controller_counts",
          sweep_help="host-side memory-controller counts to sweep "
                     "(default: Table 4.1's 4)"),
-    Axis(name="routing", type=str, default="static", flag="--routing",
-         group="network", env="REPRO_ROUTING", choices=_routing_choices,
-         label_form="``-{routing}`` when non-static (``-resilient``)",
-         fold=_fold_routing,
-         help="routing policy (default: $REPRO_ROUTING or static); static "
-              "is the byte-stable dense-table default, resilient recomputes "
-              "around failed links, adaptive also picks the least-backlogged "
-              "shortest-path hop"),
     Axis(name="failure_rate", type=float, default=0.0, flag="--failure-rate",
          group="network", metavar="RATE",
          label_form="``-f{rate:g}s{seed}`` when positive (``-f10s7``)",
          fold=_fold_failure,
          help="expected random link failures per 10,000 cycles (default: "
-              "0 = failure-free; a positive rate needs --routing resilient "
-              "or adaptive)"),
+              "0 = failure-free); routes recompute around failed links"),
     Axis(name="failure_seed", type=int, default=0, flag="--failure-seed",
          group="network", metavar="SEED",
          label_form="inside the failure fragment (``-f10s7``)",
@@ -226,15 +184,13 @@ def fold_network_label(values: Mapping[str, object]) -> str:
 class ExperimentSpec:
     """One immutable choice of experiment-axis values.
 
-    ``None`` means *unset*: the axis resolves through its environment knob to
-    its default, exactly like the CLI flags always have.  Field order is
-    registry order.
+    ``None`` means *unset*: the axis resolves to its default, exactly like
+    the CLI flags always have.  Field order is registry order.
     """
 
     topology: Optional[str] = None
     num_cubes: Optional[int] = None
     num_controllers: Optional[int] = None
-    routing: Optional[str] = None
     failure_rate: Optional[float] = None
     failure_seed: Optional[int] = None
     link_bandwidth: Optional[float] = None
@@ -244,11 +200,7 @@ class ExperimentSpec:
         """The spec carried by a parsed CLI namespace (absent attrs = unset)."""
         return cls(**{name: getattr(args, name, None) for name in AXES})
 
-    # -- precedence -----------------------------------------------------------------
-    def resolved(self, name: str) -> object:
-        """Axis value under explicit > environment > default precedence."""
-        return AXES[name].resolve(getattr(self, name))
-
+    # -- explicit values ------------------------------------------------------------
     def explicit(self, group: Optional[str] = None) -> Dict[str, object]:
         """The explicitly-set axis values, optionally for one group only."""
         return {name: getattr(self, name) for name, axis in AXES.items()
@@ -296,14 +248,13 @@ def add_axis_flags(parser: argparse.ArgumentParser, command: str) -> None:
 # ----------------------------------------------------------------- axes table
 def render_axes_table() -> str:
     """The registry as a markdown table (README "Experiment axes" section)."""
-    rows = [("Axis", "Flag", "Env knob", "Default", "Label form"),
-            ("---", "---", "---", "---", "---")]
+    rows = [("Axis", "Flag", "Default", "Label form"),
+            ("---", "---", "---", "---")]
     for axis in AXES.values():
         default = axis.default if axis.default != "" else "(empty)"
         # label_form strings use RST-style double backticks (they also land
         # in docstrings); markdown wants single ones.
         rows.append((f"`{axis.name}`", f"`{axis.flag}`",
-                     f"`${axis.env}`" if axis.env else "—",
                      f"`{default}`", axis.label_form.replace("``", "`")))
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)
 
@@ -315,11 +266,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--table", action="store_true",
                         help="print the markdown axes table")
     parser.add_argument("--json", action="store_true",
-                        help="print the registry as JSON (name, flag, env, "
+                        help="print the registry as JSON (name, flag, "
                              "default, group per axis)")
     args = parser.parse_args(argv)
     if args.json:
-        print(json.dumps({name: {"flag": axis.flag, "env": axis.env,
+        print(json.dumps({name: {"flag": axis.flag,
                                  "default": axis.default, "group": axis.group}
                           for name, axis in AXES.items()}, indent=1))
         return 0

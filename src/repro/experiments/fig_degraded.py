@@ -5,14 +5,14 @@ Active-Routing advantage when it isn't.  Every degraded cell runs the same
 workloads on the same scheme and network shape, but with the seeded random
 link-failure process enabled (``failure_rate`` expected failures per 10,000
 cycles, deterministic per seed — see :mod:`repro.network.faults`) and the
-fault-capable ``resilient`` routing policy recomputing around dead links.
+routing table recomputing its live routes around dead links.
 Reported per cell: the geomean runtime speedup over the DRAM baseline and the
 delivered-traffic fraction (1 minus the share of hops that ended on a dead
 link and had to be retransmitted).
 
-The zero-failure row is deliberately built on the *default static* routing
-config: it is byte-identical to the corresponding topology-sweep cell, so the
-two figures share those runs — and their cache entries — by construction.
+The zero-failure row is deliberately the plain shape config: it is
+byte-identical to the corresponding topology-sweep cell, so the two figures
+share those runs — and their cache entries — by construction.
 Like every other figure the degraded cells are declared to the registry as
 ``extra_jobs``, so prefetch executes them in one parallel batch and a warm
 ``repro report --figures degraded`` simulates nothing.
@@ -39,30 +39,25 @@ SWEEP_KINDS: Tuple[SystemKind, ...] = (SystemKind.HMC, SystemKind.ARF_TID)
 #: The pinned seed of the default failure timelines: the whole figure is a
 #: deterministic function of it (golden tests pin one cell).
 DEGRADED_SEED = 7
-#: Routing policy used for the failing cells.
-DEGRADED_ROUTING = "resilient"
 
 
 def degraded_network(topology: str, failure_rate: float,
-                     failure_seed: int = DEGRADED_SEED,
-                     routing: str = DEGRADED_ROUTING) -> HMCNetworkConfig:
+                     failure_seed: int = DEGRADED_SEED) -> HMCNetworkConfig:
     """The network config for one degraded-sweep cell, validated eagerly.
 
-    A zero failure rate returns the plain (static-routed) shape config — the
-    exact config the topology sweep uses — so the anchor row costs nothing
-    beyond what other figures already ran.
+    A zero failure rate returns the plain shape config — the exact config
+    the topology sweep uses — so the anchor row costs nothing beyond what
+    other figures already ran.
     """
     if failure_rate == 0:
         return make_network_config(topology=topology)
-    return make_network_config(topology=topology, routing=routing,
-                               failure_rate=failure_rate,
+    return make_network_config(topology=topology, failure_rate=failure_rate,
                                failure_seed=failure_seed)
 
 
 def sweep_networks(topologies: Optional[Sequence[str]] = None,
                    failure_rates: Optional[Sequence[float]] = None,
-                   failure_seed: int = DEGRADED_SEED,
-                   routing: str = DEGRADED_ROUTING) -> List[Tuple[str, float, HMCNetworkConfig]]:
+                   failure_seed: int = DEGRADED_SEED) -> List[Tuple[str, float, HMCNetworkConfig]]:
     """(topology, failure_rate, network) cells, topology-major then by rate.
 
     Deduplicated by network fingerprint so repeated operands cannot produce
@@ -74,7 +69,7 @@ def sweep_networks(topologies: Optional[Sequence[str]] = None,
     cells: Dict[str, Tuple[str, float, HMCNetworkConfig]] = {}
     for topology in topologies:
         for rate in rates:
-            net = degraded_network(topology, rate, failure_seed, routing)
+            net = degraded_network(topology, rate, failure_seed)
             cells.setdefault(net.label, (topology, rate, net))
     return list(cells.values())
 
@@ -100,8 +95,7 @@ def compute(suite: EvaluationSuite,
             failure_rates: Optional[Sequence[float]] = None,
             kinds: Optional[Sequence[SystemKind]] = None,
             workloads: Optional[Sequence[str]] = None,
-            failure_seed: int = DEGRADED_SEED,
-            routing: str = DEGRADED_ROUTING) -> Dict[str, object]:
+            failure_seed: int = DEGRADED_SEED) -> Dict[str, object]:
     """Speedup and delivered-fraction matrices over (topology, rate, scheme).
 
     Rows are ``(topology, failure_rate)`` cells keyed by the network
@@ -111,7 +105,7 @@ def compute(suite: EvaluationSuite,
     """
     kinds = list(kinds) if kinds is not None else list(SWEEP_KINDS)
     names = sweep_workloads(suite, workloads)
-    cells = sweep_networks(topologies, failure_rates, failure_seed, routing)
+    cells = sweep_networks(topologies, failure_rates, failure_seed)
     speedup: Dict[str, Dict[str, float]] = {}
     delivered: Dict[str, Dict[str, float]] = {}
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -143,7 +137,6 @@ def compute(suite: EvaluationSuite,
         "kinds": [kind.value for kind in kinds],
         "workloads": names,
         "failure_seed": failure_seed,
-        "routing": routing,
         "speedup": speedup,
         "delivered": delivered,
         "per_workload": per_workload,
@@ -157,7 +150,7 @@ def render(data: Dict[str, object]) -> str:
     lines: List[str] = [
         "Degraded-mode sweep: geomean speedup over DRAM under link failures "
         f"(workloads: {', '.join(data['workloads'])}; "
-        f"routing: {data['routing']}, seed {data['failure_seed']}; "
+        f"seed {data['failure_seed']}; "
         "rate = failures per 10k cycles)",
         "",
         format_table(

@@ -45,7 +45,7 @@ def sweep_network(topology: str, num_cubes: int = 16,
     Overrides default to the default network's values, so the default-shape
     cell compares equal to :func:`default_network` and shares its labels/runs
     with the plain evaluation matrix.  ``net_overrides`` carries any further
-    :func:`make_network_config` keywords (``link_bandwidth``, ``routing``,
+    :func:`make_network_config` keywords (``link_bandwidth``,
     ``failure_rate``, ``failure_seed``) that apply uniformly to every swept
     cell.  Validated eagerly (inside :func:`make_network_config`): an
     impossible shape — say, an 8-cube dragonfly — must fail while the sweep

@@ -38,13 +38,7 @@ class HMCNetworkConfig:
     controller_latency: float = 4.0
     #: Granule for interleaving normal requests across the host-side controllers.
     controller_interleave: int = 4096
-    #: Routing policy name (see repro.network.routing.ROUTING_BACKENDS).
-    #: "static" is the dense-table default every existing figure was built on;
-    #: "resilient" recomputes around failed links; "adaptive" additionally
-    #: picks the least-backlogged shortest-path hop per packet.
-    routing: str = "static"
     #: Expected random link failures per 10,000 cycles (0 = failure-free).
-    #: Requires a fault-capable routing policy when positive.
     failure_rate: float = 0.0
     #: Seed of the deterministic failure timeline (victim/repair/gap draws).
     failure_seed: int = 0
@@ -65,10 +59,9 @@ class HMCNetworkConfig:
         run-cache keys embed this string, which is what keeps results from
         different networks apart.
 
-        The routing policy and failure process are spelled out too (e.g.
-        ``mesh16c4-resilient-f0.5s7``) — but only when they deviate from the
-        failure-free static defaults, so every pre-existing label (and with
-        it every cache key and golden result) is byte-identical.  A link
+        The failure process is spelled out too (e.g. ``mesh16c4-f0.5s7``) —
+        but only when it is enabled, so every failure-free label (and with it
+        every cache key and golden result) is byte-identical.  A link
         bandwidth deviating on its own is likewise spelled out
         (``dragonfly16c4-bw25``) rather than hidden in the digest: bandwidth
         is a sweep axis and its rows should be readable in figure tables.
@@ -84,7 +77,6 @@ class HMCNetworkConfig:
             "topology": self.topology,
             "num_cubes": self.num_cubes,
             "num_controllers": self.num_controllers,
-            "routing": self.routing,
             "failure_rate": self.failure_rate,
             "failure_seed": self.failure_seed,
             "link_bandwidth": bandwidth,
@@ -96,14 +88,17 @@ class HMCNetworkConfig:
         spelled_out = replace(default_network(), topology=self.topology,
                               num_cubes=self.num_cubes,
                               num_controllers=self.num_controllers,
-                              routing=self.routing,
                               failure_rate=self.failure_rate,
                               failure_seed=self.failure_seed,
                               link=replace(default_link,
                                            bandwidth_bytes_per_cycle=bandwidth))
         if self == spelled_out:
             return base
-        digest = hashlib.sha256(repr(self).encode()).hexdigest()[:8]
+        # The digest hashes the repr the config had while it still carried a
+        # ``routing="static"`` field, so off-axis labels keep their bytes.
+        legacy = repr(self).replace(", failure_rate=",
+                                    ", routing='static', failure_rate=", 1)
+        digest = hashlib.sha256(legacy.encode()).hexdigest()[:8]
         return f"{base}-{digest}"
 
 

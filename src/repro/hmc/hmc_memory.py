@@ -14,7 +14,6 @@ from ..mem import AccessType, HMCAddressMapping, MemoryRequest
 from ..network.faults import FaultInjector
 from ..network.link import LinkConfig
 from ..network.network import MemoryNetwork
-from ..network.routing import DEFAULT_ROUTING
 from ..network.topology import Topology, build_network_topology
 from ..sim import Component, Simulator
 from .config import HMCConfig, HMCNetworkConfig
@@ -41,22 +40,11 @@ class HMCMemorySystem(Component):
             topology = self._build_topology()
         self._check_topology(topology)
         self.topology = topology
-        # A default-config "static" request stays implicit (None) so the
-        # $REPRO_ROUTING kernel-testing knob can still select a policy; an
-        # explicit non-default config always wins over the environment.
-        routing = self.net_config.routing
         self.network = MemoryNetwork(
             sim, topology, link_config=self.net_config.link,
-            router_delay=self.net_config.router_delay,
-            routing=None if routing == DEFAULT_ROUTING else routing)
+            router_delay=self.net_config.router_delay)
         self.faults: Optional[FaultInjector] = None
         if self.net_config.failure_rate > 0:
-            if not self.network.routing.supports_faults:
-                raise ValueError(
-                    f"failure_rate={self.net_config.failure_rate:g} needs a "
-                    f"fault-capable routing policy, but "
-                    f"{self.network.routing.name!r} is not; "
-                    f"use routing='resilient' or 'adaptive'")
             self.faults = FaultInjector(
                 sim, self.network,
                 failure_rate=self.net_config.failure_rate,

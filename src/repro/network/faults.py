@@ -93,9 +93,7 @@ class FaultInjector:
 
     Construct with either an explicit ``schedule`` or a positive
     ``failure_rate`` (or both), then :meth:`arm` it before the simulation
-    runs.  The routing policy must support faults
-    (``network.routing.supports_faults``); the static policy raises at the
-    first state change by design.
+    runs.
     """
 
     def __init__(self, sim: Simulator, network: MemoryNetwork, *,

@@ -5,6 +5,12 @@ endpoint registered for that node (an HMC cube or a host-side controller),
 which decides whether to consume it, process it in its Active-Routing engine,
 or ask the network to forward it further.  This per-hop delivery is what lets
 Active-Routing "compute on the way".
+
+Routes come from one deterministic minimal :class:`RoutingTable`.  A
+failure-free run forwards every packet on its pristine next-hop rows; the
+first link state change switches the fabric onto a fault-aware hop that
+keeps tree-building traffic on those pristine rows and reroutes the rest
+over the table's live rows (see :meth:`MemoryNetwork._hop_flex`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 from ..sim import Component, Simulator
 from .link import Link, LinkConfig
 from .packet import MOVEMENT_CATEGORIES, Packet
-from .routing import RoutingError, RoutingTable, make_routing
+from .routing import RoutingError, RoutingTable
 from .topology import Topology
 
 
@@ -34,11 +40,10 @@ class MemoryNetwork(Component):
 
     def __init__(self, sim: Simulator, topology: Topology,
                  link_config: Optional[LinkConfig] = None,
-                 router_delay: float = 2.0,
-                 routing: Optional[str] = None) -> None:
+                 router_delay: float = 2.0) -> None:
         super().__init__(sim, "network")
         self.topology = topology
-        self.routing = make_routing(topology, routing)
+        self.routing = RoutingTable(topology)
         self.link_config = link_config or LinkConfig()
         self.router_delay = router_delay
         self.links: Dict[Tuple[int, int], Link] = {}
@@ -92,16 +97,12 @@ class MemoryNetwork(Component):
         self._n_injected = 0
         # Fault machinery.  The default configuration never pays for it: the
         # network starts on the original _hop() fast path and only swaps in
-        # the fault-aware variant when a link actually changes state (or the
-        # routing policy needs per-packet next-hop dispatch).  The dropped
-        # counter is created lazily in _enable_fault_mode() — an eager
-        # zero-valued cell would perturb the golden stats digests of
+        # the fault-aware variant when a link actually changes state.  The
+        # dropped counter is created lazily in _enable_fault_mode() — an
+        # eager zero-valued cell would perturb the golden stats digests of
         # failure-free runs.
         self._h_dropped = None
         self._fault_mode = False
-        self.routing.bind(self)
-        if not self.routing.uses_dense_next_hop:
-            self._enable_fault_mode()
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
@@ -143,22 +144,6 @@ class MemoryNetwork(Component):
 
     def endpoint(self, node_id: int) -> NetworkEndpoint:
         return self.endpoints[node_id]
-
-    # -- routing helpers ------------------------------------------------------
-    def next_hop(self, current: int, dst: int) -> int:
-        return self.routing.next_hop(current, dst)
-
-    def path(self, src: int, dst: int):
-        return self.routing.path(src, dst)
-
-    def distance(self, src: int, dst: int) -> int:
-        return self.routing.distance(src, dst)
-
-    def split_point(self, root: int, dst_a: int, dst_b: int) -> int:
-        return self.routing.split_point(root, dst_a, dst_b)
-
-    def controller_nodes(self):
-        return list(self.topology.controller_nodes)
 
     # -- packet movement ------------------------------------------------------
     def inject(self, packet: Packet, at_node: int) -> None:
@@ -218,13 +203,10 @@ class MemoryNetwork(Component):
     def set_link_state(self, a: int, b: int, up: bool) -> None:
         """Mark the ``a``–``b`` link pair (both directions) up or down.
 
-        The routing policy is notified *first*: the static policy refuses
-        (raising :class:`~repro.network.routing.RoutingError`) and in that
-        case no state changes at all, so a mis-configured run fails loudly
-        instead of forwarding traffic into a silently dead link.  The first
-        state change switches the network onto the fault-aware hop path for
-        the rest of the run (see :meth:`_hop_flex`); redundant transitions
-        are ignored.  One deliberate edge: hops already in flight at that
+        The routing table recomputes its live rows, and the first state
+        change switches the network onto the fault-aware hop path for the
+        rest of the run (see :meth:`_hop_flex`); redundant transitions are
+        ignored.  One deliberate edge: hops already in flight at that
         *first* transition were scheduled by the fast path and complete
         unconditionally — the arrival-instant check applies from fault-mode
         activation onward (deterministically: activation is itself an event
@@ -288,43 +270,35 @@ class MemoryNetwork(Component):
             self._hop = self._hop_flex
 
     def _hop_flex(self, packet: Packet, current: int) -> None:
-        """Fault-aware hop: runtime route dispatch + arrival-instant up check.
+        """Fault-aware hop: pinned or live route + arrival-instant up check.
 
         Identical serialization arithmetic and statistics order to
         :meth:`_hop`; the differences are the route choice and that delivery
         goes through :meth:`_arrive_flex`, which applies the drop rule.  The
-        route choice is three-way:
+        route choice is two-way:
 
         * tree-building packets (Updates, gather requests) always take the
           **pristine** next-hop row — the flow-tree protocol records those
           exact hops as parent/child edges, so they must never reroute (a
           dead pinned link parks them until it recovers);
-        * other packets on a dense policy take the **live** row, which the
-          resilient table recomputes around dead links;
-        * other packets on a per-packet policy go through ``route()``
-          (adaptive's congestion-aware choice).
+        * every other packet takes the **live** row, which the routing table
+          recomputes around dead links.
 
         An unreachable destination fails loudly instead of indexing a stale
         row.
         """
-        routing = self.routing
         dst = packet.dst
         if packet.ptype.tree_routed:
             nxt = self._next_rows[current][dst]
             if nxt < 0:
                 raise RoutingError(
                     f"packet {packet.pkt_id}: no route from {current} to {dst}")
-        elif routing.uses_dense_next_hop:
-            nxt = routing.live_next_hop_table[current][dst]
+        else:
+            nxt = self.routing.live_next_hop_table[current][dst]
             if nxt < 0:
                 raise RoutingError(
                     f"packet {packet.pkt_id}: no route from {current} to {dst} "
                     f"over the live links")
-        else:
-            try:
-                nxt = routing.route(current, dst)
-            except ValueError as exc:
-                raise RoutingError(f"packet {packet.pkt_id}: {exc}") from None
         link = self._link_grid[current][nxt]
         if not link.up:
             # Submitting onto a down link (only pinned tree traffic can get

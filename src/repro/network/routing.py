@@ -1,4 +1,4 @@
-"""Deterministic routing policies over a memory-network topology.
+"""Deterministic minimal routing over a memory-network topology.
 
 Routes are computed with a breadth-first search that always explores
 neighbours in ascending node order, so that for every (source, destination)
@@ -7,26 +7,15 @@ split-point computation relies on this determinism: the split point of two
 operands is the last cube shared by the two deterministic paths from the tree
 root toward each operand.
 
-Routing is *pluggable*: every policy implements the same small interface
-— ``next_hop`` / ``distance`` / ``path`` / ``split_point`` / ``nearest`` /
-``on_link_state_change`` — and registers in :data:`ROUTING_BACKENDS`;
-:func:`resolve_routing` picks one by explicit name, ``$REPRO_ROUTING``, or
-the default.  Three implementations ship:
+One class, :class:`RoutingTable`, serves every run.  It keeps two views of
+the routes:
 
-* :class:`RoutingTable` (``static``) — the dense table the hot loop was tuned
-  on.  Computed once; cannot react to link failures (``on_link_state_change``
-  raises).  The default, byte-identical to every result that predates the
-  policy layer.
-* :class:`ResilientRoutingTable` (``resilient``) — keeps the pristine columns
-  and, on a link/cube state change, deterministically recomputes a *separate*
-  set of live columns over the surviving links (pydecnet-style: unreachable
-  destinations are pinned at the INFHOPS/INFCOST-style markers instead of
-  stale routes).  On a failure-free network it is bit-identical to
-  ``static``.
-* :class:`AdaptiveRouting` (``adaptive``) — congestion-aware: each hop picks,
-  among the live shortest-path neighbours toward the destination, the one
-  whose outgoing link has the least serialization backlog, ties broken by
-  ascending neighbour id (fully deterministic).
+* the **pristine** columns (``next_hop_table``, distances, BFS parents),
+  computed once over the full topology and never changed;
+* the **live** next-hop view (``live_next_hop_table``), which on a link/cube
+  state change is deterministically recomputed over the surviving links
+  (pydecnet-style: unreachable destinations are pinned at the
+  INFHOPS/INFCOST-style markers instead of stale routes).
 
 The pristine/live split is load-bearing, not an optimisation.  Active-Routing
 builds its flow trees incrementally from the deterministic table: each transit
@@ -38,11 +27,12 @@ child of *two* parents — but it answers only the one parent its entry pinned,
 and the other parent's gather would wait forever.  So the network pins
 tree-building packets (Updates, gather requests) to the **pristine** routes
 for the whole run — a dead pinned link parks them until it recovers — while
-every other packet class reroutes over the **live** columns.  Both
-tables are the same objects until the first failure, so hot loops keep direct
-references to ``next_hop_table`` and failure-free behaviour is untouched;
-``distance``/``path``/``split_point`` likewise always describe the pristine
-tree, matching what the pinned traffic actually does.
+every other packet class reroutes over the **live** columns.  Both views are
+the same objects until the first failure, and the live state is only created
+then, so hot loops keep direct references to ``next_hop_table`` and a
+failure-free run builds and reads exactly the pristine tables.
+``distance``/``path``/``split_point`` always describe the pristine tree,
+matching what the pinned traffic actually does.
 
 Dense layout (node ids are small contiguous ints):
 
@@ -61,10 +51,9 @@ Dense layout (node ids are small contiguous ints):
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Set, Tuple
 
 from .topology import Topology
 
@@ -77,30 +66,24 @@ _DIST_INF = 0xFFFF
 
 
 class RoutingError(RuntimeError):
-    """A routing policy was asked for something it cannot do (e.g. the static
-    table reacting to a link failure)."""
+    """A packet has no route to its destination over the links it may use."""
 
 
 class RoutingTable:
     """Dense next-hop/distance/parent columns with path reconstruction.
 
-    This is both the ``static`` policy and the base class every other policy
-    derives its deterministic-BFS columns from.  The class-level attributes
-    below are the policy interface contract consumed by
-    :class:`~repro.network.network.MemoryNetwork`:
-
-    * ``name`` — registry key.
-    * ``supports_faults`` — whether :meth:`on_link_state_change` recomputes
-      routes (``False`` here: the static table must raise rather than keep
-      silently forwarding into a dead link).
-    * ``uses_dense_next_hop`` — whether the network's hot loop may read
-      ``next_hop_table`` rows directly instead of calling :meth:`route` per
-      packet.
+    The pristine columns are built once here.  A link state change
+    (:meth:`on_link_state_change`) re-runs the ascending-neighbour BFS over
+    the live links only, into the *live* columns; the pristine
+    ``next_hop_table`` / ``_dist`` / ``_parents`` describing the failure-free
+    tree are never touched (see the module docstring for why the flow trees
+    require that).  Live destinations cut off by a failure are pinned at
+    :data:`NO_ROUTE`/``0xFFFF`` — the INFHOPS/INFCOST idiom — instead of
+    retaining stale routes, so an impossible forward fails loudly at the hop
+    that needs it.  Recomputation is O(V·(V+E)) per state change; failures
+    are rare events on small graphs, so simplicity and determinism win over
+    incremental updates.
     """
-
-    name = "static"
-    supports_faults = False
-    uses_dense_next_hop = True
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
@@ -122,8 +105,8 @@ class RoutingTable:
         self._in_graph = in_graph
         self._neighbor_lists = neighbor_lists
         #: Live next-hop view consulted for packets that may reroute around
-        #: failures.  The same object as ``next_hop_table`` until a policy
-        #: that supports faults diverges them on the first state change.
+        #: failures.  The same object as ``next_hop_table`` until the first
+        #: state change gives it its own storage.
         self.live_next_hop_table: List[List[int]] = self.next_hop_table
         for root in range(size):
             parents = array("i", [NO_ROUTE]) * size
@@ -221,8 +204,7 @@ class RoutingTable:
         """The candidate closest to ``node``.
 
         Equal distances are broken by ascending candidate id — a pinned,
-        documented tie order (adaptive routing and the split-point tree
-        construction both rely on it being reproducible).  Goes through
+        documented tie order, so the answer is reproducible.  Goes through
         :meth:`distance` so an unreachable candidate raises ``ValueError``
         instead of its :data:`NO_ROUTE` marker winning the comparison.
         """
@@ -230,92 +212,34 @@ class RoutingTable:
             raise ValueError("candidates must be non-empty")
         return min(candidates, key=lambda c: (self.distance(node, c), c))
 
-    # -- policy interface hooks ----------------------------------------------
-    def bind(self, network) -> None:
-        """Give the policy access to the fabric it routes for.
-
-        Called once by :class:`~repro.network.network.MemoryNetwork` after the
-        link grid is built.  The dense table policies need nothing from it;
-        :class:`AdaptiveRouting` grabs the link grid and clock here.
-        """
-
+    # -- link failures -------------------------------------------------------
     def on_link_state_change(self, a: int, b: int, up: bool) -> None:
-        """React to the ``a``–``b`` link going down (or coming back up).
-
-        The static table is immutable by design: silently keeping stale routes
-        would forward traffic into a dead link forever, so it refuses instead
-        and the caller learns to pick a fault-tolerant policy.
-        """
-        raise RoutingError(
-            f"static routing cannot react to the {a}-{b} link going "
-            f"{'up' if up else 'down'}; use the 'resilient' or 'adaptive' "
-            f"routing policy for fault injection")
-
-    def route(self, current: int, dst: int) -> int:
-        """Runtime next-hop selection for policies without a dense fast path.
-
-        The dense-table policies never reach this (the network reads
-        ``next_hop_table`` rows directly); it exists so every policy exposes
-        one uniform per-packet entry point.
-        """
-        return self.next_hop(current, dst)
-
-
-class ResilientRoutingTable(RoutingTable):
-    """Dense routing that deterministically recomputes around dead links.
-
-    Construction is byte-identical to :class:`RoutingTable` (it *is* the
-    parent constructor), so on a failure-free network the two policies agree
-    bit-for-bit — the lockstep guarantee the golden determinism matrix pins.
-
-    A link state change re-runs the ascending-neighbour BFS over the live
-    links only, into the *live* columns; the pristine ``next_hop_table`` /
-    ``_dist`` / ``_parents`` describing the failure-free tree are never
-    touched (see the module docstring for why the flow trees require that).
-    Live destinations cut off by a failure are pinned at
-    :data:`NO_ROUTE`/``0xFFFF`` — the INFHOPS/INFCOST idiom — instead of
-    retaining stale routes, so an impossible forward fails loudly at the hop
-    that needs it.  Recomputation is O(V·(V+E)) per state change; failures
-    are rare events on small graphs, so simplicity and determinism win over
-    incremental updates.
-    """
-
-    name = "resilient"
-    supports_faults = True
-
-    def __init__(self, topology: Topology) -> None:
-        super().__init__(topology)
-        #: Down links as undirected ``(min, max)`` node pairs.
-        self._down: Set[Tuple[int, int]] = set()
-        #: Live neighbours per node, ascending (the BFS exploration order).
-        self._live_neighbors: List[List[int]] = [list(ns) for ns in self._neighbor_lists]
-        #: Live distance columns; alias of the pristine ones until the first
-        #: state change (so failure-free adaptive runs read pristine data).
-        self._live_dist: List[array] = self._dist
-
-    def on_link_state_change(self, a: int, b: int, up: bool) -> None:
+        """Recompute the live routes after the ``a``–``b`` link goes down or up."""
         edge = (a, b) if a <= b else (b, a)
+        if self.live_next_hop_table is self.next_hop_table:
+            # First divergence: create the live state and give the live view
+            # its own storage.  The pristine columns stay frozen for the rest
+            # of the run.
+            #: Down links as undirected ``(min, max)`` node pairs.
+            self._down: Set[Tuple[int, int]] = set()
+            self.live_next_hop_table = [list(row) for row in self.next_hop_table]
+            self._live_dist: List[array] = [array("H", column) for column in self._dist]
         if up:
             self._down.discard(edge)
         else:
             self._down.add(edge)
-        down = self._down
-        self._live_neighbors = [
-            [n for n in neighbors
-             if ((node, n) if node <= n else (n, node)) not in down]
-            for node, neighbors in enumerate(self._neighbor_lists)]
-        if self.live_next_hop_table is self.next_hop_table:
-            # First divergence: give the live view its own storage.  The
-            # pristine columns stay frozen for the rest of the run.
-            self.live_next_hop_table = [list(row) for row in self.next_hop_table]
-            self._live_dist = [array("H", column) for column in self._dist]
         self._recompute()
 
     def _recompute(self) -> None:
         """Re-run the deterministic BFS over live links into the live columns."""
         size = self._size
         in_graph = self._in_graph
-        neighbor_lists = self._live_neighbors
+        down = self._down
+        # Live neighbours per node, ascending (the BFS exploration order).
+        neighbor_lists = [
+            [n for n in neighbors
+             if ((node, n) if node <= n else (n, node)) not in down]
+            for node, neighbors in enumerate(self._neighbor_lists)]
         for root in range(size):
             dist = self._live_dist[root]
             next_row = self.live_next_hop_table[root]
@@ -338,116 +262,3 @@ class ResilientRoutingTable(RoutingTable):
                         dist[neighbor] = hops
                         next_row[neighbor] = neighbor if step == NO_ROUTE else step
                         queue.append(neighbor)
-
-
-class AdaptiveRouting(ResilientRoutingTable):
-    """Congestion-aware next-hop selection with deterministic tie-breaking.
-
-    Keeps the resilient policy's dense distance columns (so failures reroute
-    exactly like ``resilient``) but chooses the actual next hop per packet:
-    among the live neighbours that make shortest-path progress toward the
-    destination (distance exactly one less than the current node's), the one
-    whose outgoing link has the least serialization backlog wins; equal
-    backlogs are broken by ascending neighbour id.  Backlog is read from the
-    link's ``busy_until`` reservation — the same deterministic quantity the
-    flushed queue-delay counters are derived from — so two runs of the same
-    workload pick identical hops.
-
-    Restricting candidates to shortest-path neighbours keeps forwarding
-    livelock-free (every hop strictly decreases the remaining distance) and
-    keeps :meth:`distance`/:meth:`path`/:meth:`split_point` — which describe
-    the deterministic BFS tree, not any one packet's trajectory — meaningful
-    for the split-point tree construction.
-
-    Adaptive choice applies to memory, operand and response traffic only: the
-    network pins tree-building packets (Updates, gather requests) to the
-    pristine deterministic routes regardless of policy, because the flow-tree
-    protocol records those exact hops as parent/child edges and walks them
-    again at gather time (see the module docstring).
-    """
-
-    name = "adaptive"
-    uses_dense_next_hop = False
-
-    def __init__(self, topology: Topology) -> None:
-        super().__init__(topology)
-        self._link_grid: Optional[List[List[object]]] = None
-        self._sim = None
-
-    def bind(self, network) -> None:
-        self._link_grid = network._link_grid
-        self._sim = network.sim
-
-    def route(self, current: int, dst: int) -> int:
-        if current < 0 or dst < 0:
-            raise ValueError(f"no route from {current} to {dst}")
-        live_dist = self._live_dist
-        try:
-            here = live_dist[current][dst]
-        except IndexError:
-            raise ValueError(f"no route from {current} to {dst}") from None
-        if here == _DIST_INF:
-            raise ValueError(f"no route from {current} to {dst}")
-        if current == dst:
-            return current
-        grid = self._link_grid
-        if grid is None:
-            # Unbound (unit tests poking the policy directly): fall back to
-            # the deterministic live-table hop.
-            return self.live_next_hop_table[current][dst]
-        row = grid[current]
-        now = self._sim.now
-        target = here - 1
-        best = NO_ROUTE
-        best_backlog = 0.0
-        for neighbor in self._live_neighbors[current]:
-            if live_dist[neighbor][dst] != target:
-                continue
-            busy = row[neighbor].busy_until - now
-            backlog = busy if busy > 0.0 else 0.0
-            # Strict < keeps the lowest-id neighbour on equal backlogs: the
-            # candidates iterate in ascending id order.
-            if best == NO_ROUTE or backlog < best_backlog:
-                best = neighbor
-                best_backlog = backlog
-        if best == NO_ROUTE:
-            raise ValueError(f"no route from {current} to {dst}")
-        return best
-
-
-#: Name -> class for every routing policy a MemoryNetwork can be built on.
-ROUTING_BACKENDS: Dict[str, Type[RoutingTable]] = {
-    "static": RoutingTable,
-    "resilient": ResilientRoutingTable,
-    "adaptive": AdaptiveRouting,
-}
-
-DEFAULT_ROUTING = "static"
-
-#: Environment variable consulted when no explicit policy is requested.
-ROUTING_ENV = "REPRO_ROUTING"
-
-
-def resolve_routing(name: Optional[str] = None) -> str:
-    """Canonical routing-policy name for a request.
-
-    Resolution order: explicit ``name``, then ``$REPRO_ROUTING``, then the
-    default (``static``).  Unknown names raise ``ValueError`` listing the
-    choices.  ``static`` and ``resilient`` are bit-identical on a failure-free
-    network; ``adaptive`` legitimately changes results, so cache-aware entry
-    points (the CLI, the evaluation suite) select policies through the network
-    config — whose label keys every cache entry — and treat the environment
-    variable as a kernel-testing knob.
-    """
-    if name is None:
-        name = os.environ.get(ROUTING_ENV) or DEFAULT_ROUTING
-    canonical = str(name).strip().lower()
-    if canonical not in ROUTING_BACKENDS:
-        raise ValueError(f"unknown routing policy {name!r}; choose from "
-                         f"{', '.join(sorted(ROUTING_BACKENDS))}")
-    return canonical
-
-
-def make_routing(topology: Topology, name: Optional[str] = None) -> RoutingTable:
-    """Instantiate the routing policy selected by :func:`resolve_routing`."""
-    return ROUTING_BACKENDS[resolve_routing(name)](topology)

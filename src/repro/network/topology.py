@@ -187,21 +187,25 @@ def build_dragonfly(num_groups: int = 4, routers_per_group: int = 4,
                      links, attach_cubes)
 
 
-def _corner_attach(rows: int, cols: int, num_controllers: int) -> List[int]:
-    """The four grid corners, deduplicated and recycled to ``num_controllers``."""
-    def node(r: int, c: int) -> int:
-        return r * cols + c
+def _check_attach(num_cubes: int, num_controllers: int) -> None:
+    """Every controller needs a cube of its own: an ARF-tid run whose
+    controllers share a cube ends with unfinished cores."""
+    if num_controllers > num_cubes:
+        raise ValueError(
+            f"cannot attach {num_controllers} controllers to {num_cubes} "
+            f"cubes: every controller needs its own attach cube; reduce "
+            f"--num-controllers or add cubes")
 
-    corners = [node(0, 0), node(0, cols - 1), node(rows - 1, 0), node(rows - 1, cols - 1)]
-    # Deduplicate for degenerate grids (single row/column).
-    seen: List[int] = []
-    for c in corners:
-        if c not in seen:
-            seen.append(c)
-    attach_cubes = seen[:num_controllers]
-    if len(attach_cubes) < num_controllers:
-        attach_cubes = (attach_cubes * num_controllers)[:num_controllers]
-    return attach_cubes
+
+def _corner_attach(rows: int, cols: int, num_controllers: int) -> List[int]:
+    """One distinct cube per controller: the grid corners, then the other
+    cubes in ascending id order."""
+    num_cubes = rows * cols
+    _check_attach(num_cubes, num_controllers)
+    corners = [0, cols - 1, (rows - 1) * cols, num_cubes - 1]
+    # dict.fromkeys deduplicates in order (degenerate single-row/column grids
+    # share corners).
+    return list(dict.fromkeys(corners + list(range(num_cubes))))[:num_controllers]
 
 
 def build_mesh(rows: int = 4, cols: int = 4, num_controllers: int = 4) -> Topology:
@@ -285,9 +289,10 @@ def build_chain(num_cubes: int = 4, num_controllers: int = 1) -> Topology:
     """A daisy chain of cubes; controllers attach to the first cubes."""
     if num_cubes < 1:
         raise ValueError("chain needs at least one cube")
+    _check_attach(num_cubes, num_controllers)
     links = [(i, i + 1) for i in range(num_cubes - 1)]
-    attach_cubes = [i % num_cubes for i in range(num_controllers)]
-    return _assemble(f"chain{num_cubes}", num_cubes, links, attach_cubes)
+    return _assemble(f"chain{num_cubes}", num_cubes, links,
+                     list(range(num_controllers)))
 
 
 TOPOLOGY_BUILDERS = {

@@ -16,7 +16,6 @@ from ..core.config import AREConfig
 from ..core.schemes import Scheme
 from ..cpu.config import CMPConfig, paper_cmp_config, scaled_cmp_config
 from ..hmc.config import HMCConfig, HMCNetworkConfig, default_network
-from ..network.routing import ROUTING_BACKENDS, resolve_routing
 from ..network.topology import build_network_topology
 from ..mem import DRAMAddressMapping
 
@@ -108,23 +107,18 @@ def make_network_config(topology: Optional[str] = None,
                         num_cubes: Optional[int] = None,
                         num_controllers: Optional[int] = None,
                         link_bandwidth: Optional[float] = None,
-                        routing: Optional[str] = None,
                         failure_rate: Optional[float] = None,
                         failure_seed: Optional[int] = None) -> HMCNetworkConfig:
     """An :class:`HMCNetworkConfig` with the given overrides, validated eagerly.
 
     The topology is test-built once (cheap, graph-only) so an impossible shape
     — e.g. 18 cubes in a dragonfly — fails right here with the builder's
-    actionable message instead of deep inside a system build; the routing
-    policy name and the routing/failure pairing are checked the same way.
+    actionable message instead of deep inside a system build.
     ``link_bandwidth`` is in bytes per CPU cycle (Table 4.1 default: 12.5).
     """
-    if routing is not None:
-        routing = resolve_routing(routing)
     overrides = {name: value for name, value in (("topology", topology),
                                                  ("num_cubes", num_cubes),
                                                  ("num_controllers", num_controllers),
-                                                 ("routing", routing),
                                                  ("failure_rate", failure_rate),
                                                  ("failure_seed", failure_seed))
                  if value is not None}
@@ -139,10 +133,6 @@ def make_network_config(topology: Optional[str] = None,
         raise ValueError(f"controller count must be >= 1, got {net.num_controllers}")
     if net.failure_rate < 0:
         raise ValueError(f"failure rate must be >= 0, got {net.failure_rate}")
-    if net.failure_rate > 0 and not ROUTING_BACKENDS[net.routing].supports_faults:
-        raise ValueError(
-            f"failure_rate={net.failure_rate:g} needs a fault-capable routing "
-            f"policy; {net.routing!r} is not (use 'resilient' or 'adaptive')")
     build_network_topology(net.topology, num_cubes=net.num_cubes,
                            num_controllers=net.num_controllers)
     return net
@@ -154,7 +144,6 @@ def make_system_config(kind: "SystemKind | str", profile: str = "scaled",
                        num_cubes: Optional[int] = None,
                        num_controllers: Optional[int] = None,
                        link_bandwidth: Optional[float] = None,
-                       routing: Optional[str] = None,
                        failure_rate: Optional[float] = None,
                        failure_seed: Optional[int] = None) -> SystemConfig:
     """Build a :class:`SystemConfig` for one of the five evaluation schemes.
@@ -164,9 +153,8 @@ def make_system_config(kind: "SystemKind | str", profile: str = "scaled",
     cache capacities shrink together with the workload footprints.
     The remaining keywords override the memory network: shape
     (``topology``/``num_cubes``/``num_controllers``), link bandwidth in
-    bytes/cycle, routing policy, and the seeded random-failure process.
-    Impossible shapes and routing/failure mismatches are rejected here rather
-    than mid-build.
+    bytes/cycle, and the seeded random-failure process.  Impossible shapes
+    are rejected here rather than mid-build.
     """
     if isinstance(kind, str):
         kind = SystemKind.from_name(kind)
@@ -181,7 +169,7 @@ def make_system_config(kind: "SystemKind | str", profile: str = "scaled",
     config = SystemConfig(kind=kind, cmp=cmp, profile=profile)
     net_overrides = dict(topology=topology, num_cubes=num_cubes,
                          num_controllers=num_controllers,
-                         link_bandwidth=link_bandwidth, routing=routing,
+                         link_bandwidth=link_bandwidth,
                          failure_rate=failure_rate, failure_seed=failure_seed)
     if any(value is not None for value in net_overrides.values()):
         config = config.with_network(make_network_config(**net_overrides))

@@ -72,7 +72,10 @@ class Workload(abc.ABC):
                 setattr(self.config, key, value)
             else:
                 self.config.extra[key] = value
-        self.rng = random.Random(self.config.seed)
+        seed = self.config.seed
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        self.rng = random.Random(seed)
         self.layout = DataLayout()
         self._expected: Dict[int, float] = {}
         #: Parameter names the kernel has declared by reading them (see
@@ -125,13 +128,19 @@ class Workload(abc.ABC):
     def param(self, name: str, default: int, minimum: int = 1) -> int:
         """Integer problem dimension: explicit override, else default * scale.
 
-        Reading a parameter declares it: names never read by the kernel are
-        rejected at trace-generation time (see :meth:`generate`).
+        An override must be integral (``2.0`` reads as ``2``; ``1.5`` or a
+        string raises ``ValueError``).  Reading a parameter declares it:
+        names never read by the kernel are rejected at trace-generation time
+        (see :meth:`generate`).
         """
         self._params_read.add(name)
         override = self.config.extra.get(name)
         if override is not None:
-            return int(override)
+            if isinstance(override, float) and override.is_integer():
+                override = int(override)
+            if isinstance(override, bool) or not isinstance(override, int):
+                raise ValueError(f"{name} must be an integer, got {override!r}")
+            return override
         return scaled(default, self.config.scale, minimum=minimum)
 
     def float_param(self, name: str, default: float) -> float:

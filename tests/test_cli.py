@@ -127,6 +127,30 @@ def test_cli_run_rejects_impossible_network(capsys):
               "--num-cubes", "18"])
 
 
+def test_cli_rejects_controllers_sharing_an_attach_cube(tmp_path):
+    # Two controllers on one cube deadlock ARF-tid; the request is refused up
+    # front with one usage line instead of ending with unfinished cores.
+    for shape in (["--topology", "chain", "--num-cubes", "2"],
+                  ["--topology", "mesh", "--num-cubes", "1"]):
+        with pytest.raises(SystemExit, match=r"^repro: cannot attach 4 "
+                                             r"controllers to \d cubes"):
+            main(["run", "--config", "ARF-tid", "--workload", "reduce",
+                  "--param", "array_elements=256"] + shape)
+    with pytest.raises(SystemExit, match=r"^repro: cannot attach 4 controllers"):
+        main(["sweep", "--scale", "tiny", "--topologies", "chain",
+              "--num-cubes", "1", "--workloads", "mac",
+              "--cache-dir", str(tmp_path)])
+    assert list(tmp_path.glob("*.pkl")) == []
+
+
+def test_cli_run_arf_tid_on_a_single_row_mesh():
+    # A 1x3 mesh has two corners; its third controller now gets cube 1 of its
+    # own instead of sharing a corner, and the run finishes.
+    assert main(["run", "--config", "ARF-tid", "--workload", "reduce",
+                 "--param", "array_elements=256", "--topology", "mesh",
+                 "--num-cubes", "3", "--num-controllers", "3"]) == 0
+
+
 def test_cli_rejects_controller_count_below_one(tmp_path):
     # Rejected by make_network_config like a bad bandwidth: a clean usage
     # error for run and for sweep planning (no cache entries written), not a
@@ -155,6 +179,16 @@ def test_cli_run_rejects_non_positive_workload_size():
     with pytest.raises(SystemExit, match=r"^repro: num_elements must be positive"):
         main(["run", "--config", "HMC", "--workload", "reduce",
               "--param", "array_elements=0"])
+
+
+def test_cli_run_rejects_non_integer_workload_parameters():
+    with pytest.raises(SystemExit,
+                       match=r"^repro: array_elements must be an integer, got 1\.5$"):
+        main(["run", "--config", "HMC", "--workload", "reduce",
+              "--param", "array_elements=1.5"])
+    with pytest.raises(SystemExit, match=r"^repro: seed must be an integer, got 'abc'$"):
+        main(["run", "--config", "HMC", "--workload", "reduce",
+              "--param", "seed=abc"])
 
 
 def test_cli_run_rejects_unknown_workload_parameter():
@@ -227,26 +261,25 @@ def test_cli_run_rejects_network_flags_on_dram():
 
 def test_cli_network_detail_options_parse_everywhere():
     parser = build_parser()
-    detail = ["--routing", "resilient", "--failure-rate", "10",
+    detail = ["--failure-rate", "10",
               "--failure-seed", "7", "--num-controllers", "2",
               "--link-bandwidth", "25"]
     for command in (["run"], ["report"], ["prefetch"]):
         args = parser.parse_args(command + detail)
-        assert args.routing == "resilient"
         assert args.failure_rate == 10.0 and args.failure_seed == 7
         assert args.num_controllers == 2 and args.link_bandwidth == 25.0
         defaults = parser.parse_args(command)
-        assert defaults.routing is None and defaults.failure_rate is None
+        assert defaults.failure_rate is None
     # On sweep the controller/bandwidth flags are sweep *axes*: value lists.
     args = parser.parse_args(["sweep"] + detail + ["12.5"])
-    assert args.routing == "resilient"
     assert args.failure_rate == 10.0 and args.failure_seed == 7
     assert args.controller_counts == [2]
     assert args.link_bandwidths == [25.0, 12.5]
     defaults = parser.parse_args(["sweep"])
     assert defaults.controller_counts is None and defaults.link_bandwidths is None
+    # There is one routing table and no flag to pick another.
     with pytest.raises(SystemExit):
-        parser.parse_args(["run", "--routing", "wormhole"])
+        parser.parse_args(["run", "--routing", "static"])
 
 
 def test_cli_report_figures_subset_option():
@@ -262,41 +295,33 @@ def test_cli_report_figures_subset_option():
 def test_cli_run_degraded_mode(capsys):
     exit_code = main(["run", "--config", "arf_tid", "--workload", "mac",
                       "--threads", "2", "--param", "array_elements=256",
-                      "--routing", "resilient", "--failure-rate", "10",
-                      "--failure-seed", "7"])
+                      "--failure-rate", "10", "--failure-seed", "7"])
     assert exit_code == 0
     out = capsys.readouterr().out
-    # The network fingerprint (routing + failure process) joins the label...
-    assert "resilient-f10s7" in out
+    # The network fingerprint (failure process) joins the label...
+    assert "ARF-tid@dragonfly16c4-f10s7" in out
     # ...and the degraded-mode rows render.
     assert "hops interrupted" in out
     assert "delivered traffic" in out
     assert "flows verified" in out
 
 
-def test_cli_run_rejects_failure_rate_on_static():
-    # The config layer's pairing check surfaces as a clean usage error.
-    with pytest.raises(SystemExit, match="fault-capable"):
-        main(["run", "--config", "HMC", "--workload", "reduce",
-              "--failure-rate", "5"])
-
-
 def test_cli_run_rejects_routing_flags_on_dram():
     with pytest.raises(SystemExit, match="DRAM baseline"):
         main(["run", "--config", "dram", "--workload", "reduce",
-              "--routing", "resilient"])
+              "--failure-rate", "5"])
 
 
 def test_cli_sweep_carries_routing_details(capsys, tmp_path):
     argv = ["sweep", "--scale", "tiny", "--topologies", "mesh",
             "--configs", "HMC", "--workloads", "mac", "--workers", "2",
-            "--routing", "resilient", "--failure-rate", "2",
+            "--failure-rate", "2",
             "--failure-seed", "7", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    # Every swept cell folds the routing/failure fingerprint into its label
-    # (and thus its cache key — degraded cells never collide with clean ones).
-    assert "mesh16c4-resilient-f2s7" in out
+    # Every swept cell folds the failure fingerprint into its label (and
+    # thus its cache key — degraded cells never collide with clean ones).
+    assert "mesh16c4-f2s7" in out
     assert main(argv) == 0
     warm = capsys.readouterr().out
     assert "simulated: 0" in warm

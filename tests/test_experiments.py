@@ -208,16 +208,15 @@ def test_degraded_network_zero_rate_is_the_plain_topology_config():
     from repro.experiments import fig_degraded
     from repro.system.config import make_network_config
 
-    # The failure-free anchor row IS the topology-sweep config (static
-    # routing, same label), so the two figures share runs and cache entries.
+    # The failure-free anchor row IS the topology-sweep config (same
+    # label), so the two figures share runs and cache entries.
     anchor = fig_degraded.degraded_network("mesh", 0.0)
     assert anchor == make_network_config(topology="mesh")
-    assert anchor.routing == "static" and anchor.failure_rate == 0.0
+    assert anchor.failure_rate == 0.0
     degraded = fig_degraded.degraded_network("mesh", 2.0)
-    assert degraded.routing == "resilient"
     assert degraded.failure_rate == 2.0
     assert degraded.failure_seed == fig_degraded.DEGRADED_SEED
-    assert degraded.label == "mesh16c4-resilient-f2s7"
+    assert degraded.label == "mesh16c4-f2s7"
 
 
 def test_degraded_sweep_networks_dedup_and_order():
@@ -239,14 +238,14 @@ def test_degraded_figure_structure(suite):
                                 failure_rates=[0.0, 2.0],
                                 kinds=[SystemKind.ARF_TID], workloads=["mac"])
     assert [row["label"] for row in data["rows"]] == \
-        ["mesh16c4", "mesh16c4-resilient-f2s7"]
+        ["mesh16c4", "mesh16c4-f2s7"]
     # The failure-free anchor delivers everything; the degraded cell still
     # runs to completion (parked hops retransmit) but records interruptions.
     assert data["delivered"]["mesh16c4"]["ARF-tid"] == pytest.approx(1.0)
-    assert 0.0 < data["delivered"]["mesh16c4-resilient-f2s7"]["ARF-tid"] <= 1.0
+    assert 0.0 < data["delivered"]["mesh16c4-f2s7"]["ARF-tid"] <= 1.0
     for row in data["rows"]:
         assert data["speedup"][row["label"]]["ARF-tid"] > 0
     text = fig_degraded.render(data)
     assert "Degraded-mode sweep" in text
-    assert "mesh16c4-resilient-f2s7" not in text  # tables key topology + rate
+    assert "mesh16c4-f2s7" not in text  # tables key topology + rate
     assert "Delivered-traffic fraction" in text

@@ -14,7 +14,6 @@ from repro.network import (
     FaultInjector,
     MemReadPacket,
     MemoryNetwork,
-    RoutingError,
     ScheduledFault,
     UpdatePacket,
     build_chain,
@@ -41,10 +40,10 @@ class _Sink:
             self.network.forward(packet, self.node_id)
 
 
-def _build(routing="resilient", rows=2, cols=2):
+def _build(rows=2, cols=2):
     sim = Simulator()
     topo = build_mesh(rows=rows, cols=cols, num_controllers=1)
-    net = MemoryNetwork(sim, topo, routing=routing)
+    net = MemoryNetwork(sim, topo)
     sinks = {n: _Sink(n, net) for n in topo.nodes}
     for n, sink in sinks.items():
         net.register_endpoint(n, sink)
@@ -75,21 +74,6 @@ def test_scheduled_fault_validation():
     with pytest.raises(ValueError):
         ScheduledFault(time=-1.0, kind="link", target=(0, 1))
     ScheduledFault(time=0.0, kind="link", target=(0, 1))  # valid
-
-
-# -- policy contract ----------------------------------------------------------
-def test_static_policy_refuses_link_state_changes():
-    sim, topo, net, sinks = _build(routing="static")
-    with pytest.raises(RoutingError):
-        net.set_link_state(0, 1, False)
-    # Refusal is atomic: no state changed, the link pair is still up.
-    assert net.links[(0, 1)].up and net.links[(1, 0)].up
-
-
-def test_failure_rate_requires_fault_capable_policy():
-    with pytest.raises(ValueError):
-        make_system_config("ARF-tid", failure_rate=1.0)  # implies static
-    make_system_config("ARF-tid", routing="resilient", failure_rate=1.0)
 
 
 # -- the parking drop rule ----------------------------------------------------
@@ -199,7 +183,7 @@ def test_connectivity_guard_never_picks_a_bridge():
     # Every link of a chain is a bridge: the random process must always skip.
     sim = Simulator()
     topo = build_chain(num_cubes=4, num_controllers=1)
-    net = MemoryNetwork(sim, topo, routing="resilient")
+    net = MemoryNetwork(sim, topo)
     injector = FaultInjector(sim, net, failure_rate=5.0, seed=3)
     for _ in range(25):
         assert injector._pick_victim() is None
@@ -233,8 +217,7 @@ def test_random_timeline_is_a_pure_function_of_the_seed():
 
 # -- full-system behaviour ----------------------------------------------------
 def test_full_system_fixed_seed_reproduces_identical_results():
-    config = make_system_config("ARF-tid", routing="resilient",
-                                failure_rate=10.0, failure_seed=7)
+    config = make_system_config("ARF-tid", failure_rate=10.0, failure_seed=7)
     first = run_workload(config, "pagerank", num_threads=4, **TINY_PAGERANK)
     second = run_workload(config, "pagerank", num_threads=4, **TINY_PAGERANK)
     assert first.cycles == second.cycles
@@ -248,7 +231,7 @@ def test_full_system_fixed_seed_reproduces_identical_results():
 
 
 def test_full_system_different_seeds_diverge():
-    base = dict(routing="resilient", failure_rate=10.0)
+    base = dict(failure_rate=10.0)
     first = run_workload(make_system_config("ARF-tid", failure_seed=7, **base),
                          "pagerank", num_threads=4, **TINY_PAGERANK)
     second = run_workload(make_system_config("ARF-tid", failure_seed=8, **base),
@@ -258,13 +241,3 @@ def test_full_system_different_seeds_diverge():
     # collapse onto one timeline (cycles or drop counts will differ).
     assert (first.cycles, first.network_stats["dropped"]) != \
            (second.cycles, second.network_stats["dropped"])
-
-
-def test_failure_free_lockstep_static_equals_resilient():
-    static = run_workload(make_system_config("ARF-tid"),
-                          "pagerank", num_threads=4, **TINY_PAGERANK)
-    resilient = run_workload(make_system_config("ARF-tid", routing="resilient"),
-                             "pagerank", num_threads=4, **TINY_PAGERANK)
-    assert static.cycles == resilient.cycles
-    assert static.events_executed == resilient.events_executed
-    assert static.summary() == resilient.summary()

@@ -6,12 +6,9 @@ the golden values below — final cycle count, executed event count and a SHA-25
 digest over the full stats snapshot — were captured from the pre-optimization
 seed code and every scheme must keep reproducing them bit-for-bit.
 
-The same bar applies across failure-free routing policies: ``resilient``
-builds byte-identical tables and only diverges live columns on the first
-state change, so with no failures injected it must reproduce the ``static``
-goldens bit-for-bit (the scheme x routing matrix).  The tests keep a
-one-value ``heap`` parametrisation so their IDs read as they did when a
-second scheduler ran beside the heap.
+The tests keep one-value ``heap`` and ``static`` parametrisations so their
+IDs read as they did when a second scheduler ran beside the heap and a
+second routing policy beside the static tables.
 
 Fault injection is deterministic too: the failure timeline is a pure function
 of ``(topology, failure_rate, failure_seed)`` and every interruption resolves
@@ -74,14 +71,9 @@ def tiny_pagerank_program(config):
     return workload.generate(mode)
 
 
-def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None,
-                      program=None):
-    # ``routing`` exports the kernel-testing env knob ($REPRO_ROUTING), the
-    # path CI's resilient job exercises; ``net`` passes explicit network
-    # overrides through the config, the path the CLI and the suite use.
-    if routing is not None:
-        assert monkeypatch is not None
-        monkeypatch.setenv("REPRO_ROUTING", routing)
+def run_tiny_pagerank(kind, net=None, program=None):
+    # ``net`` passes explicit network overrides through the config, the path
+    # the CLI and the suite use.
     config = make_system_config(kind, **(net or {}))
     system = build_system(config)
     system.cmp.load_program(program or tiny_pagerank_program(config))
@@ -90,14 +82,11 @@ def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None,
     return system
 
 
-@pytest.mark.parametrize("routing", ["static", "resilient"])
+@pytest.mark.parametrize("routing", ["static"])
 @pytest.mark.parametrize("scheduler", ["heap"])
 @pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
-def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
-                                               monkeypatch):
-    # The resilient policy is bit-identical to static on a failure-free
-    # network (the lockstep contract), so ONE golden row serves both columns.
-    system = run_tiny_pagerank(kind, monkeypatch=monkeypatch, routing=routing)
+def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing):
+    system = run_tiny_pagerank(kind)
     cycles, events, digest = GOLDEN[kind.value]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
@@ -147,7 +136,7 @@ def test_golden_run_result_digest(kind):
 
 
 #: Fixed-seed degraded golden: ARF-tid pagerank/tiny with random link faults
-#: (resilient routing, rate 10 per Mcycle, seed 7).  The timeline and every
+#: (rate 10 per Mcycle, seed 7).  The timeline and every
 #: interruption are deterministic, so this cell is as stable as the rest.
 #: The digest was re-captured with the accounting folds (see GOLDEN above);
 #: cycles and events are unchanged from the seed capture — the finish-time
@@ -159,8 +148,7 @@ DEGRADED_GOLDEN = (3554.0445920204475, 6178,
 @pytest.mark.parametrize("scheduler", ["heap"])
 def test_degraded_golden_fixed_failure_seed(scheduler):
     system = run_tiny_pagerank("ARF-tid",
-                               net=dict(routing="resilient",
-                                        failure_rate=10.0, failure_seed=7))
+                               net=dict(failure_rate=10.0, failure_seed=7))
     cycles, events, digest = DEGRADED_GOLDEN
     assert system.sim.now == cycles
     assert system.sim.executed_events == events

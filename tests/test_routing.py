@@ -1,8 +1,8 @@
 """Unit and property tests for deterministic minimal routing.
 
-Covers the dense static tables, the pinned tie-breaking contracts
-(``nearest``/``split_point``), the routing-policy registry, and the resilient
-and adaptive policies' pristine/live table split.
+Covers the dense pristine tables, the pinned tie-breaking contracts
+(``nearest``/``split_point``), and the pristine/live table split that link
+failures open.
 """
 
 import networkx as nx
@@ -11,22 +11,13 @@ from hypothesis import given, strategies as st
 
 from helpers import reference_graph
 from repro.network import (
-    DEFAULT_ROUTING,
-    ROUTING_BACKENDS,
-    ROUTING_ENV,
-    AdaptiveRouting,
-    MemoryNetwork,
-    ResilientRoutingTable,
     RoutingTable,
     Topology,
     build_chain,
     build_dragonfly,
     build_mesh,
-    make_routing,
-    resolve_routing,
 )
 from repro.network.routing import NO_ROUTE
-from repro.sim import Simulator
 
 TOPO = build_dragonfly()
 TABLE = RoutingTable(TOPO)
@@ -206,57 +197,22 @@ def test_split_point_symmetric_and_prefix_pinned():
     assert table.split_point(root, 5, 10) == table.split_point(root, 5, 10)
 
 
-# -- routing-policy registry --------------------------------------------------
-def test_registry_contract_flags():
-    assert set(ROUTING_BACKENDS) == {"static", "resilient", "adaptive"}
-    for name, cls in ROUTING_BACKENDS.items():
-        assert cls.name == name
-    assert ROUTING_BACKENDS["static"].supports_faults is False
-    assert ROUTING_BACKENDS["resilient"].supports_faults is True
-    assert ROUTING_BACKENDS["adaptive"].supports_faults is True
-    assert ROUTING_BACKENDS["static"].uses_dense_next_hop is True
-    assert ROUTING_BACKENDS["resilient"].uses_dense_next_hop is True
-    assert ROUTING_BACKENDS["adaptive"].uses_dense_next_hop is False
-    assert DEFAULT_ROUTING == "static"
-
-
-def test_resolve_routing_precedence(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
-    assert resolve_routing() == DEFAULT_ROUTING
-    monkeypatch.setenv(ROUTING_ENV, "resilient")
-    assert resolve_routing() == "resilient"          # env beats default
-    assert resolve_routing("adaptive") == "adaptive"  # explicit beats env
-    monkeypatch.setenv(ROUTING_ENV, "")
-    assert resolve_routing() == DEFAULT_ROUTING       # empty env -> default
-    assert resolve_routing("  Resilient ") == "resilient"  # normalized
-    with pytest.raises(ValueError, match="^unknown routing policy 'wormhole'; "
-                                         "choose from adaptive, resilient, static$"):
-        resolve_routing("wormhole")
-
-
-def test_make_routing_instantiates_registered_class(monkeypatch):
-    topo = build_mesh(rows=2, cols=2, num_controllers=1)
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
-    assert type(make_routing(topo)) is RoutingTable
-    assert type(make_routing(topo, "resilient")) is ResilientRoutingTable
-    monkeypatch.setenv(ROUTING_ENV, "adaptive")
-    assert type(make_routing(topo)) is AdaptiveRouting
-
-
-# -- resilient policy: the pristine/live split --------------------------------
+# -- link failures: the pristine/live split -----------------------------------
 def test_resilient_matches_static_before_any_failure():
     topo = build_mesh()
-    static, resilient = RoutingTable(topo), ResilientRoutingTable(topo)
-    assert resilient.next_hop_table == static.next_hop_table
-    # Until the first state change, live IS pristine (same objects), so the
-    # network's hot loop reads failure-free data with zero indirection.
-    assert resilient.live_next_hop_table is resilient.next_hop_table
-    assert resilient._live_dist is resilient._dist
+    table = RoutingTable(topo)
+    # A failure-free table is the pristine one: until the first state change,
+    # live IS pristine (same objects), so the network's hot loop reads
+    # failure-free data with zero indirection, and no live state exists yet.
+    assert table.next_hop_table == RoutingTable(topo).next_hop_table
+    assert table.live_next_hop_table is table.next_hop_table
+    assert not hasattr(table, "_live_dist")
+    assert not hasattr(table, "_down")
 
 
 def test_resilient_pristine_columns_survive_a_failure():
     topo = build_mesh()
-    table = ResilientRoutingTable(topo)
+    table = RoutingTable(topo)
     reference = RoutingTable(topo)
     pinned = table.next_hop(0, 15)
     pristine_snapshot = [list(row) for row in table.next_hop_table]
@@ -280,7 +236,7 @@ def test_resilient_pristine_columns_survive_a_failure():
 
 def test_resilient_recovery_restores_live_routes():
     topo = build_mesh()
-    table = ResilientRoutingTable(topo)
+    table = RoutingTable(topo)
     pinned = table.next_hop(0, 15)
     table.on_link_state_change(0, pinned, False)
     table.on_link_state_change(0, pinned, True)
@@ -292,58 +248,10 @@ def test_resilient_recovery_restores_live_routes():
 
 def test_resilient_unreachable_pins_no_route():
     topo = build_chain(num_cubes=4, num_controllers=1)
-    table = ResilientRoutingTable(topo)
+    table = RoutingTable(topo)
     table.on_link_state_change(1, 2, False)  # splits the chain in half
     assert table.live_next_hop_table[0][3] == NO_ROUTE
     assert table._live_dist[0][3] == 0xFFFF
     # The pristine view never lies about the failure-free tree.
     assert table.next_hop(0, 3) == 1
     assert table.distance(0, 3) == 3
-
-
-# -- adaptive policy ----------------------------------------------------------
-def _adaptive_network(rows=2, cols=2):
-    sim = Simulator()
-    topo = build_mesh(rows=rows, cols=cols, num_controllers=1)
-    net = MemoryNetwork(sim, topo, routing="adaptive")
-    return sim, net, net.routing
-
-
-def test_adaptive_unbound_falls_back_to_live_table():
-    topo = build_mesh(rows=2, cols=2, num_controllers=1)
-    policy = AdaptiveRouting(topo)  # never bound to a network
-    assert policy.route(0, 3) == policy.live_next_hop_table[0][3]
-    assert policy.route(2, 2) == 2
-
-
-def test_adaptive_prefers_least_backlog_ascending_ties():
-    sim, net, policy = _adaptive_network()
-    # Cubes 1 and 2 both make shortest-path progress from 0 toward 3; with
-    # equal (zero) backlog the ascending-id tie-break picks 1.
-    assert policy.route(0, 3) == 1
-    # Load the 0->1 link: the less-backlogged neighbour 2 must win.
-    net.links[(0, 1)].busy_until = sim.now + 100.0
-    assert policy.route(0, 3) == 2
-    # Equal *non-zero* backlogs tie-break by ascending id again.
-    net.links[(0, 2)].busy_until = sim.now + 100.0
-    assert policy.route(0, 3) == 1
-
-
-def test_adaptive_hops_always_make_shortest_path_progress():
-    sim, net, policy = _adaptive_network(rows=4, cols=4)
-    nodes = sorted(net.topology.nodes)
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
-                continue
-            hop = policy.route(src, dst)
-            assert policy._live_dist[hop][dst] == policy._live_dist[src][dst] - 1
-
-
-def test_adaptive_reroutes_around_a_dead_link():
-    sim, net, policy = _adaptive_network()
-    net.set_link_state(0, 1, False)
-    assert policy.route(0, 3) == 2  # the only live shortest-path neighbour
-    net.set_link_state(0, 2, False)
-    with pytest.raises(ValueError):
-        policy.route(0, 3)  # cut off: fails loudly, no stale route

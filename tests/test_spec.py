@@ -24,12 +24,17 @@ CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
 #: Corpus entries retired with the axes they exercised: the sharded
 #: execution backend and its ``%sharded`` label fold, the open-loop traffic
-#: axes and their params-dict entries, and the ``summary`` axis and its
-#: non-default ``summary`` key entry are gone.  They were removed from the
-#: frozen file by name, never regenerated; ``combo`` lost only its traffic
-#: and summary inputs and the key entries they produced.
+#: axes and their params-dict entries, the ``summary`` axis and its
+#: non-default ``summary`` key entry, and the ``routing`` axis and its
+#: ``-resilient``/``-adaptive`` label fragments are gone.  They were removed
+#: from the frozen file by name, never regenerated; ``combo`` had earlier
+#: lost only its traffic and summary inputs and the key entries they
+#: produced, and went with the routing axis because its label carried the
+#: ``-resilient`` fragment.
 RETIRED = {"sharded-default", "sharded3", "mesh-sharded4", "open-defaults",
-           "open-tuned", "open-sized", "sketch", "sketch-open"}
+           "open-tuned", "open-sized", "sketch", "sketch-open",
+           "resilient", "adaptive", "adaptive-f0.5s3",
+           "mesh16c4-resilient-f10s7", "combo"}
 
 
 # ------------------------------------------------------------ frozen corpus
@@ -51,7 +56,7 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) == 17
+    assert len(corpus) == 12
     assert RETIRED.isdisjoint(entry["name"] for entry in corpus)
     for entry in corpus:
         inputs = entry["inputs"]
@@ -76,7 +81,7 @@ def test_network_fold_matches_config_label():
     net = HMCNetworkConfig()
     assert fold_network_label({
         "topology": net.topology, "num_cubes": net.num_cubes,
-        "num_controllers": net.num_controllers, "routing": net.routing,
+        "num_controllers": net.num_controllers,
         "failure_rate": net.failure_rate, "failure_seed": net.failure_seed,
         "link_bandwidth": net.link.bandwidth_bytes_per_cycle,
     }) == "dragonfly16c4" == net.label
@@ -88,7 +93,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["topology"].default == net.topology
     assert AXES["num_cubes"].default == net.num_cubes
     assert AXES["num_controllers"].default == net.num_controllers
-    assert AXES["routing"].default == net.routing
     assert AXES["failure_rate"].default == net.failure_rate
     assert AXES["failure_seed"].default == net.failure_seed
     assert AXES["link_bandwidth"].default == net.link.bandwidth_bytes_per_cycle
@@ -98,14 +102,6 @@ def test_every_axis_default_is_a_valid_choice():
     for axis in AXES.values():
         if axis.choices is not None:
             assert axis.default in axis.choices(), axis.name
-
-
-def test_resolution_precedence_explicit_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_ROUTING", raising=False)
-    assert ExperimentSpec().resolved("routing") == "static"
-    monkeypatch.setenv("REPRO_ROUTING", "resilient")
-    assert ExperimentSpec().resolved("routing") == "resilient"
-    assert ExperimentSpec(routing="static").resolved("routing") == "static"
 
 
 # ----------------------------------------------------------------- no aliasing
@@ -125,12 +121,20 @@ def test_distinct_cache_participating_specs_never_alias():
         ExperimentSpec(topology="torus"),
         ExperimentSpec(num_controllers=2),
         ExperimentSpec(link_bandwidth=25.0),
-        ExperimentSpec(routing="resilient"),
-        ExperimentSpec(routing="resilient", failure_rate=10.0),
-        ExperimentSpec(routing="resilient", failure_rate=10.0, failure_seed=7),
+        ExperimentSpec(failure_rate=10.0),
+        ExperimentSpec(failure_rate=10.0, failure_seed=7),
+        ExperimentSpec(topology="mesh", failure_rate=10.0, failure_seed=7),
+        ExperimentSpec(topology="mesh", failure_rate=10.0, failure_seed=7,
+                       link_bandwidth=25.0),
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
+    # Failure cells carry the failure fragment alone: the labels that once
+    # read ``mesh16c4-resilient-f10s7`` are new strings, so an old cache
+    # entry can only miss, never be served.
+    labels = [key["config"] for key in map(_cell_key, variants[-3:])]
+    assert labels == ["HMC@dragonfly16c4-f10s7", "HMC@mesh16c4-f10s7",
+                      "HMC@mesh16c4-f10s7-bw25"]
 
 
 # ----------------------------------------------------- warm-cache invariant
@@ -194,6 +198,5 @@ def test_group_slices_cover_the_registry():
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",
-                                         "num_controllers", "routing",
-                                         "failure_rate", "failure_seed",
-                                         "link_bandwidth"]
+                                         "num_controllers", "failure_rate",
+                                         "failure_seed", "link_bandwidth"]

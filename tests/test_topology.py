@@ -67,6 +67,26 @@ def test_chain_structure():
     assert topo.is_cube(0) and not topo.is_cube(4)
 
 
+def test_every_controller_gets_its_own_attach_cube():
+    # Grids take the corners first, then the remaining cubes in id order.
+    assert build_mesh(rows=1, cols=3, num_controllers=3).controller_attach == \
+        {3: 0, 4: 2, 5: 1}
+    for topo in (build_mesh(rows=4, cols=4, num_controllers=8),
+                 build_torus(rows=3, cols=3, num_controllers=9),
+                 build_chain(num_cubes=3, num_controllers=3)):
+        attach = list(topo.controller_attach.values())
+        assert len(set(attach)) == len(attach)
+    assert build_mesh(rows=4, cols=4, num_controllers=8).controller_attach == \
+        {16: 0, 17: 3, 18: 12, 19: 15, 20: 1, 21: 2, 22: 4, 23: 5}
+    # More controllers than cubes cannot be attached one to a cube.
+    for build, shape in ((build_chain, dict(num_cubes=2)),
+                         (build_mesh, dict(rows=1, cols=1)),
+                         (build_torus, dict(rows=1, cols=3)),
+                         (build_flattened_butterfly, dict(rows=1, cols=2))):
+        with pytest.raises(ValueError, match="its own attach cube"):
+            build(num_controllers=4, **shape)
+
+
 def test_build_topology_by_name():
     assert build_topology("mesh", rows=2, cols=2, num_controllers=1).num_cubes == 4
     assert build_topology("torus", rows=2, cols=3, num_controllers=2).num_cubes == 6
@@ -277,7 +297,7 @@ def test_connectivity_verdicts_match_networkx(kind, shape):
     assert sorted(tuple(sorted(e)) for e in graph.edges) == topo.edges()
     assert all(topo.neighbors(n) == sorted(graph.neighbors(n)) for n in topo.nodes)
     sim = Simulator()
-    injector = FaultInjector(sim, MemoryNetwork(sim, topo, routing="resilient"))
+    injector = FaultInjector(sim, MemoryNetwork(sim, topo))
     verdicts = set()
     for links in _link_subsets(topo, seed=f"{kind}-{sorted(shape.items())}"):
         reference = nx.Graph(links)

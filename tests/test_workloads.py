@@ -151,6 +151,17 @@ def test_workload_param_override_and_scale():
     assert small.num_elements == 8 * 1024
 
 
+def test_integer_params_reject_non_integral_overrides():
+    config = WorkloadConfig(num_threads=2)
+    assert make_workload("reduce", config, array_elements=100.0).num_elements == 100
+    for bad in (1.5, "256", True):
+        with pytest.raises(ValueError, match="array_elements must be an integer"):
+            make_workload("reduce", WorkloadConfig(num_threads=2), array_elements=bad)
+    for bad in ("abc", 7.0, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_workload("reduce", WorkloadConfig(num_threads=2), seed=bad)
+
+
 def test_unknown_workload_param_fails_fast_with_valid_list():
     workload = make_workload("mac", WorkloadConfig(num_threads=2),
                              array_elementz=512)

@@ -10,11 +10,10 @@ constant applied consistently but wrongly (a dropped router delay, a
 serialization charged twice) fails here, where the golden digests would only
 pin it.
 
-Every topology family runs under every routing policy.  All links share one
-drawn configuration, so any shortest route (adaptive routing may break ties
-differently from ``routing.path``) folds to the same time.  Each case runs twice:
+Every topology family runs, with every packet type.  Each case runs twice:
 on the network as built, and on the same fault-free network forced into
-fault mode, which routes every hop through ``MemoryNetwork._hop_flex``.
+fault mode, which routes every hop through ``MemoryNetwork._hop_flex`` (the
+pristine row for tree-routed packet types, the live row for the rest).
 """
 
 from functools import partial
@@ -26,7 +25,6 @@ from repro.network import (
     MemoryNetwork,
     Packet,
     PacketType,
-    ROUTING_BACKENDS,
     build_chain,
     build_dragonfly,
     build_flattened_butterfly,
@@ -88,7 +86,6 @@ def _cases(draw):
     dst = draw(st.sampled_from([node for node in nodes if node != src]))
     return {
         "topology": topology,
-        "routing": draw(st.sampled_from(sorted(ROUTING_BACKENDS))),
         "src": src,
         "dst": dst,
         "ptype": draw(st.sampled_from(list(PacketType))),
@@ -105,7 +102,7 @@ def _cases(draw):
 def _run_one(case, force_fault_mode):
     sim = Simulator()
     network = MemoryNetwork(sim, case["topology"], link_config=case["link_config"],
-                            router_delay=case["router_delay"], routing=case["routing"])
+                            router_delay=case["router_delay"])
     if force_fault_mode:
         network._enable_fault_mode()
     arrivals = []

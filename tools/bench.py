@@ -15,15 +15,10 @@ Usage::
     PYTHONPATH=src python tools/bench.py --smoke --no-write \
         --check-against smoke-baseline --max-regression 1.5   # CI perf gate
     PYTHONPATH=src python tools/bench.py --cubes 64            # sweep scale
-    PYTHONPATH=src python tools/bench.py --routing both        # static/resilient A/B
 
 The basket sizes match the profiled PageRank/`ARF-tid` case the kernel fast
 path was tuned on; ``--smoke`` shrinks every run to seconds-scale sizes for CI.
-``--routing`` selects the routing policy; ``--routing both`` is
-an interleaved static/resilient A/B with ``@static``/``@resilient`` run keys
-that asserts the two policies agree bit-for-bit on the failure-free basket
-(the lockstep contract) and prints the overhead ratio of carrying the
-fault-capable machinery.  ``--cubes N`` rebuilds every HMC-backed
+``--cubes N`` rebuilds every HMC-backed
 configuration with an N-cube memory network (``+cN`` key suffix) — the
 64-cube sweep scale exercises the event loop at much larger pending-event
 counts.  ``--prefetch SCALE`` benchmarks the evaluation-suite orchestration
@@ -41,13 +36,10 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.network.routing import (ROUTING_BACKENDS, ROUTING_ENV,  # noqa: E402
-                                   resolve_routing)
 from repro.system import make_system_config, run_workload  # noqa: E402
 
 #: The fixed measurement basket: (workload, configuration, params).
@@ -64,17 +56,6 @@ SMOKE_BASKET = [
     ("mac", "ARF-tid", {"array_elements": 1024}),
     ("reduce", "HMC", {"array_elements": 1024}),
 ]
-
-
-def routing_env(name):
-    """Export a routing choice through ``$REPRO_ROUTING`` for a ``with`` block.
-
-    Worker processes inherit the environment, so one export covers serial and
-    parallel runs; the previous value is restored on exit.  ``None`` leaves
-    the environment untouched.
-    """
-    return mock.patch.dict(os.environ,
-                           {} if name is None else {ROUTING_ENV: resolve_routing(name)})
 
 
 def profile_entry(key, system_config, workload, num_threads, params, top: int = 20):
@@ -111,11 +92,10 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
 
 
 def run_basket(basket, num_threads: int = 4, repeat: int = 3,
-               num_cubes=None, profile: bool = False, routing=None):
+               num_cubes=None, profile: bool = False):
     """Run every basket entry ``repeat`` times; keep the best wall time.
 
-    ``routing`` picks the routing policy for every run (``None`` keeps the
-    ambient ``$REPRO_ROUTING``/default); ``num_cubes`` rebuilds each HMC-backed
+    ``num_cubes`` rebuilds each HMC-backed
     configuration with that many memory cubes and suffixes the run keys with
     ``+cN`` so entries at different network scales never alias in the
     trajectory file.  ``profile`` adds one instrumented run per entry
@@ -130,90 +110,25 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             system_config = make_system_config(config, num_cubes=num_cubes)
         best = float("inf")
         result = None
-        with routing_env(routing):
-            for _ in range(max(1, repeat)):
-                start = time.perf_counter()
-                result = run_workload(system_config, workload,
-                                      num_threads=num_threads, **params)
-                best = min(best, time.perf_counter() - start)
+        for _ in range(max(1, repeat)):
+            start = time.perf_counter()
+            result = run_workload(system_config, workload,
+                                  num_threads=num_threads, **params)
+            best = min(best, time.perf_counter() - start)
         runs[key] = {
             "wall_s": round(best, 3),
             "events": result.events_executed,
             "events_per_s": round(result.events_executed / best, 1),
             "cycles": result.cycles,
             "params": params,
-            "routing": resolve_routing(routing),
         }
         if num_cubes:
             runs[key]["num_cubes"] = num_cubes
         print(f"{key:24s} {best:7.3f}s  {runs[key]['events_per_s']:>11,.0f} ev/s  "
               f"cycles={result.cycles:,.0f}")
         if profile:
-            with routing_env(routing):
-                runs[key].update(profile_entry(key, system_config, workload,
-                                               num_threads, params))
-    return runs
-
-
-#: The routing policies the ``--routing both`` A/B compares.  Adaptive is
-#: excluded: it legitimately picks different paths, so the bit-identity
-#: assertion below would not hold for it.
-AB_ROUTINGS = ("static", "resilient")
-
-
-def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
-                   num_cubes=None):
-    """Run the basket under the static and resilient policies, interleaved.
-
-    The repeats are interleaved per basket entry (after one untimed warm-up
-    run) so process warm-up — imports, allocator growth, frequency scaling —
-    lands on no particular policy.  Run keys get an ``@<routing>`` suffix;
-    simulated results must agree bit-for-bit (the resilient policy is the static dense
-    tables plus dormant fault machinery on a failure-free network — a
-    divergence is a lockstep bug, not noise), and the printed ratio is the
-    overhead of carrying that machinery.
-    """
-    runs = {}
-    suffix = f"+c{num_cubes}" if num_cubes else ""
-    for workload, config, params in basket:
-        base_key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
-        best = {routing: float("inf") for routing in AB_ROUTINGS}
-        result = {}
-        with routing_env("static"):
-            run_workload(system_config, workload, num_threads=num_threads,
-                         **params)  # warm-up, untimed
-        for _ in range(max(1, repeat)):
-            for routing in AB_ROUTINGS:
-                with routing_env(routing):
-                    start = time.perf_counter()
-                    result[routing] = run_workload(
-                        system_config, workload, num_threads=num_threads, **params)
-                    best[routing] = min(best[routing],
-                                        time.perf_counter() - start)
-        fingerprints = {(result[r].events_executed, result[r].cycles)
-                        for r in AB_ROUTINGS}
-        if len(fingerprints) != 1:
-            raise SystemExit(f"routing policies diverged on {base_key}: "
-                             f"{fingerprints} (static/resilient must be "
-                             f"bit-identical on a failure-free network)")
-        for routing in AB_ROUTINGS:
-            wall = best[routing]
-            runs[f"{base_key}@{routing}"] = {
-                "wall_s": round(wall, 3),
-                "events": result[routing].events_executed,
-                "events_per_s": round(result[routing].events_executed / wall, 1),
-                "cycles": result[routing].cycles,
-                "params": params,
-                "routing": routing,
-                **({"num_cubes": num_cubes} if num_cubes else {}),
-            }
-        ratio = (best["resilient"] / best["static"]
-                 if best["static"] else float("inf"))
-        print(f"{base_key:24s} static {best['static']:7.3f}s  resilient "
-              f"{best['resilient']:7.3f}s  ({ratio:.2f}x; ~1.00 = free)")
+            runs[key].update(profile_entry(key, system_config, workload,
+                                           num_threads, params))
     return runs
 
 
@@ -260,11 +175,6 @@ def check_regression(output: Path, runs, baseline_label: str, max_ratio: float) 
     compared = 0
     for key, run in runs.items():
         base = baseline.get(key)
-        if base is None and "@" in key:
-            # A/B runs are keyed `workload/config@routing`; gate each one
-            # against the plain `workload/config` baseline when the baseline
-            # entry has no such key.
-            base = baseline.get(key.rsplit("@", 1)[0])
         if not base or not base.get("wall_s"):
             continue
         compared += 1
@@ -328,13 +238,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny problem sizes (CI smoke run)")
-    parser.add_argument("--routing", default=None,
-                        choices=sorted(ROUTING_BACKENDS) + ["both"],
-                        help="routing policy for the basket; 'both' runs an "
-                             "interleaved static/resilient A/B with "
-                             "@static/@resilient run keys and asserts the two "
-                             "agree bit-for-bit (default: $REPRO_ROUTING or "
-                             "static)")
     parser.add_argument("--cubes", type=int, default=None, metavar="N",
                         help="memory-network cube count for every HMC-backed "
                              "basket configuration (+cN run-key suffix); e.g. "
@@ -368,23 +271,12 @@ def main(argv=None) -> int:
         if args.profile:
             parser.error("--profile instruments kernel basket entries, not "
                          "--prefetch (profile the suite with cProfile directly)")
-        if args.routing == "both":
-            parser.error("--routing both is an A/B mode for the kernel "
-                         "basket; pick one policy for --prefetch")
-        with routing_env(args.routing):
-            runs = run_prefetch(args.prefetch, workers=args.workers)
+        runs = run_prefetch(args.prefetch, workers=args.workers)
     else:
         basket = SMOKE_BASKET if args.smoke else BASKET
-        if args.routing == "both":
-            if args.profile:
-                parser.error("--profile composes with a single routing "
-                             "policy, not the 'both' A/B mode")
-            runs = run_routing_ab(basket, num_threads=args.threads,
-                                  repeat=args.repeat, num_cubes=args.cubes)
-        else:
-            runs = run_basket(basket, num_threads=args.threads,
-                              repeat=args.repeat, num_cubes=args.cubes,
-                              profile=args.profile, routing=args.routing)
+        runs = run_basket(basket, num_threads=args.threads,
+                          repeat=args.repeat, num_cubes=args.cubes,
+                          profile=args.profile)
     if args.check_against:
         check_regression(args.output, runs, args.check_against, args.max_regression)
     if not args.no_write:
