@@ -21,6 +21,9 @@ from ..sim import Component, SharedResource, Simulator
 from .config import CacheConfig, CMPConfig
 from .noc import MeshNoC
 
+#: Bytes of an L2 probe's request (its response carries one block).
+L2_PROBE_REQUEST_BYTES = 16
+
 #: Signature of the completion callback handed to :meth:`CacheHierarchy.access`.
 MissCallback = Callable[[float], None]
 
@@ -121,7 +124,14 @@ class Directory:
 
     def exclusive(self, block: int, core: int) -> List[int]:
         """Make ``core`` the sole sharer; returns the cores that must be invalidated."""
-        victims = sorted(self.sharers(block) - {core})
+        sharers = self._sharers.get(block)
+        if sharers is None:
+            self._sharers[block] = {core}
+            return []
+        if len(sharers) == 1 and core in sharers:
+            # Already the sole sharer: the commonest write.
+            return []
+        victims = sorted(sharers - {core})
         if victims:
             self.invalidations += len(victims)
         self._sharers[block] = {core}
@@ -146,7 +156,9 @@ class CacheHierarchy(Component):
         self._mshrs: Dict[int, List[Tuple[MissCallback, float, int]]] = {}
         # Per-block serializers used by atomic read-modify-writes.
         self._atomic_locks: Dict[int, SharedResource] = {}
-        # access() runs once per load/store: pre-bind its counters.
+        # access() runs once per load/store and counts on three plain ints;
+        # flush() derives the other access counters from them.  The cells
+        # are bound here so their registry order never depends on the run.
         self._h_accesses = self.counter_handle("accesses")
         self._h_l1_accesses = self.counter_handle("l1_accesses")
         self._h_l1_hits = self.counter_handle("l1_hits")
@@ -155,13 +167,38 @@ class CacheHierarchy(Component):
         self._h_l2_hits = self.counter_handle("l2_hits")
         self._h_l2_misses = self.counter_handle("l2_misses")
         self._h_energy_pj = self.counter_handle("energy_pj")
-        # The L2 probe's NoC endpoints, resolved once per core and per bank.
-        self._core_tiles = [noc.core_tile(core) for core in range(config.num_cores)]
-        self._bank_tiles = [noc.bank_tile(bank) for bank in range(cc.l2_banks)]
+        self._n_l1_accesses = 0
+        self._n_l1_hits = 0
+        self._n_l2_hits = 0
+        # The L2 probe: its NoC hop count per (core, bank), resolved once,
+        # goes to the NoC's probe log (MeshNoC.flush() does the accounting).
+        self._probe_log = noc.probe_log_for(L2_PROBE_REQUEST_BYTES, cc.block_size)
+        self._probe_hops = [[noc.hops(noc.core_tile(core), noc.bank_tile(bank))
+                             for bank in range(cc.l2_banks)]
+                            for core in range(config.num_cores)]
+        self._probe_cycles_per_hop = 2 * noc.hop_latency
         self._n_prefetches = 0
         self._n_mshr_merges = 0
         self._register_lazy_counters(("_n_prefetches", "prefetches"),
                                      ("_n_mshr_merges", "mshr_merges"))
+
+    def flush(self) -> None:
+        """Fold the access counts in; every L1 miss probes the L2.  The
+        cells hold integers, so the derived totals are exact."""
+        l1_accesses = self._n_l1_accesses
+        if l1_accesses:
+            l1_misses = l1_accesses - self._n_l1_hits
+            self._h_accesses.value += l1_accesses
+            self._h_l1_accesses.value += l1_accesses
+            self._h_l1_hits.value += self._n_l1_hits
+            self._h_l1_misses.value += l1_misses
+            self._h_l2_accesses.value += l1_misses
+            self._h_l2_hits.value += self._n_l2_hits
+            self._h_l2_misses.value += l1_misses - self._n_l2_hits
+            self._n_l1_accesses = 0
+            self._n_l1_hits = 0
+            self._n_l2_hits = 0
+        super().flush()
 
     # -- address helpers ---------------------------------------------------------
     def block_of(self, addr: int) -> int:
@@ -178,9 +215,7 @@ class CacheHierarchy(Component):
         """
         cc = self.cache_config
         block = addr // cc.block_size
-        l1 = self.l1s[core_id]
-        self._h_accesses.value += 1
-        self._h_l1_accesses.value += 1
+        self._n_l1_accesses += 1
         self._h_energy_pj.value += cc.l1_energy_pj
 
         coherence_penalty = 0.0
@@ -192,25 +227,22 @@ class CacheHierarchy(Component):
                 for victim_core in victims:
                     self.l1s[victim_core].invalidate(block)
 
-        if l1.lookup(block, mark_dirty=is_write):
-            self._h_l1_hits.value += 1
+        if self.l1s[core_id].lookup(block, is_write):
+            self._n_l1_hits += 1
             return cc.l1_latency + coherence_penalty
 
-        self._h_l1_misses.value += 1
         # L2 probe (S-NUCA bank across the mesh): a NoC round trip from the
         # core's tile to the bank's tile.
-        noc_latency = self.noc.round_trip(self._core_tiles[core_id],
-                                          self._bank_tiles[block % cc.l2_banks],
-                                          16, cc.block_size)
-        self._h_l2_accesses.value += 1
+        hops = self._probe_hops[core_id][block % cc.l2_banks]
+        self._probe_log.append(hops)
+        noc_latency = hops * self._probe_cycles_per_hop
         self._h_energy_pj.value += cc.l2_energy_pj
-        if self.l2.lookup(block, mark_dirty=is_write):
-            self._h_l2_hits.value += 1
+        if self.l2.lookup(block, is_write):
+            self._n_l2_hits += 1
             self._fill_l1(core_id, block, dirty=is_write)
             self.directory.add_sharer(block, core_id)
             return cc.l1_latency + cc.l2_latency + noc_latency + coherence_penalty
 
-        self._h_l2_misses.value += 1
         on_chip = cc.l1_latency + cc.l2_latency + noc_latency + coherence_penalty
         self._miss_to_memory(core_id, block, addr, is_write, on_chip, on_complete)
         if cc.prefetch_degree > 0:
@@ -240,7 +272,7 @@ class CacheHierarchy(Component):
         cc = self.cache_config
         request = MemoryRequest(addr=block * cc.block_size, size=cc.block_size,
                                 access_type=AccessType.NORMAL_WRITE,
-                                requester=self.name, issue_time=self.now)
+                                requester=self.name, issue_time=self.sim.now)
         self.memory.access(request)
 
     def _miss_to_memory(self, core_id: int, block: int, addr: int, is_write: bool,
@@ -288,19 +320,19 @@ class CacheHierarchy(Component):
         """
         cc = self.cache_config
         mshrs = self._mshrs
-        l2 = self.l2
-        now = self.sim.now
-        for offset in range(1, cc.prefetch_degree + 1):
-            candidate = block + offset
-            if candidate in mshrs or l2.contains(candidate):
+        # Cache.contains() on the L2, inlined: two candidates per demand miss.
+        num_sets = self.l2.num_sets
+        l2_sets = self.l2._sets
+        for candidate in range(block + 1, block + 1 + cc.prefetch_degree):
+            if candidate in mshrs or candidate // num_sets in l2_sets[candidate % num_sets]:
                 continue
             mshrs[candidate] = []
             self._n_prefetches += 1
-            request = MemoryRequest(addr=candidate * cc.block_size, size=cc.block_size,
-                                    access_type=AccessType.NORMAL_READ,
-                                    requester=self.name, issue_time=now,
-                                    on_complete=partial(self._prefetch_done, candidate))
-            self.memory.access(request)
+            self.memory.access(MemoryRequest(
+                addr=candidate * cc.block_size, size=cc.block_size,
+                access_type=AccessType.NORMAL_READ, requester=self.name,
+                issue_time=self.sim.now,
+                on_complete=partial(self._prefetch_done, candidate)))
 
     def _prefetch_done(self, block: int, request: MemoryRequest) -> None:
         self._fill_l2(block, dirty=False)

@@ -15,6 +15,7 @@ count (and therefore Python run time) manageable.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
@@ -62,6 +63,11 @@ class Core(Component):
         self._waiting_for_mem_slot = False
         self._waiting_for_mi_slot = False
         self._advance_scheduled = False
+        self._issue_width = max(1, config.issue_width)
+        #: Bound histogram: one sample per completed memory miss.  Below its
+        #: reservoir cap :meth:`_mem_done` only appends to ``samples``;
+        #: :meth:`flush` folds the rest in before any registry read.
+        self._hist_mem_latency = sim.stats.histogram(f"{self.name}.mem_latency")
         # Counted once per load/store/Update: plain accumulators, folded on flush.
         self._n_mem_hits = 0
         self._n_mem_misses_issued = 0
@@ -70,8 +76,6 @@ class Core(Component):
                                      ("_n_mem_misses_issued", "mem_misses_issued"),
                                      ("_n_updates_issued", "updates_issued"))
 
-        #: Bound histogram: one sample per completed memory miss.
-        self._hist_mem_latency = sim.stats.histogram(f"{self.name}.mem_latency")
         #: (instructions, cycle) samples for IPC-over-time analysis (Fig. 5.8).
         self.ipc_samples: List[Tuple[int, float]] = []
         self._next_sample = config.ipc_sample_interval
@@ -94,15 +98,17 @@ class Core(Component):
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        self.sim.schedule(delay, self._advance)
+        # Inlined Simulator.schedule: issue time is never negative.
+        sim = self.sim
+        heappush(sim._heap, (sim.now + delay, sim._next_seq(), self._advance))
 
     def _block(self, reason: str) -> None:
         self.blocked_reason = reason
-        self._block_start = self.now
+        self._block_start = self.sim.now
 
     def _unblock(self) -> None:
         if self.blocked_reason is not None:
-            self.count(f"stall.{self.blocked_reason}", self.now - self._block_start)
+            self.count(f"stall.{self.blocked_reason}", self.sim.now - self._block_start)
             self.blocked_reason = None
         self._schedule_advance(0.0)
 
@@ -112,6 +118,11 @@ class Core(Component):
         if self.instructions >= self._next_sample:
             self.ipc_samples.append((self.instructions, self.now))
             self._next_sample += self.config.ipc_sample_interval
+
+    def flush(self) -> None:
+        """Fold the appended latency samples, then the batched counters."""
+        self._hist_mem_latency.fold_appended()
+        super().flush()
 
     def _maybe_finish(self) -> None:
         if (not self.done and self.pc >= len(self.trace)
@@ -125,7 +136,14 @@ class Core(Component):
     # -- completion callbacks ----------------------------------------------------------
     def _mem_done(self, latency: float) -> None:
         self.outstanding_mem -= 1
-        self._hist_mem_latency.add(latency)
+        hist = self._hist_mem_latency
+        samples = hist.samples
+        if len(samples) < hist.max_samples:
+            # Below the cap: append only; flush() folds the rest.
+            samples.append(latency)
+        else:
+            hist.fold_appended()
+            hist.add(latency)
         if self._waiting_for_mem_slot:
             self._waiting_for_mem_slot = False
             self._unblock()
@@ -167,9 +185,13 @@ class Core(Component):
             kind = op.__class__
 
             if kind is ComputeOp:
-                self._retire(op)
-                cost = op.cycles / max(1, cfg.issue_width)
-                used += cost
+                # _retire(), inlined (as for loads and stores below).
+                self.pc += 1
+                self.instructions += op.instructions
+                if self.instructions >= self._next_sample:
+                    self.ipc_samples.append((self.instructions, self.now))
+                    self._next_sample += cfg.ipc_sample_interval
+                used += op.cycles / self._issue_width
                 continue
 
             if kind is LoadOp or kind is StoreOp:
@@ -180,7 +202,12 @@ class Core(Component):
                         self._waiting_for_mem_slot = True
                         self._block("mem_window")
                     return
-                self._retire(op)
+                # _retire(), inlined: loads and stores are the commonest operations.
+                self.pc += 1
+                self.instructions += op.instructions
+                if self.instructions >= self._next_sample:
+                    self.ipc_samples.append((self.instructions, self.now))
+                    self._next_sample += cfg.ipc_sample_interval
                 used += cfg.mem_issue_cycles
                 if self.hierarchy.access(self.core_id, op.addr, kind is StoreOp,
                                          self._mem_done) is None:

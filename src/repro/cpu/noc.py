@@ -7,33 +7,44 @@ cores, L2 banks and memory controllers placed on mesh tiles.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim import Component, Simulator
 
 
 class MeshNoC(Component):
-    """Analytical latency/energy model of the host's mesh interconnect."""
+    """Analytical latency/energy model of the host's mesh interconnect.
+
+    L2 probes, one request/response pair per L1 miss, are the only traffic
+    on the hot path.  Their caller looks the hop count up itself and appends
+    it to :attr:`probe_log` (see :meth:`probe_log_for`); :meth:`flush`
+    replays the log into the counters with the additions and the order that
+    one eager request-then-response update per probe would make, so the
+    float ``energy_pj`` total is bit-identical.  A hop count is one byte:
+    the log costs a byte per probe until the next registry read.
+    """
 
     def __init__(self, sim: Simulator, rows: int = 4, cols: int = 4,
                  hop_latency: float = 2.0, energy_pj_per_byte_hop: float = 0.8) -> None:
         super().__init__(sim, "noc")
         if rows < 1 or cols < 1:
             raise ValueError("mesh dimensions must be positive")
+        if rows + cols - 2 > 255:
+            raise ValueError("mesh is too large: a hop count must fit in one byte")
         self.rows = rows
         self.cols = cols
         self.hop_latency = hop_latency
         self.energy_pj_per_byte_hop = energy_pj_per_byte_hop
-        # transfer() runs twice per L2 probe: pre-bind its counters.
         self._h_transfers = self.counter_handle("transfers")
         self._h_byte_hops = self.counter_handle("byte_hops")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
-        #: ``[src][dst]`` hop counts: :meth:`round_trip` runs once per L2
-        #: probe and does no geometry (nor range checks) of its own.
-        tiles = [divmod(tile, cols) for tile in range(rows * cols)]
-        self._hop_table = [[abs(sr - dr) + abs(sc - dc) for dr, dc in tiles]
-                           for sr, sc in tiles]
+        #: Hop count of every L2 probe not yet folded into the counters.
+        self.probe_log = bytearray()
+        #: ``(request, response)`` bytes of one probe, fixed by the first
+        #: :meth:`probe_log_for` call.
+        self.probe_bytes: Optional[Tuple[int, int]] = None
+        sim.stats.register_flushable(self)
 
     @property
     def num_tiles(self) -> int:
@@ -71,6 +82,7 @@ class MeshNoC(Component):
 
     def transfer(self, src_tile: int, dst_tile: int, size_bytes: int) -> float:
         """Account a one-way transfer and return its latency in cycles."""
+        self.flush()  # logged probes came first
         hops = self.hops(src_tile, dst_tile)
         latency = hops * self.hop_latency
         self._h_transfers.value += 1
@@ -79,20 +91,41 @@ class MeshNoC(Component):
         self._h_energy_pj.value += size_bytes * hops * self.energy_pj_per_byte_hop
         return latency
 
-    def round_trip(self, src_tile: int, dst_tile: int, req_bytes: int, resp_bytes: int) -> float:
-        """Request/response pair latency between two tiles.
+    def probe_log_for(self, req_bytes: int, resp_bytes: int) -> bytearray:
+        """The log of probes of ``req_bytes`` out and ``resp_bytes`` back.
 
-        Equivalent to two :meth:`transfer` calls (the stat updates are kept as
-        separate additions so the accumulated floats match exactly), fused
-        because this runs once per L2 probe.
+        A probe between tiles ``hops`` apart is one ``probe_log.append(hops)``
+        by the caller and takes ``hops * 2 * hop_latency`` cycles, the same
+        float as two one-way ``hops * hop_latency`` legs.  One mesh has one
+        probe size.
         """
-        hops = self._hop_table[src_tile][dst_tile]
-        latency = hops * self.hop_latency
-        self._h_transfers.value += 2
-        self._h_byte_hops.value += req_bytes * hops
-        self._h_byte_hops.value += resp_bytes * hops
-        self._h_bytes.value += req_bytes
-        self._h_bytes.value += resp_bytes
-        self._h_energy_pj.value += req_bytes * hops * self.energy_pj_per_byte_hop
-        self._h_energy_pj.value += resp_bytes * hops * self.energy_pj_per_byte_hop
-        return latency + latency
+        if self.probe_bytes not in (None, (req_bytes, resp_bytes)):
+            raise ValueError(f"the probe log already records {self.probe_bytes} "
+                             f"byte probes, not {(req_bytes, resp_bytes)}")
+        self.probe_bytes = (req_bytes, resp_bytes)
+        return self.probe_log
+
+    def flush(self) -> None:
+        """Replay the logged probes: request then response, per probe."""
+        log = self.probe_log
+        if not log:
+            return
+        req_bytes, resp_bytes = self.probe_bytes
+        per_byte_hop = self.energy_pj_per_byte_hop
+        transfers = self._h_transfers.value
+        byte_hops = self._h_byte_hops.value
+        total_bytes = self._h_bytes.value
+        energy = self._h_energy_pj.value
+        for hops in log:
+            transfers += 2
+            byte_hops += req_bytes * hops
+            byte_hops += resp_bytes * hops
+            total_bytes += req_bytes
+            total_bytes += resp_bytes
+            energy += req_bytes * hops * per_byte_hop
+            energy += resp_bytes * hops * per_byte_hop
+        self._h_transfers.value = transfers
+        self._h_byte_hops.value = byte_hops
+        self._h_bytes.value = total_bytes
+        self._h_energy_pj.value = energy
+        log.clear()

@@ -9,19 +9,17 @@ Active-Routing engine when one is installed (ART/ARF configurations).
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import List, Mapping, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping
-from ..network.packet import (
-    MemReadPacket,
-    MemRespPacket,
-    MemWritePacket,
-    Packet,
-    PacketType,
-)
+from ..network.packet import MemRespPacket, Packet, PacketType
 from ..sim import Component, Simulator
 from .config import HMCConfig
 from .vault import VaultController
+
+_PT_READ_REQ = PacketType.READ_REQ
+_PT_WRITE_REQ = PacketType.WRITE_REQ
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.engine import ActiveRoutingEngine
@@ -44,8 +42,14 @@ class HMCCube(Component):
         self.network: Optional["MemoryNetwork"] = None
         self.are: Optional["ActiveRoutingEngine"] = None
         self._crossbar_latency = self.config.crossbar_latency
-        # local_access()/_serve_memory_packet() run once per vault access:
+        # receive_passive() runs once per passive request: it decodes the
+        # vault itself (HMCAddressMapping.vault_of) and pushes its response
+        # event straight onto the simulator's heap.  It and local_access()
         # count on plain accumulators drained by the flush() protocol.
+        self._block_size = mapping.block_size
+        self._num_vaults = mapping.num_vaults
+        self._event_heap = sim._heap
+        self._next_seq = sim._next_seq
         self._n_local_accesses = 0
         self._n_served_reads = 0
         self._n_served_writes = 0
@@ -98,28 +102,40 @@ class HMCCube(Component):
             assert self.network is not None, "cube is not connected to a network"
             self.network._hop(packet, self.node_id)
             return
-        self._serve_memory_packet(packet)
+        self.receive_passive(packet, from_node)
 
-    def _serve_memory_packet(self, packet: Packet) -> None:
-        assert self.network is not None, "cube is not connected to a network"
-        if packet.ptype not in (PacketType.READ_REQ, PacketType.WRITE_REQ):
-            raise RuntimeError(f"cube {self.node_id} cannot serve packet type {packet.ptype}")
-        is_read = packet.ptype == PacketType.READ_REQ
-        addr = packet.addr
-        size = 64 if is_read else packet.size
-        finish = self.local_access(addr, size, is_write=not is_read)
-        if is_read:
+    def receive_passive(self, packet: Packet, from_node: int) -> None:
+        """Serve a passive read or write addressed to this cube.
+
+        The network delivers those here directly, past :meth:`receive_packet`
+        (see ``MemoryNetwork._hop_passive``).
+        """
+        ptype = packet.ptype
+        if ptype is _PT_READ_REQ:
+            is_read = True
+            size = 64
             self._n_served_reads += 1
-        else:
+        elif ptype is _PT_WRITE_REQ:
+            is_read = False
+            size = packet.size
             self._n_served_writes += 1
-        self.sim.schedule_at(finish, partial(self._respond, packet.src, addr, is_read,
-                                             packet.req_id))
+        else:
+            raise RuntimeError(f"cube {self.node_id} cannot serve packet type {ptype}")
+        addr = packet.addr
+        # local_access(), inlined.
+        vault = self.vaults[(addr // self._block_size) % self._num_vaults]
+        finish = vault.service(addr, size, not is_read) + self._crossbar_latency
+        self._n_local_accesses += 1
+        # Inlined Simulator.schedule_at: the vault finishes in the future.
+        heappush(self._event_heap, (finish, self._next_seq(),
+                                    partial(self._respond, packet.src, addr, is_read,
+                                            packet.req_id)))
 
     def _respond(self, requester: int, addr: int, is_read: bool, req_id: int) -> None:
         """The vault access finished: answer the requester."""
         response = MemRespPacket(src=self.node_id, dst=requester,
                                  addr=addr, is_read=is_read, req_id=req_id)
-        self.network.inject(response, self.node_id)
+        self.network.inject_passive(response, self.node_id)
 
     # -- statistics -----------------------------------------------------------
     def total_vault_accesses(self, counters: Optional[Mapping[str, float]] = None) -> float:

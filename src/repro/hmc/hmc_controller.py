@@ -4,6 +4,7 @@ Interface's active offloads) onto the memory network."""
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping, MemoryRequest
@@ -51,10 +52,17 @@ class HMCController(Component):
         self._n_writes = 0
         self._n_active_injected = 0
         self._n_responses = 0
+        # Below its reservoir cap the round-trip histogram is only appended
+        # to; flush() folds the rest in before any registry read.
         self._hist_roundtrip = sim.stats.histogram(f"{self.name}.roundtrip")
+        # access() pushes its injection event straight onto the heap.
+        self._event_heap = sim._heap
+        self._next_seq = sim._next_seq
+        self._controller_latency = self.config.controller_latency
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
+        self._hist_roundtrip.fold_appended()
         reads, writes = self._n_reads, self._n_writes
         if reads or writes:
             self._h_requests.value += reads + writes
@@ -82,7 +90,8 @@ class HMCController(Component):
     def access(self, request: MemoryRequest) -> None:
         """Packetize a cache-miss request and inject it into the memory network."""
         assert self.network is not None, "controller is not connected to a network"
-        request.issue_time = request.issue_time or self.sim.now
+        now = self.sim.now
+        request.issue_time = request.issue_time or now
         dst_cube = self.mapping.cube_of(request.addr)
         if request.access_type.is_write:
             packet: Packet = MemWritePacket(src=self.node_id, dst=dst_cube,
@@ -93,8 +102,10 @@ class HMCController(Component):
                                    addr=request.addr, req_id=request.req_id)
             self._n_reads += 1
         self._outstanding[request.req_id] = request
-        self.sim.schedule(self.config.controller_latency,
-                          partial(self.network.inject, packet, self.node_id))
+        # Inlined Simulator.schedule: the controller latency is never negative.
+        heappush(self._event_heap,
+                 (now + self._controller_latency, self._next_seq(),
+                  partial(self.network.inject_passive, packet, self.node_id)))
 
     # -- active offload traffic -------------------------------------------------
     def inject(self, packet: Packet) -> None:
@@ -108,7 +119,7 @@ class HMCController(Component):
     def receive_packet(self, packet: Packet, from_node: int) -> None:
         ptype = packet.ptype
         if ptype is PacketType.READ_RESP or ptype is PacketType.WRITE_RESP:
-            self._complete_memory_response(packet)
+            self.receive_passive(packet, from_node)
             return
         if ptype is PacketType.GATHER_RESP:
             if self._gather_listener is None:
@@ -118,12 +129,27 @@ class HMCController(Component):
             return
         raise RuntimeError(f"{self.name} cannot handle packet type {ptype}")
 
-    def _complete_memory_response(self, packet: Packet) -> None:
+    def receive_passive(self, packet: Packet, from_node: int) -> None:
+        """Complete the request a read or write response answers.
+
+        The network delivers those here directly, past :meth:`receive_packet`
+        (see ``MemoryNetwork._hop_passive``).
+        """
         req_id = packet.req_id
         request = self._outstanding.pop(req_id, None)
         if request is None:
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
         self._n_responses += 1
         now = self.sim.now
-        self._hist_roundtrip.add(now - request.issue_time)
-        request.complete(now)
+        latency = now - request.issue_time
+        hist = self._hist_roundtrip
+        samples = hist.samples
+        if len(samples) < hist.max_samples:
+            samples.append(latency)
+        else:
+            hist.fold_appended()
+            hist.add(latency)
+        # request.complete(now), inlined.
+        request.complete_time = now
+        if request.on_complete is not None:
+            request.on_complete(request)

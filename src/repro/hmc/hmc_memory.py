@@ -65,8 +65,9 @@ class HMCMemorySystem(Component):
         self._interleave = self.net_config.controller_interleave
         # access() runs once per miss: count requests and bytes per access
         # type on plain accumulators that flush() folds into the registry.
+        # The byte column is a list indexed by ``AccessType._index``.
         self._n_requests = 0
-        self._pending_bytes = dict.fromkeys(AccessType, 0)
+        self._pending_bytes = [0] * len(AccessType)
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
@@ -74,11 +75,12 @@ class HMCMemorySystem(Component):
             return
         pending = self._pending_bytes
         self.count("requests", self._n_requests)
-        self.count("bytes", sum(pending.values()))
-        for access_type, size in pending.items():
+        self.count("bytes", sum(pending))
+        for access_type in AccessType:
+            size = pending[access_type._index]
             if size:
                 self.count(f"bytes.{access_type.value}", size)
-                pending[access_type] = 0
+                pending[access_type._index] = 0
         self._n_requests = 0
 
     def _build_topology(self) -> Topology:
@@ -120,7 +122,7 @@ class HMCMemorySystem(Component):
         """Route one cache-miss request through the controller nearest by interleave."""
         controllers = self.controllers
         self._n_requests += 1
-        self._pending_bytes[request.access_type] += request.size
+        self._pending_bytes[request.access_type._index] += request.size
         controllers[(request.addr // self._interleave) % len(controllers)].access(request)
 
     # -- helpers -----------------------------------------------------------------

@@ -93,7 +93,28 @@ class VaultController:
             bank = self._banks[bank_idx] = DRAMBank(
                 self.sim, f"{self.name}.bank{bank_idx}", self._timing)
         earliest = self.sim.now + self._controller_latency
-        _, bank_finish = bank.access(row, earliest=earliest)
+        # DRAMBank.access(row, earliest), inlined on the bank's slots.
+        open_row = bank.open_row
+        if open_row is None:
+            latency = bank._row_closed_cycles
+            bank._n_row_closed += 1
+        elif open_row == row:
+            latency = bank._row_hit_cycles
+            bank._n_row_hit += 1
+        else:
+            latency = bank._row_miss_cycles
+            bank._n_row_miss += 1
+        start = bank.busy_until
+        if start < earliest:
+            start = earliest
+        bank_finish = start + latency
+        bank.busy_until = bank_finish
+        wait = start - earliest
+        if wait > 0:
+            bank._n_queue_wait += wait
+        bank._n_busy += latency
+        bank.open_row = row
+        bank._n_accesses += 1
         occupancy = size / self._bytes_per_cycle
         start = self.tsv_busy_until
         if start < bank_finish:

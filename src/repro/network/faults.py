@@ -208,9 +208,9 @@ class FaultInjector:
         ``None`` when every remaining live link is a bridge (the guard then
         skips this failure rather than partitioning the fabric).
         """
-        grid = self.network._link_grid
+        links = self.network.links
         live = [(a, b) for a, b in self.network.topology.edges()
-                if grid[a][b].up]
+                if links[(a, b)].up]
         eligible = [edge for edge in live
                     if not self._disconnects(live, edge)]
         if not eligible:

@@ -4,7 +4,9 @@ Every packet travels hop by hop.  At each hop the packet is handed to the
 endpoint registered for that node (an HMC cube or a host-side controller),
 which decides whether to consume it, process it in its Active-Routing engine,
 or ask the network to forward it further.  This per-hop delivery is what lets
-Active-Routing "compute on the way".
+Active-Routing "compute on the way".  Passive reads, writes and responses,
+which no transit cube acts on, are handed only to their destination (see
+:meth:`MemoryNetwork.inject_passive`).
 
 Routes come from one deterministic minimal :class:`RoutingTable`.  A
 failure-free run forwards every packet on its pristine next-hop rows; the
@@ -34,6 +36,10 @@ class NetworkEndpoint(Protocol):
     def receive_packet(self, packet: Packet, from_node: int) -> None:
         """Handle a packet that has arrived at this node."""
 
+    # Optional: ``receive_passive(packet, from_node)``, which takes the
+    # passive reads, writes and responses addressed to this node without
+    # the dispatch of receive_packet (see MemoryNetwork.register_endpoint).
+
 
 class MemoryNetwork(Component):
     """Packet-switched network of memory cubes and host controllers."""
@@ -51,15 +57,9 @@ class MemoryNetwork(Component):
         for a, b in topology.edges():
             self.links[(a, b)] = Link(sim, a, b, self.link_config)
             self.links[(b, a)] = Link(sim, b, a, self.link_config)
-        # Dense (src, dst) -> Link grid: node ids are contiguous ints, so a
-        # hop resolves its link with two list indexings instead of a tuple
-        # allocation + dict hash.  Endpoints get the same treatment.
+        # Node ids are contiguous ints, so per-node state is dense lists.
         num_nodes = max(topology.adjacency) + 1
         self._num_nodes = num_nodes
-        self._link_grid: List[List[Optional[Link]]] = [
-            [None] * num_nodes for _ in range(num_nodes)]
-        for (a, b), link in self.links.items():
-            self._link_grid[a][b] = link
         # Each endpoint's receive_packet, bound once at registration: _hop()
         # schedules deliveries as partial(receiver, packet, from_node).  A
         # node without an endpoint holds a receiver that raises, so no hop
@@ -78,13 +78,39 @@ class MemoryNetwork(Component):
         self._offchip_links: List[Link] = [
             link for link in self._link_list
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
-        # _hop() runs once per network hop: keep a direct reference to the
-        # dense next-hop matrix.  The delivery push mirrors
+        # _hop() runs once per network hop.  Its delivery push mirrors
         # Simulator.schedule_at: it pushes straight onto the simulator's heap
         # and draws from the simulator's sequence counter.
         self._event_heap = sim._heap
         self._next_seq = sim._next_seq
         self._next_rows = self.routing.next_hop_table
+        # ``_route_links[current][dst]``: the link of the pristine route's
+        # next hop (None at the destination itself or when unreachable), so
+        # a hop resolves its link with one lookup instead of a tuple
+        # allocation and a dict hash.  For a neighbour ``dst`` that is the
+        # direct link.  Each link carries its far end's receiver as
+        # ``link._rx``, which register_endpoint() keeps current.
+        for link in self._link_list:
+            link._rx = self._receivers[link.dst]
+        self._route_links: List[List[Optional[Link]]] = [
+            [self.links.get((current, nxt)) for nxt in row]
+            for current, row in enumerate(self._next_rows)]
+        # Passive reads, writes and their responses do nothing at a transit
+        # cube but hop on, so _hop_passive() skips that cube's receive_packet:
+        # ``_passive_routes[current][dst]`` is ``(link, receiver, arg)`` and
+        # the arrival calls ``receiver(packet, arg)``.  On the last hop that
+        # is the destination's receive_passive(packet, current) (or its
+        # receive_packet), set by register_endpoint(); on the others it is
+        # the transit hop _hop_passive(packet, next node) itself.
+        # Every transit entry on one link is the same tuple.
+        self._passive_transit = self._hop_passive
+        hop_on = {link: (link, self._passive_transit, link.dst) for link in self._link_list}
+        self._passive_routes: List[List[Optional[tuple]]] = [
+            [None if link is None
+             else (link, link._rx, current) if link.dst == dst
+             else hop_on[link]
+             for dst, link in enumerate(row)]
+            for current, row in enumerate(self._route_links)]
         self._h_injected = self.counter_handle("injected")
         self._h_hops = self.counter_handle("hops")
         self._h_bytes = self.counter_handle("bytes")
@@ -140,7 +166,14 @@ class MemoryNetwork(Component):
         if node_id not in self.topology.adjacency:
             raise ValueError(f"node {node_id} does not exist in topology {self.topology.name}")
         self.endpoints[node_id] = endpoint
-        self._receivers[node_id] = endpoint.receive_packet
+        receiver = endpoint.receive_packet
+        passive = getattr(endpoint, "receive_passive", receiver)
+        self._receivers[node_id] = receiver
+        # The last hop into a node always comes from a neighbour.
+        for neighbor in self.topology.adjacency[node_id]:
+            link = self.links[(neighbor, node_id)]
+            link._rx = receiver
+            self._passive_routes[neighbor][node_id] = (link, passive, neighbor)
 
     def endpoint(self, node_id: int) -> NetworkEndpoint:
         return self.endpoints[node_id]
@@ -159,6 +192,17 @@ class MemoryNetwork(Component):
             return
         self._hop(packet, at_node)
 
+    def inject_passive(self, packet: Packet, at_node: int) -> None:
+        """:meth:`inject` for a passive read, write or response.
+
+        Such a packet always travels between a host controller and a cube,
+        never to the node it starts at, and is injected exactly once; it
+        hops on through :meth:`_hop_passive`.
+        """
+        packet.created_at = self.sim.now
+        self._n_injected += 1
+        self._hop_passive(packet, at_node)
+
     def forward(self, packet: Packet, from_node: int) -> None:
         """Continue routing a packet that an endpoint chose not to consume."""
         if packet.dst == from_node:
@@ -166,8 +210,7 @@ class MemoryNetwork(Component):
         self._hop(packet, from_node)
 
     def _hop(self, packet: Packet, current: int) -> None:
-        nxt = self._next_rows[current][packet.dst]
-        link = self._link_grid[current][nxt]
+        link = self._route_links[current][packet.dst]
         # Inlined Link.transmit(): one hop is the innermost simulator loop and
         # the extra call frame + result tuple are measurable.  Stats go into
         # the link's epoch-batched accumulators, as transmit() feeds them; the
@@ -176,28 +219,48 @@ class MemoryNetwork(Component):
         serialization = size / link._bandwidth
         now = self.sim.now
         start = link.busy_until
-        link_acc = link._acc
         if start > now:
-            link_acc[6] += start - now
+            link._n_wait += start - now
         else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        link_acc[5] += serialization
-        link_acc[4] += 1
-        link_acc[packet._cat_index] += size
-        # The delivery is scheduled as a direct call of the endpoint's bound
+        link._n_busy += serialization
+        link._n_packets += 1
+        link._cat_bytes[packet._cat_index] += size
+        # The delivery is scheduled as a direct call of the far end's bound
         # receive_packet(), with the hop count pre-incremented (the packet is
         # owned by the pending delivery, so nothing can observe it in
         # between).  functools.partial instead of a lambda: no closure cells,
         # and the event loop's call goes straight to the bound method.
         packet.hops += 1
-        callback = partial(self._receivers[nxt], packet, current)
         # Inlined Simulator.schedule_at (delivery times are never in the
         # past): one hop schedules exactly one delivery and the wrapper call
         # is measurable.
         heappush(self._event_heap, (finish + link._latency + self.router_delay,
-                                    self._next_seq(), callback))
+                                    self._next_seq(), partial(link._rx, packet, current)))
+
+    def _hop_passive(self, packet: Packet, current: int) -> None:
+        """:meth:`_hop` for passive packets: the same link reservation and
+        statistics, but the arrival at a transit cube is this method itself,
+        not the cube's receive_packet (see ``_passive_routes``)."""
+        link, receiver, arg = self._passive_routes[current][packet.dst]
+        size = packet.size
+        serialization = size / link._bandwidth
+        now = self.sim.now
+        start = link.busy_until
+        if start > now:
+            link._n_wait += start - now
+        else:
+            start = now
+        finish = start + serialization
+        link.busy_until = finish
+        link._n_busy += serialization
+        link._n_packets += 1
+        link._cat_bytes[packet._cat_index] += size
+        packet.hops += 1
+        heappush(self._event_heap, (finish + link._latency + self.router_delay,
+                                    self._next_seq(), partial(receiver, packet, arg)))
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -212,8 +275,8 @@ class MemoryNetwork(Component):
         activation onward (deterministically: activation is itself an event
         on the ``[time, seq]`` queue).
         """
-        forward = self._link_grid[a][b]
-        reverse = self._link_grid[b][a]
+        forward = self.links.get((a, b))
+        reverse = self.links.get((b, a))
         if forward is None or reverse is None:
             raise ValueError(f"no link between nodes {a} and {b}")
         if forward.up == up:
@@ -252,7 +315,7 @@ class MemoryNetwork(Component):
             for neighbor in neighbors:
                 self.set_link_state(node, neighbor, True)
             return
-        live = [n for n in neighbors if self._link_grid[node][n].up]
+        live = [n for n in neighbors if self.links[(node, n)].up]
         keep = live[0] if live else None
         for neighbor in neighbors:
             if neighbor != keep:
@@ -264,10 +327,21 @@ class MemoryNetwork(Component):
             # Drops are rare events: they bump this bound cell directly
             # instead of joining the epoch-batched accumulators.
             self._h_dropped = self.counter_handle("dropped")
-            # Shadow the class method on the instance: inject()/forward()
-            # look _hop up through self, so every later hop takes the
-            # fault-aware variant without a per-hop mode check.
+            # Shadow the class methods on the instance: inject()/forward()
+            # and inject_passive() look their hop up through self, so every
+            # later hop takes the fault-aware variant without a per-hop mode
+            # check.
             self._hop = self._hop_flex
+            self._hop_passive = self._hop_flex
+            # A passive packet in flight toward a transit cube would arrive
+            # in the fast _hop_passive; where the cube's receive_packet used
+            # to hop it on, it now continues in _hop_flex.  Same time, same
+            # sequence number, so the heap order is untouched.
+            heap = self._event_heap
+            transit = self._passive_transit
+            for index, (time, seq, callback) in enumerate(heap):
+                if type(callback) is partial and callback.func == transit:
+                    heap[index] = (time, seq, partial(self._hop_flex, *callback.args))
 
     def _hop_flex(self, packet: Packet, current: int) -> None:
         """Fault-aware hop: pinned or live route + arrival-instant up check.
@@ -299,7 +373,7 @@ class MemoryNetwork(Component):
                 raise RoutingError(
                     f"packet {packet.pkt_id}: no route from {current} to {dst} "
                     f"over the live links")
-        link = self._link_grid[current][nxt]
+        link = self._route_links[current][nxt]  # nxt is a neighbour
         if not link.up:
             # Submitting onto a down link (only pinned tree traffic can get
             # here — live routes avoid dead links): park in submission order,
@@ -311,16 +385,15 @@ class MemoryNetwork(Component):
         serialization = size / link._bandwidth
         now = self.sim.now
         start = link.busy_until
-        link_acc = link._acc
         if start > now:
-            link_acc[6] += start - now
+            link._n_wait += start - now
         else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        link_acc[5] += serialization
-        link_acc[4] += 1
-        link_acc[packet._cat_index] += size
+        link._n_busy += serialization
+        link._n_packets += 1
+        link._cat_bytes[packet._cat_index] += size
         packet.hops += 1
         callback = partial(self._arrive_flex, packet, link, current, nxt)
         heappush(self._event_heap, (finish + link._latency + self.router_delay,

@@ -200,18 +200,6 @@ class RoutingTable:
             self._split_cache[key] = split
         return split
 
-    def nearest(self, node: int, candidates: List[int]) -> int:
-        """The candidate closest to ``node``.
-
-        Equal distances are broken by ascending candidate id — a pinned,
-        documented tie order, so the answer is reproducible.  Goes through
-        :meth:`distance` so an unreachable candidate raises ``ValueError``
-        instead of its :data:`NO_ROUTE` marker winning the comparison.
-        """
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        return min(candidates, key=lambda c: (self.distance(node, c), c))
-
     # -- link failures -------------------------------------------------------
     def on_link_state_change(self, a: int, b: int, up: bool) -> None:
         """Recompute the live routes after the ``a``–``b`` link goes down or up."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from typing import Callable, Optional
 
 from .stats import StatsRegistry
@@ -68,19 +69,22 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         processed = 0
-        # Folding the budget into a float drops the ``is not None`` test from
-        # the per-event epilogue, and the drain-everything case (the common
-        # one: run_until_idle) gets its own loop without the horizon test.
-        budget = float("inf") if max_events is None else max_events
+        budget = sys.maxsize if max_events is None else max_events
         if budget <= 0:
-            # The loop tests the budget only after a dispatch.
+            # The loops dispatch at least one event once they start.
             if budget < 0:
                 raise ValueError(f"max_events must be non-negative, got {max_events}")
             self._finished = not heap
             return self.now
         try:
             if until is None:
-                while heap:
+                # The drain-everything loop (run_until_idle): the range
+                # counts the events, including one whose callback raises,
+                # and has no horizon test.
+                for processed in range(1, budget + 1):
+                    if not heap:
+                        processed -= 1
+                        break
                     time, _, callback = heappop(heap)
                     if time < self.now:
                         if time < self.now - 1e-9:
@@ -90,10 +94,7 @@ class Simulator:
                             )
                     else:
                         self.now = time
-                    processed += 1
                     callback()
-                    if processed >= budget:
-                        break
             else:
                 while heap:
                     if heap[0][0] > until:

@@ -32,18 +32,25 @@ def test_transfer_latency_and_energy(sim):
     assert latency == 2 * 3.0
     assert sim.stats.counter("noc.byte_hops") == 128
     assert sim.stats.counter("noc.energy_pj") == 128
-    rt = noc.round_trip(0, 3, 16, 64)
-    assert rt == pytest.approx(2 * 2 * 3.0)
+    # An L2 probe is one logged hop count, accounted at the next read.
+    noc.probe_log_for(16, 64).append(noc.hops(0, 3))
+    assert sim.stats.counter("noc.transfers") == 3
+    assert sim.stats.counter("noc.byte_hops") == 128 + (16 + 64) * 2
+    assert sim.stats.counter("noc.energy_pj") == 128 + (16 + 64) * 2
+    assert not noc.probe_log
 
 
 def test_round_trip_matches_two_transfers_on_a_rectangular_mesh(sim):
     noc = MeshNoC(sim, rows=3, cols=5, hop_latency=2.0)
     reference = MeshNoC(Simulator(), rows=3, cols=5, hop_latency=2.0)
+    log = noc.probe_log_for(16, 64)
     for src in range(noc.num_tiles):
         for dst in range(noc.num_tiles):
             expected = (reference.transfer(src, dst, 16)
                         + reference.transfer(dst, src, 64))
-            assert noc.round_trip(src, dst, 16, 64) == expected
+            hops = noc.hops(src, dst)
+            log.append(hops)
+            assert hops * (2 * noc.hop_latency) == expected
     assert sim.stats.counters("noc.") == reference.sim.stats.counters("noc.")
 
 

@@ -1,8 +1,7 @@
 """Unit and property tests for deterministic minimal routing.
 
-Covers the dense pristine tables, the pinned tie-breaking contracts
-(``nearest``/``split_point``), and the pristine/live table split that link
-failures open.
+Covers the dense pristine tables, the pinned tie-breaking contract of
+``split_point``, and the pristine/live table split that link failures open.
 """
 
 import networkx as nx
@@ -12,7 +11,6 @@ from hypothesis import given, strategies as st
 from helpers import reference_graph
 from repro.network import (
     RoutingTable,
-    Topology,
     build_chain,
     build_dragonfly,
     build_mesh,
@@ -75,12 +73,6 @@ def test_split_point_same_destination():
     assert TABLE.split_point(16, 9, 9) == 9
 
 
-def test_nearest():
-    assert TABLE.nearest(0, [0, 5, 9]) == 0
-    with pytest.raises(ValueError):
-        TABLE.nearest(0, [])
-
-
 @given(st.sampled_from(NODES), st.sampled_from(NODES))
 def test_distance_symmetric_in_hops(src, dst):
     # Paths may differ by direction, but minimal hop counts must agree.
@@ -138,17 +130,6 @@ def test_next_hop_unknown_destination_raises():
         TABLE.distance(0, 10_000)
 
 
-def test_nearest_unreachable_candidate_raises():
-    disconnected = {0: [1], 1: [0], 2: [3], 3: [2]}     # links 0-1 and 2-3
-    topo = Topology(name="split", num_cubes=4, adjacency=disconnected)
-    table = RoutingTable(topo)
-    assert table.nearest(0, [0, 1]) == 0
-    with pytest.raises(ValueError):
-        table.nearest(0, [2])        # unreachable must not win the comparison
-    with pytest.raises(ValueError):
-        table.nearest(0, [1, 2])
-
-
 def test_negative_node_ids_rejected():
     # Python's negative indexing must not leak wrong routes (NO_ROUTE is -1).
     with pytest.raises(ValueError):
@@ -157,26 +138,7 @@ def test_negative_node_ids_rejected():
         TABLE.distance(-1, 0)
 
 
-# -- pinned tie-breaking contracts --------------------------------------------
-def test_nearest_tie_break_is_ascending_id():
-    """Equal distances break by ascending candidate id, order-independently."""
-    mesh = build_mesh(rows=2, cols=2, num_controllers=1)
-    table = RoutingTable(mesh)
-    # Cubes 1 and 2 are both one hop from cube 0.
-    assert table.distance(0, 1) == table.distance(0, 2)
-    assert table.nearest(0, [2, 1]) == 1
-    assert table.nearest(0, [1, 2]) == 1
-    # Same contract on the paper topology, across every distance class.
-    by_distance = {}
-    for node in NODES:
-        by_distance.setdefault(TABLE.distance(0, node), []).append(node)
-    tied_groups = [group for group in by_distance.values() if len(group) > 1]
-    assert tied_groups  # dragonfly has equidistant nodes; the test is not vacuous
-    for group in tied_groups:
-        assert TABLE.nearest(0, group) == min(group)
-        assert TABLE.nearest(0, list(reversed(group))) == min(group)
-
-
+# -- pinned tie-breaking contract ---------------------------------------------
 def test_split_point_symmetric_and_prefix_pinned():
     """split_point is the last common *prefix* node and is symmetric in a, b."""
     mesh = build_mesh()
