@@ -39,7 +39,7 @@ from ..network.packet import (
     PacketType,
     UpdatePacket,
 )
-from ..sim import Component, Histogram, Simulator
+from ..sim import Component, Simulator
 from .alu import ALU, NUM_OPERANDS, REDUCE_OPCODES
 from .config import AREConfig
 from .flow_table import FlowTable, FlowTableEntry
@@ -100,33 +100,20 @@ class ActiveRoutingEngine(Component):
             setattr(self, "_n_" + counter, 0)
             pairs.append(("_n_" + counter, self.counter_handle(counter)))
         self._register_batched_counters(*pairs)
-        # Round-trip latency samples go into PRIVATE per-engine histograms;
-        # the shared "ar.update_latency.*" aggregates are folded from them in
+        # Round-trip latencies go into PRIVATE per-engine running totals; the
+        # shared "ar.update_latency.*" aggregates sum them in
         # engine-construction (= cube) order at flush time.  That fold fixes
         # the float summation order the golden digests were captured under;
-        # one shared histogram fed in event order would round differently.
-        self._hist_latency_request = Histogram()
-        self._hist_latency_stall = Histogram()
-        self._hist_latency_response = Histogram()
-        self._hist_latency_total = Histogram()
-        for suffix, part in (("request", self._hist_latency_request),
-                             ("stall", self._hist_latency_stall),
-                             ("response", self._hist_latency_response),
-                             ("total", self._hist_latency_total)):
-            sim.stats.folded_histogram(f"ar.update_latency.{suffix}").attach(part)
-        # Below the reservoir cap _record_roundtrip appends each sample
-        # straight to the four parts' sample lists and leaves count, total,
-        # min and max to Histogram.fold_appended(), which the folded
-        # aggregate runs on every registry read.  The four lists always have
-        # the same length (every round-trip feeds all four), so one length
-        # test covers all four.
-        self._hists_latency = (self._hist_latency_request, self._hist_latency_stall,
-                               self._hist_latency_response, self._hist_latency_total)
-        self._latency_cap = self._hist_latency_total.max_samples
-        self._samples_request = self._hist_latency_request.samples
-        self._samples_stall = self._hist_latency_stall.samples
-        self._samples_response = self._hist_latency_response.samples
-        self._samples_total = self._hist_latency_total.samples
+        # one shared total fed in event order would round differently.  Every
+        # round trip feeds all four components, so one count serves all four.
+        self._latency_count = 0
+        self._latency_request = 0.0
+        self._latency_stall = 0.0
+        self._latency_response = 0.0
+        self._latency_total = 0.0
+        for suffix in ("request", "stall", "response", "total"):
+            sim.stats.folded_histogram(f"ar.update_latency.{suffix}").attach(
+                self, "_latency_count", f"_latency_{suffix}")
 
     # ---------------------------------------------------------------- update phase
     def _handle_update(self, packet: UpdatePacket, from_node: int) -> None:
@@ -368,20 +355,11 @@ class ActiveRoutingEngine(Component):
         if response_latency < 0.0:
             response_latency = 0.0
         total_latency = request_latency + stall_latency + response_latency
-        samples = self._samples_request
-        if len(samples) < self._latency_cap:
-            # Below the cap: append only; the registry read folds the rest.
-            samples.append(request_latency)
-            self._samples_stall.append(stall_latency)
-            self._samples_response.append(response_latency)
-            self._samples_total.append(total_latency)
-            return
-        # A full reservoir: fold the appended tail first, so add() continues
-        # exactly where per-sample add()s would have left the histogram.
-        for hist, value in zip(self._hists_latency, (request_latency, stall_latency,
-                                                     response_latency, total_latency)):
-            hist.fold_appended()
-            hist.add(value)
+        self._latency_count += 1
+        self._latency_request += request_latency
+        self._latency_stall += stall_latency
+        self._latency_response += response_latency
+        self._latency_total += total_latency
 
     # ----------------------------------------------------------------- gather phase
     def _handle_gather_request(self, packet: GatherRequestPacket, from_node: int) -> None:

@@ -29,7 +29,7 @@ from ..isa import (
     ThreadTrace,
     UpdateOp,
 )
-from ..sim import Component, Simulator
+from ..sim import Component, CounterHandle, Simulator
 from .cache import CacheHierarchy
 from .config import CoreConfig
 from .message_interface import MessageInterface
@@ -64,10 +64,15 @@ class Core(Component):
         self._waiting_for_mi_slot = False
         self._advance_scheduled = False
         self._issue_width = max(1, config.issue_width)
-        #: Bound histogram: one sample per completed memory miss.  Below its
-        #: reservoir cap :meth:`_mem_done` only appends to ``samples``;
-        #: :meth:`flush` folds the rest in before any registry read.
-        self._hist_mem_latency = sim.stats.histogram(f"{self.name}.mem_latency")
+        #: One sample per completed memory miss, kept as a running count and
+        #: total that the registry's ``mem_latency`` histogram reads.
+        self._mem_latency_count = 0
+        self._mem_latency_total = 0.0
+        sim.stats.folded_histogram(f"{self.name}.mem_latency").attach(
+            self, "_mem_latency_count", "_mem_latency_total")
+        #: ``stall.<reason>`` cells by reason, bound at each reason's first
+        #: stall so the registry keeps first-stall order.
+        self._stall_cells: Dict[str, CounterHandle] = {}
         # Counted once per load/store/Update: plain accumulators, folded on flush.
         self._n_mem_hits = 0
         self._n_mem_misses_issued = 0
@@ -107,8 +112,12 @@ class Core(Component):
         self._block_start = self.sim.now
 
     def _unblock(self) -> None:
-        if self.blocked_reason is not None:
-            self.count(f"stall.{self.blocked_reason}", self.sim.now - self._block_start)
+        reason = self.blocked_reason
+        if reason is not None:
+            cell = self._stall_cells.get(reason)
+            if cell is None:
+                cell = self._stall_cells[reason] = self.counter_handle(f"stall.{reason}")
+            cell.value += self.sim.now - self._block_start
             self.blocked_reason = None
         self._schedule_advance(0.0)
 
@@ -118,11 +127,6 @@ class Core(Component):
         if self.instructions >= self._next_sample:
             self.ipc_samples.append((self.instructions, self.now))
             self._next_sample += self.config.ipc_sample_interval
-
-    def flush(self) -> None:
-        """Fold the appended latency samples, then the batched counters."""
-        self._hist_mem_latency.fold_appended()
-        super().flush()
 
     def _maybe_finish(self) -> None:
         if (not self.done and self.pc >= len(self.trace)
@@ -136,14 +140,8 @@ class Core(Component):
     # -- completion callbacks ----------------------------------------------------------
     def _mem_done(self, latency: float) -> None:
         self.outstanding_mem -= 1
-        hist = self._hist_mem_latency
-        samples = hist.samples
-        if len(samples) < hist.max_samples:
-            # Below the cap: append only; flush() folds the rest.
-            samples.append(latency)
-        else:
-            hist.fold_appended()
-            hist.add(latency)
+        self._mem_latency_count += 1
+        self._mem_latency_total += latency
         if self._waiting_for_mem_slot:
             self._waiting_for_mem_slot = False
             self._unblock()

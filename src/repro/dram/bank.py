@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 from ..sim import Simulator
 from .timing import DRAMTiming
 
-#: Registry stats of a bank, in the order :meth:`DRAMBank.flush` folds them.
+#: Registry stats of a bank, in the order of its ``counter_totals``.
 BANK_STATS = ("row_closed", "row_hit", "row_miss", "accesses",
               "busy_cycles", "queue_wait_cycles")
 
@@ -23,15 +23,18 @@ class DRAMBank:
     create banks by the tens of thousands, lazily, on first access.
     ``access()`` runs once per DRAM access on the hot path, so it inlines the
     row-state decision and the ``busy_until`` reservation and counts into
-    plain accumulators.  :meth:`flush` folds them into the registry cells
-    ``<name>.<stat>`` (:data:`BANK_STATS`), binding all of them in one
-    registry call the first time it has anything to fold.
+    plain accumulators.  :meth:`flush` folds them into ``counter_totals``,
+    one total per :data:`BANK_STATS` entry, which the bank publishes as a
+    registry counter group (``<name>.<stat>``) the first time it has
+    anything to fold.
     """
+
+    counter_stats = BANK_STATS
 
     __slots__ = ("sim", "name", "open_row", "busy_until", "_row_closed_cycles",
                  "_row_hit_cycles", "_row_miss_cycles", "_n_row_closed",
                  "_n_row_hit", "_n_row_miss", "_n_accesses", "_n_busy",
-                 "_n_queue_wait", "_cells")
+                 "_n_queue_wait", "counter_totals")
 
     def __init__(self, sim: Simulator, name: str, timing: DRAMTiming) -> None:
         self.sim = sim
@@ -47,23 +50,23 @@ class DRAMBank:
         self._n_accesses = 0
         self._n_busy = 0.0
         self._n_queue_wait = 0.0
-        self._cells = None
+        self.counter_totals = None
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
-        """Fold the pending accumulators into the registry cells."""
+        """Fold the pending accumulators into the counter-group totals."""
         if not self._n_accesses:
             return
-        cells = self._cells
-        if cells is None:
-            cells = self._cells = self.sim.stats.counter_handles(self.name, BANK_STATS)
-        closed, hit, miss, accesses, busy, queue_wait = cells
-        closed.value += self._n_row_closed
-        hit.value += self._n_row_hit
-        miss.value += self._n_row_miss
-        accesses.value += self._n_accesses
-        busy.value += self._n_busy
-        queue_wait.value += self._n_queue_wait
+        totals = self.counter_totals
+        if totals is None:
+            totals = self.counter_totals = [0.0] * len(BANK_STATS)
+            self.sim.stats.register_counter_group(self)
+        totals[0] += self._n_row_closed
+        totals[1] += self._n_row_hit
+        totals[2] += self._n_row_miss
+        totals[3] += self._n_accesses
+        totals[4] += self._n_busy
+        totals[5] += self._n_queue_wait
         self._n_row_closed = 0
         self._n_row_hit = 0
         self._n_row_miss = 0

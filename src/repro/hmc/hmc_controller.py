@@ -41,8 +41,7 @@ class HMCController(Component):
         self._gather_listener: Optional[GatherListener] = None
         # access()/inject()/receive_packet() run once per miss/offload; the
         # counts batch into plain accumulators (``requests`` is derived as
-        # reads + writes at flush time) and the round-trip histogram is bound
-        # once instead of re-resolved per response.
+        # reads + writes at flush time).
         self._h_requests = self.counter_handle("requests")
         self._h_reads = self.counter_handle("reads")
         self._h_writes = self.counter_handle("writes")
@@ -52,9 +51,12 @@ class HMCController(Component):
         self._n_writes = 0
         self._n_active_injected = 0
         self._n_responses = 0
-        # Below its reservoir cap the round-trip histogram is only appended
-        # to; flush() folds the rest in before any registry read.
-        self._hist_roundtrip = sim.stats.histogram(f"{self.name}.roundtrip")
+        # Round trips are a running count and total that the registry's
+        # ``roundtrip`` histogram reads.
+        self._roundtrip_count = 0
+        self._roundtrip_total = 0.0
+        sim.stats.folded_histogram(f"{self.name}.roundtrip").attach(
+            self, "_roundtrip_count", "_roundtrip_total")
         # access() pushes its injection event straight onto the heap.
         self._event_heap = sim._heap
         self._next_seq = sim._next_seq
@@ -62,7 +64,6 @@ class HMCController(Component):
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
-        self._hist_roundtrip.fold_appended()
         reads, writes = self._n_reads, self._n_writes
         if reads or writes:
             self._h_requests.value += reads + writes
@@ -141,14 +142,8 @@ class HMCController(Component):
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
         self._n_responses += 1
         now = self.sim.now
-        latency = now - request.issue_time
-        hist = self._hist_roundtrip
-        samples = hist.samples
-        if len(samples) < hist.max_samples:
-            samples.append(latency)
-        else:
-            hist.fold_appended()
-            hist.add(latency)
+        self._roundtrip_count += 1
+        self._roundtrip_total += now - request.issue_time
         # request.complete(now), inlined.
         request.complete_time = now
         if request.on_complete is not None:

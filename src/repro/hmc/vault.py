@@ -9,8 +9,8 @@ from ..sim import Simulator
 from ..dram.bank import DRAMBank
 from .config import HMCConfig
 
-#: Registry stats of a vault, in the order :meth:`VaultController.flush`
-#: folds them.  The TSV data path keeps its ``<vault>.tsv.*`` names.
+#: Registry stats of a vault, in the order of its ``counter_totals``.  The
+#: TSV data path keeps its ``<vault>.tsv.*`` names.
 VAULT_STATS = ("accesses", "reads", "writes", "bytes", "energy_pj",
                "tsv.busy_cycles", "tsv.queue_wait_cycles")
 
@@ -25,15 +25,17 @@ class VaultController:
     HMC build creates hundreds of vaults and most of them are never accessed.
     The TSV is an inlined ``tsv_busy_until`` reservation, banks are created
     on first access, and the counters (accesses and energy derived from the
-    batched bytes) are bound in one registry call the first time
-    :meth:`flush` has anything to fold.
+    batched bytes) are one list of totals, published as a registry counter
+    group the first time :meth:`flush` has anything to fold.
     """
+
+    counter_stats = VAULT_STATS
 
     __slots__ = ("sim", "name", "cube_id", "vault_id", "tsv_busy_until",
                  "_banks", "_timing", "_bank_stride", "_banks_per_vault",
                  "_row_stride", "_blocks_per_row", "_bytes_per_cycle",
                  "_controller_latency", "_energy_pj_per_bit", "_n_reads",
-                 "_n_writes", "_n_bytes", "_n_tsv_busy", "_n_tsv_wait", "_cells")
+                 "_n_writes", "_n_bytes", "_n_tsv_busy", "_n_tsv_wait", "counter_totals")
 
     def __init__(self, sim: Simulator, cube_id: int, vault_id: int,
                  mapping: HMCAddressMapping, config: HMCConfig) -> None:
@@ -58,26 +60,26 @@ class VaultController:
         self._n_bytes = 0
         self._n_tsv_busy = 0.0
         self._n_tsv_wait = 0.0
-        self._cells = None
+        self.counter_totals = None
         sim.stats.register_flushable(self)
 
     def flush(self) -> None:
-        """Fold the pending accumulators into the registry cells."""
+        """Fold the pending accumulators into the counter-group totals."""
         reads, writes = self._n_reads, self._n_writes
         if not (reads or writes):
             return
-        cells = self._cells
-        if cells is None:
-            cells = self._cells = self.sim.stats.counter_handles(self.name, VAULT_STATS)
-        accesses, h_reads, h_writes, h_bytes, energy_pj, tsv_busy, tsv_wait = cells
+        totals = self.counter_totals
+        if totals is None:
+            totals = self.counter_totals = [0.0] * len(VAULT_STATS)
+            self.sim.stats.register_counter_group(self)
         pending_bytes = self._n_bytes
-        accesses.value += reads + writes
-        h_reads.value += reads
-        h_writes.value += writes
-        h_bytes.value += pending_bytes
-        energy_pj.value += pending_bytes * 8 * self._energy_pj_per_bit
-        tsv_busy.value += self._n_tsv_busy
-        tsv_wait.value += self._n_tsv_wait
+        totals[0] += reads + writes
+        totals[1] += reads
+        totals[2] += writes
+        totals[3] += pending_bytes
+        totals[4] += pending_bytes * 8 * self._energy_pj_per_bit
+        totals[5] += self._n_tsv_busy
+        totals[6] += self._n_tsv_wait
         self._n_reads = 0
         self._n_writes = 0
         self._n_bytes = 0

@@ -4,6 +4,13 @@ Both mappings follow the usual interleaved layout of memory-network studies:
 consecutive *interleave granules* (4 KB pages by default for the cube network,
 matching the unified-memory-network design the paper adopts) rotate across
 cubes / channels so that large arrays naturally spread over the whole network.
+
+Both XOR-fold the granule index (``g ^ (g >> 3) ^ (g >> 7)``) before the
+modulo, as real memory controllers hash their channel/cube selection bits:
+strided and lock-step streams from several cores then do not camp on one
+channel, which would leave the DDR baseline unrealistically serialized.  The
+fold is written out in ``cube_of`` and ``channel_of`` rather than called,
+because both run once per memory request.
 """
 
 from __future__ import annotations
@@ -18,16 +25,6 @@ def _is_power_of_two(value: int) -> bool:
 def _require_power_of_two(value: int, what: str) -> None:
     if not _is_power_of_two(value):
         raise ValueError(f"{what} must be a power of two, got {value}")
-
-
-def _hash_granule(granule: int) -> int:
-    """XOR-fold a page/granule index before modulo interleaving.
-
-    Real memory controllers hash channel/cube selection bits so that strided
-    and lock-step streams from multiple cores do not camp on a single channel;
-    without this the DDR baseline is unrealistically serialized.
-    """
-    return granule ^ (granule >> 3) ^ (granule >> 7)
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,8 @@ class HMCAddressMapping:
         return addr // self.block_size * self.block_size
 
     def cube_of(self, addr: int) -> int:
-        return _hash_granule(addr // self.cube_interleave) % self.num_cubes
+        granule = addr // self.cube_interleave
+        return (granule ^ (granule >> 3) ^ (granule >> 7)) % self.num_cubes
 
     def vault_of(self, addr: int) -> int:
         return (addr // self.block_size) % self.num_vaults
@@ -111,7 +109,8 @@ class DRAMAddressMapping:
         return addr // self.block_size * self.block_size
 
     def channel_of(self, addr: int) -> int:
-        return _hash_granule(addr // self.channel_interleave) % self.num_channels
+        granule = addr // self.channel_interleave
+        return (granule ^ (granule >> 3) ^ (granule >> 7)) % self.num_channels
 
     def rank_of(self, addr: int) -> int:
         return (addr // self.block_size) % self.ranks_per_channel

@@ -1,43 +1,38 @@
 """Statistics primitives shared by every simulated component.
 
 The registry is intentionally simple: counters (monotonic sums), scalar gauges,
-and histograms with summary statistics.  Components register their stats under a
-dotted name (``"network.link.cube3->cube7.bytes"``) so the experiment harness can
+and histograms that keep a count and a running total (so a mean) and no
+samples.  Components register their stats under a dotted name
+(``"network.link.cube3->cube7.bytes"``) so the experiment harness can
 aggregate by prefix.
 
-Counters have two access paths:
+Counters have three storage forms:
 
 * the string-keyed slow path (:meth:`StatsRegistry.add`) used by cold code and
-  by anything that only increments occasionally, and
+  by anything that only increments occasionally,
 * bound :class:`CounterHandle` cells (:meth:`StatsRegistry.counter_handle`)
   resolved once at component construction, gem5-style, so hot loops increment
-  a plain attribute instead of hashing a dotted string per event.
+  a plain attribute instead of hashing a dotted string per event, and
+* counter groups (:meth:`StatsRegistry.register_counter_group`) for objects
+  created lazily by the thousand (DRAM banks, vaults): the object keeps its
+  totals in one plain list and the registry names each ``<name>.<stat>`` only
+  while it reads, so a group costs no cell and no stored name per counter.
 
-Both paths are transparently visible to every reader (``counter()``,
-``counters()``, ``sum()``, ``snapshot()``, ``merge()``).
+All three are transparently visible to every reader (``counter()``,
+``counters()``, ``sum()``, ``snapshot()``).
 
 Components that batch their hottest counters in plain local accumulators
 (epoch-batched stats, e.g. :class:`~repro.network.link.Link`) register
 themselves with :meth:`StatsRegistry.register_flushable`; every reader calls
 :meth:`StatsRegistry.flush` first, which folds the pending accumulators into
-the bound cells, so batching is invisible to the string API.
+the bound cells and group totals, so batching is invisible to the string API.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-#: Default retained-sample cap for histograms (see :class:`Histogram`).
-DEFAULT_HISTOGRAM_SAMPLES = 65_536
-
-#: Fixed seed for the histogram sampling reservoirs: every run draws the same
-#: pseudo-random replacement sequence, keeping simulations reproducible.
-DEFAULT_RESERVOIR_SEED = 0x5EED
 
 
 class CounterHandle:
@@ -60,221 +55,66 @@ class CounterHandle:
         return f"<CounterHandle {self.name}={self.value}>"
 
 
-@dataclass
 class Histogram:
-    """Streaming summary of a sample population (mean, min, max, percentiles).
+    """Streaming summary of a sample population: count, running total, mean.
 
-    ``count``/``total``/``min``/``max`` (and therefore ``mean``) are always
-    exact.  Retained samples are capped at ``max_samples`` so long simulations
-    cannot grow memory without bound; once the cap is hit ``truncated`` is set
-    and :meth:`percentile` becomes approximate.  Beyond the cap the retained
-    set is maintained as a seeded reservoir (Algorithm R), so it stays a
-    uniform sample of *every* observation instead of an early-simulation
-    prefix, and the same observation sequence always keeps the same samples.
+    No sample is retained.  ``total`` adds the values in observation order,
+    so a writer that keeps its own ``count += 1; total += value`` and hands
+    the two over at read time produces exactly the same fields.
     """
 
-    samples: List[float] = field(default_factory=list)
-    keep_samples: bool = True
-    count: int = 0
-    total: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-    max_samples: Optional[int] = DEFAULT_HISTOGRAM_SAMPLES
-    truncated: bool = False
-    seed: int = DEFAULT_RESERVOIR_SEED
-    #: Observations offered to the reservoir (>= len(samples); merge() replays
-    #: the other side's retained samples, so this can be < count).
-    _seen: int = field(default=0, repr=False, compare=False)
-    _rng: Optional[random.Random] = field(default=None, repr=False, compare=False)
+    __slots__ = ("count", "total")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
 
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        if self.keep_samples:
-            self._offer_sample(value)
-
-    def _offer_sample(self, value: float) -> None:
-        """Retain ``value`` outright below the cap, else reservoir-replace."""
-        self._seen += 1
-        if self.max_samples is None or len(self.samples) < self.max_samples:
-            self.samples.append(value)
-            return
-        self.truncated = True
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        slot = self._rng.randrange(self._seen)
-        if slot < self.max_samples:
-            self.samples[slot] = value
-
-    def fold_appended(self) -> None:
-        """Account for samples a hot writer appended straight to ``samples``.
-
-        Below the cap a writer may ``samples.append(value)`` and leave the
-        rest of :meth:`add` to this fold: the tail past ``_seen`` updates
-        ``count``/``total``/``minimum``/``maximum``/``_seen`` in append order,
-        which gives exactly the fields one ``add()`` per value would.  The
-        writer must fold before it calls :meth:`add` at the cap.
-        """
-        samples = self.samples
-        seen = self._seen
-        if len(samples) <= seen:
-            return
-        # An explicit left-to-right loop: sum() rounds differently on
-        # interpreters that compensate float sums.  islice, not a slice: no
-        # copy of the tail.
-        total = self.total
-        minimum = self.minimum
-        maximum = self.maximum
-        for value in islice(samples, seen, None):
-            total += value
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-        self.count += len(samples) - seen
-        self.total = total
-        self.minimum = minimum
-        self.maximum = maximum
-        self._seen = len(samples)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, fraction: float) -> float:
-        """Return the ``fraction`` quantile (0..1) of the retained samples.
-
-        Quantiles interpolate linearly between the two closest ranks (the
-        same convention as ``statistics.quantiles(..., method='inclusive')``
-        and numpy's default), so even- and odd-sized populations behave
-        consistently.  Exact while every observation is retained; once
-        ``truncated`` is set the result is an estimate over the reservoir.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("percentile fraction must be within [0, 1]")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        position = fraction * (len(ordered) - 1)
-        lower = math.floor(position)
-        upper = math.ceil(position)
-        if lower == upper:
-            return ordered[lower]
-        weight = position - lower
-        return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
-
-    def merge(self, other: "Histogram") -> None:
-        population_self, population_other = self.count, other.count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        self.truncated = self.truncated or other.truncated
-        if not (self.keep_samples and other.keep_samples):
-            return
-        if (self.max_samples is None
-                or (not self.truncated
-                    and len(self.samples) + len(other.samples) <= self.max_samples)):
-            # Both sides retain their full populations and the union fits:
-            # concatenating stays exact.
-            self.samples.extend(other.samples)
-            self._seen += len(other.samples)
-            return
-        # Truncating merge: stratified draw where each side contributes in
-        # proportion to the population its retained set represents, so the
-        # result approximates a uniform sample of the union rather than
-        # re-weighting the other side as if it were len(other.samples)
-        # observations.
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        capacity = self.max_samples
-        population = population_self + population_other
-        take_other = min(len(other.samples),
-                         round(capacity * population_other / population) if population else 0)
-        take_self = min(len(self.samples), capacity - take_other)
-        take_other = min(len(other.samples), capacity - take_self)
-        self.samples[:] = (self._subsample(self.samples, take_self)
-                           + self._subsample(other.samples, take_other))
-        self.truncated = True
-        # Future add()s continue Algorithm R over the whole merged population.
-        self._seen = population
-
-    def _subsample(self, pool: List[float], size: int) -> List[float]:
-        """A seeded uniform without-replacement draw of ``size`` from ``pool``."""
-        if size >= len(pool):
-            return list(pool)
-        return self._rng.sample(pool, size)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-        }
-
 
 class FoldedHistogram(Histogram):
-    """A histogram re-derived from per-writer part histograms.
+    """A histogram re-derived from writers' own running totals.
 
-    Multiple hot writers (one Active-Routing engine per cube) each own a
-    private :class:`Histogram` and the registry-visible aggregate is folded
-    from those parts in attach order on every :meth:`flush`.  Folding in a
-    fixed part order makes the aggregate's float fields (``total`` above all)
-    independent of how the writers' observations interleaved in time.  The
-    golden digests were captured under this per-part-then-fold summation
-    order: feeding one shared histogram in event order instead rounds
-    ``total`` differently and moves the Active-Routing golden digests.
+    Hot writers keep a plain count and total as attributes on themselves (one
+    Active-Routing engine per cube, one core, one HMC controller) and the
+    registry-visible aggregate sums them in attach order on every
+    :meth:`flush`.  Folding in a fixed part order makes the aggregate's
+    ``total`` independent of how the writers' observations interleaved in
+    time.  The golden digests were captured under this per-part-then-fold
+    summation order: feeding one shared histogram in event order instead
+    rounds ``total`` differently and moves the Active-Routing golden digests.
 
     The folded object must never be fed through :meth:`Histogram.add`; it is
     rebuilt wholesale from its parts.
     """
 
+    __slots__ = ("parts",)
+
     def __init__(self) -> None:
         super().__init__()
-        self.parts: List[Histogram] = []
+        self.parts: List[Tuple[object, str, str]] = []
 
-    def attach(self, part: Histogram) -> None:
-        """Register one writer's private histogram.  Attach order is the fold
-        order and must be deterministic (components attach at construction)."""
-        self.parts.append(part)
+    def attach(self, writer: object, count_attr: str, total_attr: str) -> None:
+        """Fold ``writer.<count_attr>`` and ``writer.<total_attr>`` into this
+        aggregate.  Attach order is the fold order and must be deterministic
+        (components attach at construction)."""
+        self.parts.append((writer, count_attr, total_attr))
 
     def flush(self) -> None:
-        """Re-derive the aggregate fields from the parts, in attach order.
-
-        Each part first folds the samples its writer appended since the last
-        read (:meth:`Histogram.fold_appended`).  The fold runs here rather
-        than in the writers' own ``flush()``: a writer may register as a
-        flushable after this aggregate, and the aggregate must not read a
-        part before it is folded.
-        """
+        """Re-derive ``count`` and ``total`` from the parts, in attach order."""
         count = 0
         total = 0.0
-        minimum = math.inf
-        maximum = -math.inf
-        truncated = False
-        samples: List[float] = []
-        for part in self.parts:
-            part.fold_appended()
-            count += part.count
-            total += part.total
-            if part.minimum < minimum:
-                minimum = part.minimum
-            if part.maximum > maximum:
-                maximum = part.maximum
-            truncated = truncated or part.truncated
-            samples.extend(part.samples)
+        for writer, count_attr, total_attr in self.parts:
+            count += getattr(writer, count_attr)
+            total += getattr(writer, total_attr)
         self.count = count
         self.total = total
-        self.minimum = minimum
-        self.maximum = maximum
-        self.truncated = truncated
-        self.samples[:] = samples
 
 
 class StatsRegistry:
@@ -283,6 +123,11 @@ class StatsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, float] = defaultdict(float)
         self._handles: Dict[str, CounterHandle] = {}
+        #: Counter groups by name (see :meth:`register_counter_group`).
+        self._groups: Dict[str, object] = {}
+        #: Bound handles and counter groups in binding order: the order every
+        #: reader walks them in.
+        self._bound: List[object] = []
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._flushables: List[object] = []
@@ -312,8 +157,13 @@ class StatsRegistry:
         handle = self._handles.get(name)
         if handle is not None:
             handle.value += amount
-        else:
+            return
+        slot = self._group_slot(name)
+        if slot is None:
             self._counters[name] += amount
+        else:
+            group, index = slot
+            group.counter_totals[index] += amount
 
     def counter_handle(self, name: str) -> CounterHandle:
         """Return the bound counter cell for ``name``, creating it on first use.
@@ -325,26 +175,42 @@ class StatsRegistry:
         if handle is None:
             handle = CounterHandle(name, self._counters.pop(name, 0.0))
             self._handles[name] = handle
+            self._bound.append(handle)
         return handle
 
-    def counter_handles(self, prefix: str, stats: Iterable[str]) -> List[CounterHandle]:
-        """Bound cells for ``<prefix>.<stat>`` of every stat, in one call.
+    def register_counter_group(self, group: object) -> None:
+        """Publish ``<group.name>.<stat>`` for every stat of a counter group.
 
-        The bulk form of :meth:`counter_handle` for objects that bind their
-        cells the first time they have something to count: same migration of
-        string-keyed values, one call per object instead of one per name.
+        ``group.counter_stats`` is a tuple of stat names and
+        ``group.counter_totals`` a list of totals in the same order, which the
+        group adds into itself (typically from its ``flush()``).  The registry
+        keeps only the group: it names a total when it reads it, and skips a
+        total of 0.0 exactly as it skips an untouched handle.  Values already
+        accumulated through the string-keyed path migrate into the totals.
+        A group owns its names; none of them may be bound as a handle.
         """
-        handles = self._handles
         counters = self._counters
-        cells = []
-        for stat in stats:
-            name = f"{prefix}.{stat}"
-            handle = handles.get(name)
-            if handle is None:
-                handle = CounterHandle(name, counters.pop(name, 0.0))
-                handles[name] = handle
-            cells.append(handle)
-        return cells
+        if counters:
+            totals = group.counter_totals
+            for index, stat in enumerate(group.counter_stats):
+                totals[index] += counters.pop(f"{group.name}.{stat}", 0.0)
+        self._groups[group.name] = group
+        self._bound.append(group)
+
+    def _group_slot(self, name: str) -> Optional[Tuple[object, int]]:
+        """``(group, index)`` of the group total named ``name``, if any."""
+        groups = self._groups
+        if not groups:
+            return None
+        dot = name.rfind(".")
+        while dot > 0:
+            group = groups.get(name[:dot])
+            if group is not None:
+                stat = name[dot + 1:]
+                if stat in group.counter_stats:
+                    return group, group.counter_stats.index(stat)
+            dot = name.rfind(".", 0, dot)
+        return None
 
     def counter(self, name: str) -> float:
         """Value of counter ``name``.
@@ -357,23 +223,33 @@ class StatsRegistry:
         handle = self._handles.get(name)
         if handle is not None:
             return handle.value
+        slot = self._group_slot(name)
+        if slot is not None:
+            group, index = slot
+            return group.counter_totals[index]
         return self._counters.get(name, 0.0)
 
     def _iter_counters(self) -> Iterator[Tuple[str, float]]:
-        """Every counter (slow-path and bound-handle) as ``(name, value)``.
+        """Every counter (slow-path, bound-handle and group) as ``(name, value)``.
 
-        Bound cells whose accumulated total is 0.0 are skipped, so pre-binding
-        a handle at construction does not make the counter visible to readers
+        Bound cells and group totals of 0.0 are skipped, so pre-binding a
+        handle at construction does not make the counter visible to readers
         (``counters()``/``sum()``/``snapshot()``) before it counts anything.
         Known corner: a counter fed *only* zero-amount increments is visible
         through the string-keyed path (the dict materializes the key) but not
-        through a handle; a zero total is treated as "never counted", which is
-        the meaningful reading for monotonic counters.
+        through a handle or a group; a zero total is treated as "never
+        counted", which is the meaningful reading for monotonic counters.
         """
         yield from self._counters.items()
-        for name, handle in self._handles.items():
-            if handle.value != 0.0:
-                yield name, handle.value
+        for cell in self._bound:
+            if cell.__class__ is CounterHandle:
+                if cell.value != 0.0:
+                    yield cell.name, cell.value
+                continue
+            prefix = cell.name
+            for stat, value in zip(cell.counter_stats, cell.counter_totals):
+                if value != 0.0:
+                    yield f"{prefix}.{stat}", value
 
     def counters(self, prefix: str = "") -> Dict[str, float]:
         """Return all counters whose name starts with ``prefix``.
@@ -449,24 +325,6 @@ class StatsRegistry:
         return {k: v for k, v in self._histograms.items() if k.startswith(prefix)}
 
     # -- bulk helpers ---------------------------------------------------------
-    def merge(self, other: "StatsRegistry") -> None:
-        """Fold another registry into this one (used to combine per-run stats)."""
-        if self._flushables:
-            self.flush()
-        if other._flushables:
-            other.flush()
-        for name, value in other._iter_counters():
-            self.add(name, value)
-        for name, value in other._gauges.items():
-            self._gauges[name] = value
-        for name, hist in other._histograms.items():
-            if isinstance(hist, FoldedHistogram):
-                # Folded aggregates are re-derived from their parts; merging
-                # the fold itself would double-count once the receiving side's
-                # parts are updated, so folded names are skipped.
-                continue
-            self.histogram(name).merge(hist)
-
     def snapshot(self) -> Dict[str, float]:
         """Flatten everything into a single scalar mapping (histograms -> mean)."""
         if self._flushables:

@@ -1,9 +1,12 @@
 """Unit and property tests for the physical-address mappings."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem import DRAMAddressMapping, HMCAddressMapping
+from repro.mem.layout import DataLayout
 
 addresses = st.integers(min_value=0, max_value=2**40)
 
@@ -87,3 +90,23 @@ def _runs(values):
         current.append(v)
     if current:
         yield current
+
+
+#: sha256 of the cube (HMC) and channel (DDR) chosen for each of the first
+#: 4096 interleave granules of a workload layout, one byte per granule,
+#: captured when the XOR fold was a separate helper function.
+GRANULE_ASSIGNMENT_DIGESTS = (
+    "ab04d810ae361b368065c4829c77985445e6eb35e642b3f7caa501d0468e516b",
+    "755a6cbe04aa296a0264dfb8ada041988e32f2de6734ce5152fca666b7df0972",
+)
+
+
+def test_granule_assignments_match_the_pinned_hash():
+    """Every granule of a tiny pagerank layout (and far beyond it) lands on
+    the same cube and channel as before the fold was inlined."""
+    base = DataLayout().allocate("probe", 1).base
+    hmc, ddr = HMCAddressMapping(), DRAMAddressMapping()
+    cubes = bytes(hmc.cube_of(base + g * hmc.cube_interleave) for g in range(4096))
+    channels = bytes(ddr.channel_of(base + g * ddr.channel_interleave) for g in range(4096))
+    assert (hashlib.sha256(cubes).hexdigest(),
+            hashlib.sha256(channels).hexdigest()) == GRANULE_ASSIGNMENT_DIGESTS

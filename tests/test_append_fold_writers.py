@@ -1,18 +1,19 @@
-"""The passive memory path's batched writers read exactly like eager ones.
+"""The simulator's batched writers read exactly like eager ones.
 
 Per completed miss, ``core<i>.mem_latency`` and ``hmcctrl<i>.roundtrip``
-are only appended to below their reservoir cap; the owners fold the tail on
-every registry read (``Histogram.fold_appended``) and fall back to ``add()``
-at the cap.  The cache counts L1 accesses, L1 hits and L2 hits on plain
-integers and derives the rest, and the mesh NoC logs one hop count per L2
-probe and replays the log into its counters.  Each is checked here against
-an eager reference, mid-run and at the end, across the cap.
+are a running count and total on the writer, and each Active-Routing engine
+keeps one count and four latency totals per Update round trip; the registry
+folds them in on every read.  The cache counts L1 accesses, L1 hits and L2
+hits on plain integers and derives the rest, and the mesh NoC logs one hop
+count per L2 probe and replays the log into its counters.  Each is checked
+here against an eager reference, mid-run and at the end.
 """
 
 from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import ActiveRoutingEngine
 from repro.cpu.core import Core
 from repro.hmc.hmc_controller import HMCController
 from repro.network import MemReadPacket, MemoryNetwork, build_dragonfly
@@ -27,30 +28,30 @@ from helpers import tiny_params
 MID_RUN_CYCLE = 200.0
 #: Spacing of the registry reads taken during a run.
 READ_EVERY_CYCLES = 10.0
-#: Small enough that every writer below crosses it.
-CAP = 5
+
+#: The four ``ar.update_latency.*`` components, in the engines' fold order.
+LATENCY_COMPONENTS = ("request", "stall", "response", "total")
 
 
-def _start_tiny_hmc_pagerank():
-    config = make_system_config("HMC")
+def _start_tiny_pagerank(config_name="HMC"):
+    config = make_system_config(config_name)
+    mode = "active" if config.kind.uses_active_routing else "baseline"
     program = make_workload("pagerank", WorkloadConfig(num_threads=4, seed=3),
-                            **tiny_params("pagerank")).generate("baseline")
+                            **tiny_params("pagerank")).generate(mode)
     system = build_system(config)
     system.cmp.load_program(program)
     system.cmp.start()
     return system
 
 
-def _fields(hist):
-    return (hist.count, hist.total, hist.minimum, hist.maximum, list(hist.samples),
-            hist.truncated)
-
-
 def _record_writer_samples(monkeypatch):
-    """Record every value the two append writers are handed, in order."""
+    """Record every value the streaming writers are handed, in order: per
+    core and per controller by histogram name, and per engine as the four
+    latency components of each round trip."""
     seen = {}
     core_done = Core._mem_done
     controller_done = HMCController.receive_passive
+    record_roundtrip = ActiveRoutingEngine._record_roundtrip
 
     def mem_done(core, latency):
         seen.setdefault(f"{core.name}.mem_latency", []).append(latency)
@@ -62,45 +63,80 @@ def _record_writer_samples(monkeypatch):
             controller.sim.now - request.issue_time)
         controller_done(controller, packet, from_node)
 
+    def roundtrip(engine, packet, arrival, operand_issue, response_end=None):
+        # The breakdown as _record_roundtrip documents it, each part clamped
+        # at zero; the ALU latency is added when no commit time is given.
+        end = response_end
+        if end is None:
+            end = engine.sim.now + engine.config.alu_latency
+        request = max(arrival - packet.issue_time, 0.0)
+        stall = max(operand_issue - arrival, 0.0)
+        response = max(end - operand_issue, 0.0)
+        seen.setdefault(engine, []).append(
+            (request, stall, response, request + stall + response))
+        record_roundtrip(engine, packet, arrival, operand_issue, response_end)
+
     monkeypatch.setattr(Core, "_mem_done", mem_done)
     monkeypatch.setattr(HMCController, "receive_passive", receive_passive)
+    monkeypatch.setattr(ActiveRoutingEngine, "_record_roundtrip", roundtrip)
     return seen
 
 
-def _check_against_per_sample_add(system, seen):
+def _replay(values):
+    reference = Histogram()
+    for value in values:
+        reference.add(value)
+    return reference
+
+
+def _check_against_per_sample_replay(system, seen, engines):
+    histograms = system.sim.stats.histograms()
     for name, values in seen.items():
-        reference = Histogram(max_samples=CAP)
-        for value in values:
-            reference.add(value)
-        assert _fields(system.sim.stats.histogram(name)) == _fields(reference), name
+        if isinstance(name, str):
+            reference = _replay(values)
+            hist = histograms[name]
+            assert (hist.count, hist.total) == (reference.count, reference.total), name
+    for index, component in enumerate(LATENCY_COMPONENTS):
+        # Per engine, then summed in engine order, as the aggregate folds.
+        count, total = 0, 0.0
+        for engine in engines:
+            part = _replay(sample[index] for sample in seen.get(engine, ()))
+            count += part.count
+            total += part.total
+        hist = histograms.get(f"ar.update_latency.{component}")
+        if engines:
+            assert (hist.count, hist.total) == (count, total), component
 
 
-def test_append_writers_equal_per_sample_add_across_the_cap(monkeypatch):
+def test_streaming_writers_equal_a_per_sample_replay(monkeypatch):
+    """Every writer's count and total equal one ``add()`` per sample, at a
+    registry read every 10 cycles and at the end of a run, on the HMC
+    baseline (cores, controllers) and on ARF-tid (engines)."""
     seen = _record_writer_samples(monkeypatch)
-    system = _start_tiny_hmc_pagerank()
-    histograms = system.sim.stats._histograms
-    names = [f"{core.name}.mem_latency" for core in system.cmp.cores] + \
-        [f"{controller.name}.roundtrip" for controller in system.memory.controllers]
-    for name in names:
-        histograms[name].max_samples = CAP
-
-    # Reads taken mid-run fold the tail and leave the writers appending.
-    unfolded_reads = 0
-    horizon = 0.0
-    while not system.sim.finished:
-        horizon += READ_EVERY_CYCLES
-        system.sim.run(until=horizon)
-        unfolded_reads += any(len(histograms[name].samples) > histograms[name]._seen
-                              for name in names)
-        _check_against_per_sample_add(system, seen)
-    assert unfolded_reads  # some read found appended samples to fold
-    assert system.cmp.all_done
-    assert set(seen) == set(names)
-    crossed = [name for name, values in seen.items() if len(values) > CAP]
-    assert len(crossed) == len(names)  # every writer went past its cap
-    _check_against_per_sample_add(system, seen)
-    for name in names:
-        assert histograms[name].truncated
+    for config_name in ("HMC", "ARF-tid"):
+        seen.clear()
+        system = _start_tiny_pagerank(config_name)
+        engines = [cube.are for cube in system.memory.cubes if cube.are is not None]
+        horizon = 0.0
+        reads = 0
+        while not system.sim.finished:
+            horizon += READ_EVERY_CYCLES
+            system.sim.run(until=horizon)
+            _check_against_per_sample_replay(system, seen, engines)
+            reads += 1
+        assert system.cmp.all_done
+        assert reads > 1
+        _check_against_per_sample_replay(system, seen, engines)
+        if config_name == "HMC":
+            # Every core missed and every controller served a round trip.
+            assert set(seen) == (
+                {f"{core.name}.mem_latency" for core in system.cmp.cores}
+                | {f"{controller.name}.roundtrip"
+                   for controller in system.memory.controllers})
+        else:
+            # More than one engine recorded, so the cross-engine fold order
+            # is exercised.
+            assert len([engine for engine in engines if engine in seen]) > 1, seen.keys()
 
 
 def _probe_replay(hops_log, noc, req_bytes, resp_bytes):
@@ -144,7 +180,7 @@ def _check_cache_and_noc(system, hops_log):
 
 
 def test_derived_cache_and_noc_counters_equal_a_per_probe_replay():
-    system = _start_tiny_hmc_pagerank()
+    system = _start_tiny_pagerank()
     hops_log = []
     system.sim.run(until=MID_RUN_CYCLE)
     _check_cache_and_noc(system, hops_log)

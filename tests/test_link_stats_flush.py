@@ -4,9 +4,9 @@ per-packet counter increments through every registry read path.
 ``Link.transmit`` (and the inlined copy in ``MemoryNetwork._hop``) accumulate
 their five per-packet counters in plain locals and flush them into the bound
 cells only when a reader asks.  These tests interleave ``transmit()`` with
-every read path — ``counter``, ``counters``, ``sum``, ``snapshot``, ``merge``,
-``clear`` — and with worker-process result merging, mirroring the exact
-per-packet arithmetic the pre-batching implementation performed.
+every read path — ``counter``, ``counters``, ``sum``, ``snapshot`` — and with
+worker-process result merging, mirroring the exact per-packet arithmetic the
+pre-batching implementation performed.
 """
 
 import pytest
@@ -150,24 +150,6 @@ def test_batched_epochs_match_per_packet_totals():
         # One flush per epoch of four packets.
         assert stats.counters(f"{link.name}.") == mirror.expected_counters()
     assert stats.counter(f"{link.name}.packets") == 16
-
-
-def test_merge_flushes_both_registries():
-    sim_a, link_a = _make_link()
-    sim_b, link_b = _make_link()
-    mirror_a, mirror_b = _PerPacketMirror(link_a), _PerPacketMirror(link_b)
-    for _ in range(3):
-        mirror_a.transmit(_packet(PacketType.READ_REQ))
-    for _ in range(5):
-        mirror_b.transmit(_packet(PacketType.UPDATE))
-    # Neither registry has been read yet: both sides' accumulators are dirty.
-    sim_a.stats.merge(sim_b.stats)
-    merged = sim_a.stats.counters("link.0->1.")
-    assert merged["link.0->1.packets"] == 8
-    assert merged["link.0->1.bytes"] == mirror_a.bytes + mirror_b.bytes
-    assert merged["link.0->1.bytes.norm_req"] == mirror_a.by_category["norm_req"]
-    assert merged["link.0->1.bytes.active_req"] == mirror_b.by_category["active_req"]
-    assert merged["link.0->1.energy_pj"] == mirror_a.energy_pj + mirror_b.energy_pj
 
 
 def test_utilization_sees_unflushed_busy_cycles():
