@@ -64,6 +64,19 @@ def test_histogram_mean_is_bounded(values):
     assert hist.total == pytest.approx(math.fsum(values), rel=1e-9, abs=1e-6)
 
 
+def test_histogram_sample_cap_keeps_summary_exact():
+    """Past the 65,536 samples that histograms once retained, the summary is
+    still exact and no sample is kept: count and total are the whole state."""
+    hist = Histogram()
+    for v in range(70_000):
+        hist.add(float(v))
+    assert hist.count == 70_000
+    assert hist.total == sum(range(70_000))
+    assert hist.mean == pytest.approx(34_999.5)
+    assert Histogram.__slots__ == ("count", "total")
+    assert not hasattr(hist, "__dict__")
+
+
 # -- bound counter handles (the hot-path fast path) -----------------------------
 
 def test_counter_handle_visible_through_string_api():
@@ -156,6 +169,26 @@ def test_zero_group_totals_are_invisible_like_untouched_handles():
     assert stats.snapshot() == {}
 
 
+def test_counter_handles_bind_a_prefix_in_one_call():
+    """One ``register_counter_group`` call binds every ``<prefix>.<stat>`` of
+    a group, as banks and vaults publish theirs, and leaves sibling names that
+    only share the prefix's characters on the string-keyed path."""
+    stats = StatsRegistry()
+    stats.add("bank.row_hit", 4)
+    stats.add("bank.tsv.busy_cycles", 1.5)
+    stats.add("bankx.row_hit", 9)
+    group = _Group("bank")
+    stats.register_counter_group(group)
+    assert group.counter_totals == [4.0, 0.0, 1.5]   # string-keyed values migrate
+    group.counter_totals[1] += 1
+    stats.add("bank.row_hit", 1)                     # slow path routes into the group
+    assert group.counter_totals == [5.0, 1.0, 1.5]
+    assert stats.counters("bank.") == {
+        "bank.row_hit": 5, "bank.accesses": 1, "bank.tsv.busy_cycles": 1.5}
+    assert stats.counter("bankx.row_hit") == 9
+    assert stats.sum("bank") == 16.5
+
+
 #: Marker for a registry read inside a value stream.
 _READ = "read"
 
@@ -173,10 +206,10 @@ class _Writer:
                                            st.floats(-1e6, 1e6, allow_nan=False)),
                                  st.just(_READ)),
                        max_size=60))
-def test_folded_parts_equal_a_per_sample_replay(stream):
-    """Three writers keep running totals; the folded aggregate equals one
-    ``add()`` per sample into a per-writer histogram, summed in attach order,
-    at every read and at the end."""
+def test_appended_samples_fold_like_per_value_add(stream):
+    """Three writers add each sample to their own running count and total;
+    the folded aggregate equals one ``add()`` per sample into a per-writer
+    histogram, summed in attach order, at every read and at the end."""
     writers = [_Writer() for _ in range(3)]
     references = [Histogram() for _ in writers]
     folded = FoldedHistogram()
