@@ -94,27 +94,14 @@ class ALU(Component):
     def __init__(self, sim: Simulator, name: str, latency: float = 2.0) -> None:
         super().__init__(sim, name)
         self.latency = latency
-        # combine()/accumulate() run once per Update: batch the counts on
-        # plain accumulators (per-opcode counts in a small dict) and fold them
-        # in via the flush() protocol.
-        self._h_ops = self.counter_handle("ops")
-        self._h_reductions = self.counter_handle("reductions")
+        # combine()/accumulate() run once per Update and count on plain
+        # attributes (per opcode in a small dict, in first-use order).
         self._n_ops = 0
         self._n_reductions = 0
         self._n_ops_by_opcode: Dict[str, int] = {}
-        sim.stats.register_flushable(self)
 
-    def flush(self) -> None:
-        if self._n_ops:
-            self._h_ops.value += self._n_ops
-            self._n_ops = 0
-        if self._n_reductions:
-            self._h_reductions.value += self._n_reductions
-            self._n_reductions = 0
-        for opcode, pending in self._n_ops_by_opcode.items():
-            if pending:
-                self.counter_handle(f"ops.{opcode}").value += pending
-                self._n_ops_by_opcode[opcode] = 0
+    COUNTERS = (("ops", "_n_ops"), ("reductions", "_n_reductions"),
+                ("ops.", "_n_ops_by_opcode"))
 
     def combine(self, opcode: str, a: float, b: float = 0.0) -> float:
         """Execute the data-processing part of an Update (e.g. the multiply of a MAC)."""

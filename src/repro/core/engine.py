@@ -21,15 +21,14 @@ Hot-path conventions: packets are constructed directly and nothing recycles
 them, so a packet that retires here (a consumed request or response, a
 committed update) is simply dropped, and a continuation may read a packet's
 fields when it fires instead of copying them out first.  Per-event counters
-are plain integer accumulators folded into the bound stat handles by the
-``flush()`` protocol.
+are plain integer attributes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Deque, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from ..network.packet import (
     GatherRequestPacket,
@@ -49,6 +48,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hmc.cube import HMCCube
     from ..network.network import MemoryNetwork
     from .host import ActiveRoutingHost
+
+
+#: The engine's per-event counters, published as ``are<n>.<counter>`` from
+#: the plain ``_n_<counter>`` attributes.
+ENGINE_COUNTERS = ("active_packets", "updates_seen", "updates_forwarded",
+                   "updates_received", "stores_forwarded", "stores_received",
+                   "operand_buffer_stalls", "local_operand_reads",
+                   "operand_reads_served", "remote_operand_requests",
+                   "operands_arrived", "updates_committed", "store_writes",
+                   "stores_committed", "gathers_received", "gathers_replicated",
+                   "gather_responses_merged", "gather_responses_sent")
+
+#: The four Update-latency components of Figs 5.2 and 5.6.
+LATENCY_PARTS = ("request", "stall", "response", "total")
 
 
 class ActiveRoutingEngine(Component):
@@ -85,35 +98,19 @@ class ActiveRoutingEngine(Component):
                 (PacketType.GATHER_REQ, self._handle_gather_request),
                 (PacketType.GATHER_RESP, self._handle_gather_response)):
             self._dispatch[ptype._code] = handler
-        # The cube dispatches every active packet that crosses it, so counting
-        # runs on plain integer accumulators; flush() folds them into the
-        # bound handles on demand (the same epoch batching the links use).
-        names = ("active_packets", "updates_seen", "updates_forwarded",
-                 "updates_received", "stores_forwarded", "stores_received",
-                 "operand_buffer_stalls", "local_operand_reads",
-                 "operand_reads_served", "remote_operand_requests",
-                 "operands_arrived", "updates_committed", "store_writes",
-                 "stores_committed", "gathers_received", "gathers_replicated",
-                 "gather_responses_merged", "gather_responses_sent")
-        pairs = []
-        for counter in names:
+        for counter in ENGINE_COUNTERS:
             setattr(self, "_n_" + counter, 0)
-            pairs.append(("_n_" + counter, self.counter_handle(counter)))
-        self._register_batched_counters(*pairs)
-        # Round-trip latencies go into PRIVATE per-engine running totals; the
-        # shared "ar.update_latency.*" aggregates sum them in
-        # engine-construction (= cube) order at flush time.  That fold fixes
-        # the float summation order the golden digests were captured under;
-        # one shared total fed in event order would round differently.  Every
-        # round trip feeds all four components, so one count serves all four.
+        # Round-trip latencies go into private per-engine running totals,
+        # which the "ar.update_latency.*" histograms fold in engine (= cube)
+        # order (see UpdateLatency).  Every round trip feeds all four
+        # components, so one count serves all four.
         self._latency_count = 0
         self._latency_request = 0.0
         self._latency_stall = 0.0
         self._latency_response = 0.0
         self._latency_total = 0.0
-        for suffix in ("request", "stall", "response", "total"):
-            sim.stats.folded_histogram(f"ar.update_latency.{suffix}").attach(
-                self, "_latency_count", f"_latency_{suffix}")
+
+    COUNTERS = tuple((counter, "_n_" + counter) for counter in ENGINE_COUNTERS)
 
     # ---------------------------------------------------------------- update phase
     def _handle_update(self, packet: UpdatePacket, from_node: int) -> None:
@@ -431,3 +428,35 @@ class ActiveRoutingEngine(Component):
         self._n_gather_responses_sent += 1
         self.flow_table.release((entry.flow_id, entry.root))
         self.network.inject(response, self.node_id)
+
+
+class UpdateLatency(Component):
+    """The ``ar.update_latency.<part>`` histograms: every engine's round
+    trips, folded in engine (= cube) order.
+
+    Folding per-engine totals in a fixed order makes each total independent
+    of how the engines' round trips interleaved in time; the golden digests
+    were captured under this summation order, and one shared total fed in
+    event order would round differently.
+    """
+
+    HISTOGRAMS = tuple((f"update_latency.{part}", "count", part) for part in LATENCY_PARTS)
+
+    def __init__(self, sim: Simulator, engines: List[ActiveRoutingEngine]) -> None:
+        super().__init__(sim, "ar")
+        self.engines = engines
+
+    @property
+    def count(self) -> int:
+        return sum([engine._latency_count for engine in self.engines])
+
+    def _fold(self, attr: str) -> float:
+        total = 0.0
+        for engine in self.engines:
+            total += getattr(engine, attr)
+        return total
+
+    request = property(lambda self: self._fold("_latency_request"))
+    stall = property(lambda self: self._fold("_latency_stall"))
+    response = property(lambda self: self._fold("_latency_response"))
+    total = property(lambda self: self._fold("_latency_total"))

@@ -54,16 +54,14 @@ class FlowTable(Component):
         self.capacity = capacity
         self.entries: Dict[FlowKey, FlowTableEntry] = {}
         self._peak = 0
-        # get_or_create()/release() run once per Update hop: batch the counts
-        # and fold them in via the flush() protocol.
+        # get_or_create()/release() run once per Update hop.
         self._n_overflows = 0
         self._n_registered = 0
         self._n_released = 0
-        self._register_batched_counters(
-            ("_n_overflows", self.counter_handle("overflows")),
-            ("_n_registered", self.counter_handle("registered")),
-            ("_n_released", self.counter_handle("released")))
-        self._peak_gauge_name = f"{name}.peak_occupancy"
+
+    COUNTERS = (("overflows", "_n_overflows"), ("registered", "_n_registered"),
+                ("released", "_n_released"))
+    GAUGES = (("peak_occupancy", "_peak"),)
 
     def lookup(self, flow_id: int, root: int) -> Optional[FlowTableEntry]:
         return self.entries.get((flow_id, root))
@@ -83,7 +81,6 @@ class FlowTable(Component):
             self._n_registered += 1
             if len(self.entries) > self._peak:
                 self._peak = len(self.entries)
-                self.sim.stats.set_gauge(self._peak_gauge_name, self._peak)
         elif entry.parent is None:
             entry.parent = parent
         return entry

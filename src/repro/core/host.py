@@ -29,7 +29,7 @@ from ..network.packet import GatherRequestPacket, GatherResponsePacket, UpdatePa
 from ..sim import Component, Simulator
 from .alu import NUM_OPERANDS, REDUCE_OPCODES, opcode_spec
 from .config import AREConfig
-from .engine import ActiveRoutingEngine
+from .engine import ActiveRoutingEngine, UpdateLatency
 from .schemes import PortSelector, Scheme
 
 
@@ -67,6 +67,7 @@ class ActiveRoutingHost(Component):
                                              self.are_config)
                 cube.install_engine(engine)
                 self.engines.append(engine)
+            UpdateLatency(sim, self.engines)
         for controller in hmc_memory.controllers:
             controller.set_gather_listener(self._on_gather_response)
         self._controllers = hmc_memory.controllers
@@ -74,32 +75,29 @@ class ActiveRoutingHost(Component):
         self._split_point = hmc_memory.network.routing.split_point
 
         self._update_ids = itertools.count()
-        # offload_update()/notify_update_commit() run once per Update packet:
-        # count on plain accumulators drained by the flush() protocol (the
-        # per-port accumulators live in a small dict keyed by port id).
-        self._h_updates_offloaded = self.counter_handle("updates_offloaded")
-        self._h_updates_committed = self.counter_handle("updates_committed")
+        # offload_update()/notify_update_commit() run once per Update packet
+        # and count on plain attributes (per port in a small dict keyed by
+        # port id, in first-use order).
         self._n_updates_offloaded = 0
         self._n_updates_committed = 0
         self._n_updates_by_port: Dict[int, int] = {}
-        sim.stats.register_flushable(self)
+        self._n_gathers_requested = 0
+        self._n_gather_packets_sent = 0
+        self._n_gather_responses_received = 0
+        self._n_flows_completed = 0
         self._update_commits: Dict[int, Callable[[], None]] = {}
         self._flows: Dict[int, _FlowState] = {}
         #: Final reduction results, kept for functional verification.
         self.flow_results: Dict[int, float] = {}
         self.flow_history: Dict[int, List[float]] = {}
 
-    def flush(self) -> None:
-        if self._n_updates_offloaded:
-            self._h_updates_offloaded.value += self._n_updates_offloaded
-            self._n_updates_offloaded = 0
-        if self._n_updates_committed:
-            self._h_updates_committed.value += self._n_updates_committed
-            self._n_updates_committed = 0
-        for port, pending in self._n_updates_by_port.items():
-            if pending:
-                self.counter_handle(f"updates_port{port}").value += pending
-                self._n_updates_by_port[port] = 0
+    COUNTERS = (("updates_offloaded", "_n_updates_offloaded"),
+                ("updates_committed", "_n_updates_committed"),
+                ("gathers_requested", "_n_gathers_requested"),
+                ("gather_packets_sent", "_n_gather_packets_sent"),
+                ("gather_responses_received", "_n_gather_responses_received"),
+                ("flows_completed", "_n_flows_completed"),
+                ("updates_port", "_n_updates_by_port"))
 
     # -------------------------------------------------------------- Update offload
     def offload_update(self, core_id: int, op: UpdateOp,
@@ -167,7 +165,7 @@ class ActiveRoutingHost(Component):
         state.gather_waiters.append(on_result)
         state.gathers_arrived += 1
         state.expected_threads = op.num_threads
-        self.count("gathers_requested")
+        self._n_gathers_requested += 1
         if state.gathers_arrived < op.num_threads:
             return
         self._launch_gather(state, op)
@@ -186,7 +184,7 @@ class ActiveRoutingHost(Component):
                 target_addr=state.flow_id, num_threads=op.num_threads,
                 root_node=controller.attached_cube, flow_id=state.flow_id)
             state.responses_pending.add(port)
-            self.count("gather_packets_sent")
+            self._n_gather_packets_sent += 1
             controller.inject(request)
 
     def _on_gather_response(self, packet: GatherResponsePacket,
@@ -201,7 +199,7 @@ class ActiveRoutingHost(Component):
         state.result = spec.accumulate(state.result, packet.partial_result)
         state.completed_updates += packet.completed_updates
         state.responses_pending.discard(controller.port_id)
-        self.count("gather_responses_received")
+        self._n_gather_responses_received += 1
         if not state.responses_pending:
             self._finalize_flow(state)
 
@@ -215,7 +213,7 @@ class ActiveRoutingHost(Component):
             )
         self.flow_results[state.flow_id] = result
         self.flow_history.setdefault(state.flow_id, []).append(result)
-        self.count("flows_completed")
+        self._n_flows_completed += 1
         waiters = list(state.gather_waiters)
         del self._flows[state.flow_id]
         for callback in waiters:

@@ -81,16 +81,14 @@ class OperandBufferPool(Component):
         self._slots: List[Optional[OperandBufferEntry]] = [None] * capacity
         self.entries: Dict[int, OperandBufferEntry] = {}
         self._peak_used = 0
-        # reserve()/release() run once per buffered Update; batch the counts
-        # and fold them in via the flush() protocol.
+        # reserve()/release() run once per buffered Update.
         self._n_reserve_failures = 0
         self._n_reservations = 0
         self._n_releases = 0
-        self._register_batched_counters(
-            ("_n_reserve_failures", self.counter_handle("reserve_failures")),
-            ("_n_reservations", self.counter_handle("reservations")),
-            ("_n_releases", self.counter_handle("releases")))
-        self._peak_gauge_name = f"{name}.peak_used"
+
+    COUNTERS = (("reserve_failures", "_n_reserve_failures"),
+                ("reservations", "_n_reservations"), ("releases", "_n_releases"))
+    GAUGES = (("peak_used", "_peak_used"),)
 
     @property
     def free_slots(self) -> int:
@@ -116,7 +114,6 @@ class OperandBufferPool(Component):
         used = self.capacity - len(self._free)
         if used > self._peak_used:
             self._peak_used = used
-            self.sim.stats.set_gauge(self._peak_gauge_name, used)
         return entry
 
     def release(self, slot: int) -> None:

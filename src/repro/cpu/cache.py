@@ -14,7 +14,7 @@ merge concurrent misses to the same block.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..mem import AccessType, MemoryRequest
 from ..sim import Component, SharedResource, Simulator
@@ -157,48 +157,42 @@ class CacheHierarchy(Component):
         # Per-block serializers used by atomic read-modify-writes.
         self._atomic_locks: Dict[int, SharedResource] = {}
         # access() runs once per load/store and counts on three plain ints;
-        # flush() derives the other access counters from them.  The cells
-        # are bound here so their registry order never depends on the run.
-        self._h_accesses = self.counter_handle("accesses")
-        self._h_l1_accesses = self.counter_handle("l1_accesses")
-        self._h_l1_hits = self.counter_handle("l1_hits")
-        self._h_l1_misses = self.counter_handle("l1_misses")
-        self._h_l2_accesses = self.counter_handle("l2_accesses")
-        self._h_l2_hits = self.counter_handle("l2_hits")
-        self._h_l2_misses = self.counter_handle("l2_misses")
-        self._h_energy_pj = self.counter_handle("energy_pj")
-        self._n_l1_accesses = 0
+        # the other access counters are derived from them when read.
+        self.l1_accesses = 0
         self._n_l1_hits = 0
         self._n_l2_hits = 0
+        self.energy_pj = 0.0
         # The L2 probe: its NoC hop count per (core, bank), resolved once,
-        # goes to the NoC's probe log (MeshNoC.flush() does the accounting).
+        # goes to the NoC's probe log (the NoC does the accounting).
         self._probe_log = noc.probe_log_for(L2_PROBE_REQUEST_BYTES, cc.block_size)
         self._probe_hops = [[noc.hops(noc.core_tile(core), noc.bank_tile(bank))
                              for bank in range(cc.l2_banks)]
                             for core in range(config.num_cores)]
         self._probe_cycles_per_hop = 2 * noc.hop_latency
+        self._n_l1_writebacks = 0
+        self._n_l2_writebacks = 0
+        self.invalidations = 0
+        self._n_atomics = 0
         self._n_prefetches = 0
         self._n_mshr_merges = 0
-        self._register_lazy_counters(("_n_prefetches", "prefetches"),
-                                     ("_n_mshr_merges", "mshr_merges"))
 
-    def flush(self) -> None:
-        """Fold the access counts in; every L1 miss probes the L2.  The
-        cells hold integers, so the derived totals are exact."""
-        l1_accesses = self._n_l1_accesses
-        if l1_accesses:
-            l1_misses = l1_accesses - self._n_l1_hits
-            self._h_accesses.value += l1_accesses
-            self._h_l1_accesses.value += l1_accesses
-            self._h_l1_hits.value += self._n_l1_hits
-            self._h_l1_misses.value += l1_misses
-            self._h_l2_accesses.value += l1_misses
-            self._h_l2_hits.value += self._n_l2_hits
-            self._h_l2_misses.value += l1_misses - self._n_l2_hits
-            self._n_l1_accesses = 0
-            self._n_l1_hits = 0
-            self._n_l2_hits = 0
-        super().flush()
+    # Every L1 miss probes the L2.
+    COUNTERS = (("accesses", "l1_accesses"), ("l1_accesses", "l1_accesses"),
+                ("l1_hits", "_n_l1_hits"), ("l1_misses", "l1_misses"),
+                ("l2_accesses", "l1_misses"), ("l2_hits", "_n_l2_hits"),
+                ("l2_misses", "l2_misses"), ("energy_pj", "energy_pj"),
+                ("l1_writebacks", "_n_l1_writebacks"),
+                ("l2_writebacks", "_n_l2_writebacks"),
+                ("invalidations", "invalidations"), ("atomics", "_n_atomics"),
+                ("prefetches", "_n_prefetches"), ("mshr_merges", "_n_mshr_merges"))
+
+    @property
+    def l1_misses(self) -> int:
+        return self.l1_accesses - self._n_l1_hits
+
+    @property
+    def l2_misses(self) -> int:
+        return self.l1_accesses - self._n_l1_hits - self._n_l2_hits
 
     # -- address helpers ---------------------------------------------------------
     def block_of(self, addr: int) -> int:
@@ -215,15 +209,15 @@ class CacheHierarchy(Component):
         """
         cc = self.cache_config
         block = addr // cc.block_size
-        self._n_l1_accesses += 1
-        self._h_energy_pj.value += cc.l1_energy_pj
+        self.l1_accesses += 1
+        self.energy_pj += cc.l1_energy_pj
 
         coherence_penalty = 0.0
         if is_write:
             victims = self.directory.exclusive(block, core_id)
             if victims:
                 coherence_penalty = cc.invalidation_latency
-                self.count("invalidations", len(victims))
+                self.invalidations += len(victims)
                 for victim_core in victims:
                     self.l1s[victim_core].invalidate(block)
 
@@ -236,7 +230,7 @@ class CacheHierarchy(Component):
         hops = self._probe_hops[core_id][block % cc.l2_banks]
         self._probe_log.append(hops)
         noc_latency = hops * self._probe_cycles_per_hop
-        self._h_energy_pj.value += cc.l2_energy_pj
+        self.energy_pj += cc.l2_energy_pj
         if self.l2.lookup(block, is_write):
             self._n_l2_hits += 1
             self._fill_l1(core_id, block, dirty=is_write)
@@ -257,7 +251,7 @@ class CacheHierarchy(Component):
             self.directory.remove_sharer(victim_block, core_id)
             if was_dirty:
                 # Write back into the L2 (on-chip traffic only).
-                self.count("l1_writebacks")
+                self._n_l1_writebacks += 1
                 self.l2.fill(victim_block, dirty=True)
 
     def _fill_l2(self, block: int, dirty: bool) -> None:
@@ -265,7 +259,7 @@ class CacheHierarchy(Component):
         if victim is not None:
             victim_block, was_dirty = victim
             if was_dirty:
-                self.count("l2_writebacks")
+                self._n_l2_writebacks += 1
                 self._write_back_to_memory(victim_block)
 
     def _write_back_to_memory(self, block: int) -> None:
@@ -352,7 +346,7 @@ class CacheHierarchy(Component):
             lock = SharedResource(self.sim, f"{self.name}.atomic.{block}")
             self._atomic_locks[block] = lock
         start, _finish = lock.reserve(occupancy)
-        self.count("atomics")
+        self._n_atomics += 1
         self.sim.schedule_at(start, partial(self._atomic_start, core_id, addr,
                                             on_complete, self.now))
 
@@ -369,18 +363,10 @@ class CacheHierarchy(Component):
         on_complete(self.now - issue_time)
 
     # -- statistics -------------------------------------------------------------------
-    def l1_hit_rate(self, counters: Optional[Mapping[str, float]] = None) -> float:
-        return self._hit_rate("l1", counters)
+    def l1_hit_rate(self) -> float:
+        accesses = self.l1_accesses
+        return self._n_l1_hits / accesses if accesses else 0.0
 
-    def l2_hit_rate(self, counters: Optional[Mapping[str, float]] = None) -> float:
-        return self._hit_rate("l2", counters)
-
-    def _hit_rate(self, level: str, counters: Optional[Mapping[str, float]]) -> float:
-        """Hits over accesses at ``level``, read from ``counters`` (a registry
-        read the caller already made) or from one fresh read."""
-        prefix = f"{self.name}.{level}_"
-        if counters is None:
-            counters = self.sim.stats.counters(prefix)
-        hits = counters.get(f"{prefix}hits", 0.0)
-        total = counters.get(f"{prefix}accesses", 0.0)
-        return hits / total if total else 0.0
+    def l2_hit_rate(self) -> float:
+        accesses = self.l1_misses
+        return self._n_l2_hits / accesses if accesses else 0.0

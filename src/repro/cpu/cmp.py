@@ -8,7 +8,7 @@ commands to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..isa import ProgramTrace
 from ..sim import Component, Simulator
@@ -46,6 +46,9 @@ class ChipMultiprocessor(Component):
             for core_id in range(config.num_cores)
         ]
         self._cores_remaining = 0
+        self._n_cores_finished = 0
+
+    COUNTERS = (("cores_finished", "_n_cores_finished"),)
 
     # -- program execution --------------------------------------------------------
     def load_program(self, program: ProgramTrace) -> None:
@@ -71,7 +74,7 @@ class ChipMultiprocessor(Component):
 
     def _core_done(self, core: Core) -> None:
         self._cores_remaining -= 1
-        self.count("cores_finished")
+        self._n_cores_finished += 1
 
     @property
     def all_done(self) -> bool:
@@ -102,25 +105,11 @@ class ChipMultiprocessor(Component):
             merged.append((cycle, running))
         return merged
 
-    def stall_breakdown(self, counters: Optional[Mapping[str, float]] = None
-                        ) -> Dict[str, float]:
-        """Stall cycles summed over all cores (in core order), keyed by reason.
-
-        ``counters`` is a registry read the caller already made; without one
-        the registry is read (and flushed) once.  One pass files every
-        ``core<i>.stall.<reason>`` cell under its core.
-        """
-        if counters is None:
-            counters = self.sim.stats.counters()
-        per_core: Dict[str, Dict[str, float]] = {core.name: {} for core in self.cores}
-        for name, value in counters.items():
-            owner, stall, reason = name.partition(".stall.")
-            if stall:
-                reasons = per_core.get(owner)
-                if reasons is not None:
-                    reasons[reason] = value
+    def stall_breakdown(self) -> Dict[str, float]:
+        """Stall cycles summed over all cores (in core order), keyed by reason."""
         totals: Dict[str, float] = {}
-        for reasons in per_core.values():
-            for reason, cycles in reasons.items():
-                totals[reason] = totals.get(reason, 0.0) + cycles
+        for core in self.cores:
+            for reason, cycles in core.stall_cycles.items():
+                if cycles:
+                    totals[reason] = totals.get(reason, 0.0) + cycles
         return totals

@@ -29,7 +29,7 @@ from ..isa import (
     ThreadTrace,
     UpdateOp,
 )
-from ..sim import Component, CounterHandle, Simulator
+from ..sim import Component, Simulator
 from .cache import CacheHierarchy
 from .config import CoreConfig
 from .message_interface import MessageInterface
@@ -64,28 +64,39 @@ class Core(Component):
         self._waiting_for_mi_slot = False
         self._advance_scheduled = False
         self._issue_width = max(1, config.issue_width)
-        #: One sample per completed memory miss, kept as a running count and
-        #: total that the registry's ``mem_latency`` histogram reads.
-        self._mem_latency_count = 0
-        self._mem_latency_total = 0.0
-        sim.stats.folded_histogram(f"{self.name}.mem_latency").attach(
-            self, "_mem_latency_count", "_mem_latency_total")
-        #: ``stall.<reason>`` cells by reason, bound at each reason's first
-        #: stall so the registry keeps first-stall order.
-        self._stall_cells: Dict[str, CounterHandle] = {}
-        # Counted once per load/store/Update: plain accumulators, folded on flush.
+        # Counted once per load/store/Update or per blocking operation, on
+        # plain attributes.  ``instructions`` is published once, when the
+        # core finishes.
         self._n_mem_hits = 0
         self._n_mem_misses_issued = 0
         self._n_updates_issued = 0
-        self._register_lazy_counters(("_n_mem_hits", "mem_hits"),
-                                     ("_n_mem_misses_issued", "mem_misses_issued"),
-                                     ("_n_updates_issued", "updates_issued"))
+        self._n_gathers_issued = 0
+        self._n_atomics_issued = 0
+        self._n_gathers_completed = 0
+        self._n_instructions = 0
+        #: Cycles blocked per reason, in first-stall order.
+        self.stall_cycles: Dict[str, float] = {}
+        #: One sample per completed memory miss and per atomic: a running
+        #: count and total each.
+        self._mem_latency_count = 0
+        self._mem_latency_total = 0.0
+        self._atomic_latency_count = 0
+        self._atomic_latency_total = 0.0
 
         #: (instructions, cycle) samples for IPC-over-time analysis (Fig. 5.8).
         self.ipc_samples: List[Tuple[int, float]] = []
         self._next_sample = config.ipc_sample_interval
         #: (label, cycle, instructions) phase markers emitted by the workload.
         self.phase_log: List[Tuple[str, float, int]] = []
+
+    COUNTERS = (("mem_hits", "_n_mem_hits"), ("mem_misses_issued", "_n_mem_misses_issued"),
+                ("updates_issued", "_n_updates_issued"),
+                ("gathers_issued", "_n_gathers_issued"),
+                ("atomics_issued", "_n_atomics_issued"),
+                ("gathers_completed", "_n_gathers_completed"),
+                ("instructions", "_n_instructions"), ("stall.", "stall_cycles"))
+    HISTOGRAMS = (("mem_latency", "_mem_latency_count", "_mem_latency_total"),
+                  ("atomic_latency", "_atomic_latency_count", "_atomic_latency_total"))
 
     # -- setup -------------------------------------------------------------------
     def load_trace(self, trace: ThreadTrace) -> None:
@@ -114,10 +125,8 @@ class Core(Component):
     def _unblock(self) -> None:
         reason = self.blocked_reason
         if reason is not None:
-            cell = self._stall_cells.get(reason)
-            if cell is None:
-                cell = self._stall_cells[reason] = self.counter_handle(f"stall.{reason}")
-            cell.value += self.sim.now - self._block_start
+            stalls = self.stall_cycles
+            stalls[reason] = stalls.get(reason, 0.0) + (self.sim.now - self._block_start)
             self.blocked_reason = None
         self._schedule_advance(0.0)
 
@@ -133,7 +142,7 @@ class Core(Component):
                 and self.outstanding_mem == 0 and self.blocked_reason is None):
             self.done = True
             self.finish_time = self.now
-            self.count("instructions", self.instructions)
+            self._n_instructions += self.instructions
             if self.on_done is not None:
                 self.on_done(self)
 
@@ -154,11 +163,12 @@ class Core(Component):
             self._unblock()
 
     def _gather_done(self, _value: float) -> None:
-        self.count("gathers_completed")
+        self._n_gathers_completed += 1
         self._unblock()
 
     def _atomic_done(self, latency: float) -> None:
-        self.observe("atomic_latency", latency)
+        self._atomic_latency_count += 1
+        self._atomic_latency_total += latency
         self._unblock()
 
     def _barrier_released(self) -> None:
@@ -243,14 +253,14 @@ class Core(Component):
 
             if kind is GatherOp:
                 self._retire(op)
-                self.count("gathers_issued")
+                self._n_gathers_issued += 1
                 self._block("gather")
                 self.mi.offload_gather(op, self._gather_done)
                 return
 
             if kind is AtomicOp:
                 self._retire(op)
-                self.count("atomics_issued")
+                self._n_atomics_issued += 1
                 self._block("atomic")
                 self.hierarchy.atomic_access(self.core_id, op.addr, self._atomic_done)
                 return
@@ -280,8 +290,3 @@ class Core(Component):
         if self.finish_time is None or self.finish_time == 0:
             return 0.0
         return self.instructions / self.finish_time
-
-    def stall_breakdown(self) -> Dict[str, float]:
-        """Cycles spent blocked, keyed by reason."""
-        prefix = f"{self.name}.stall."
-        return {k[len(prefix):]: v for k, v in self.sim.stats.counters(prefix).items()}

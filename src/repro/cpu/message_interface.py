@@ -42,13 +42,12 @@ class MessageInterface(Component):
         self.max_outstanding_updates = max_outstanding_updates
         self.outstanding_updates = 0
         self._space_waiters: List[Callable[[], None]] = []
-        # One offload/commit pair per Update: batch the counts and fold them
-        # in via the flush() protocol.
         self._n_updates = 0
         self._n_update_commits = 0
-        self._register_batched_counters(
-            ("_n_updates", self.counter_handle("updates")),
-            ("_n_update_commits", self.counter_handle("update_commits")))
+        self._n_gathers = 0
+
+    COUNTERS = (("updates", "_n_updates"), ("update_commits", "_n_update_commits"),
+                ("gathers", "_n_gathers"))
 
     @property
     def enabled(self) -> bool:
@@ -81,5 +80,5 @@ class MessageInterface(Component):
     def offload_gather(self, op: GatherOp, on_result: Callable[[float], None]) -> None:
         if self.backend is None:
             raise RuntimeError("Gather offloaded on a configuration without Active-Routing")
-        self.count("gathers")
+        self._n_gathers += 1
         self.backend.offload_gather(self.core_id, op, on_result)

@@ -17,12 +17,15 @@ class MeshNoC(Component):
 
     L2 probes, one request/response pair per L1 miss, are the only traffic
     on the hot path.  Their caller looks the hop count up itself and appends
-    it to :attr:`probe_log` (see :meth:`probe_log_for`); :meth:`flush`
-    replays the log into the counters with the additions and the order that
-    one eager request-then-response update per probe would make, so the
-    float ``energy_pj`` total is bit-identical.  A hop count is one byte:
-    the log costs a byte per probe until the next registry read.
+    it to :attr:`probe_log` (see :meth:`probe_log_for`).  Reading a total
+    first replays the log into the totals with the additions and the order
+    that one eager request-then-response update per probe would make, so the
+    float ``energy_pj`` total is bit-identical however the reads fall.  A hop
+    count is one byte: the log costs a byte per probe until the next read.
     """
+
+    COUNTERS = (("transfers", "transfers"), ("byte_hops", "byte_hops"),
+                ("bytes", "total_bytes"), ("energy_pj", "energy_pj"))
 
     def __init__(self, sim: Simulator, rows: int = 4, cols: int = 4,
                  hop_latency: float = 2.0, energy_pj_per_byte_hop: float = 0.8) -> None:
@@ -35,16 +38,15 @@ class MeshNoC(Component):
         self.cols = cols
         self.hop_latency = hop_latency
         self.energy_pj_per_byte_hop = energy_pj_per_byte_hop
-        self._h_transfers = self.counter_handle("transfers")
-        self._h_byte_hops = self.counter_handle("byte_hops")
-        self._h_bytes = self.counter_handle("bytes")
-        self._h_energy_pj = self.counter_handle("energy_pj")
-        #: Hop count of every L2 probe not yet folded into the counters.
+        self._transfers = 0
+        self._byte_hops = 0
+        self._bytes = 0
+        self._energy_pj = 0.0
+        #: Hop count of every L2 probe not yet replayed into the totals.
         self.probe_log = bytearray()
         #: ``(request, response)`` bytes of one probe, fixed by the first
         #: :meth:`probe_log_for` call.
         self.probe_bytes: Optional[Tuple[int, int]] = None
-        sim.stats.register_flushable(self)
 
     @property
     def num_tiles(self) -> int:
@@ -82,13 +84,13 @@ class MeshNoC(Component):
 
     def transfer(self, src_tile: int, dst_tile: int, size_bytes: int) -> float:
         """Account a one-way transfer and return its latency in cycles."""
-        self.flush()  # logged probes came first
+        self._replay_probes()  # logged probes came first
         hops = self.hops(src_tile, dst_tile)
         latency = hops * self.hop_latency
-        self._h_transfers.value += 1
-        self._h_byte_hops.value += size_bytes * hops
-        self._h_bytes.value += size_bytes
-        self._h_energy_pj.value += size_bytes * hops * self.energy_pj_per_byte_hop
+        self._transfers += 1
+        self._byte_hops += size_bytes * hops
+        self._bytes += size_bytes
+        self._energy_pj += size_bytes * hops * self.energy_pj_per_byte_hop
         return latency
 
     def probe_log_for(self, req_bytes: int, resp_bytes: int) -> bytearray:
@@ -105,27 +107,39 @@ class MeshNoC(Component):
         self.probe_bytes = (req_bytes, resp_bytes)
         return self.probe_log
 
-    def flush(self) -> None:
-        """Replay the logged probes: request then response, per probe."""
+    def _replay_probes(self) -> None:
+        """Move the logged probes into the totals: request then response, per probe."""
         log = self.probe_log
         if not log:
             return
         req_bytes, resp_bytes = self.probe_bytes
         per_byte_hop = self.energy_pj_per_byte_hop
-        transfers = self._h_transfers.value
-        byte_hops = self._h_byte_hops.value
-        total_bytes = self._h_bytes.value
-        energy = self._h_energy_pj.value
+        energy = self._energy_pj
         for hops in log:
-            transfers += 2
-            byte_hops += req_bytes * hops
-            byte_hops += resp_bytes * hops
-            total_bytes += req_bytes
-            total_bytes += resp_bytes
             energy += req_bytes * hops * per_byte_hop
             energy += resp_bytes * hops * per_byte_hop
-        self._h_transfers.value = transfers
-        self._h_byte_hops.value = byte_hops
-        self._h_bytes.value = total_bytes
-        self._h_energy_pj.value = energy
+        self._energy_pj = energy
+        self._transfers += 2 * len(log)
+        self._byte_hops += (req_bytes + resp_bytes) * sum(log)
+        self._bytes += (req_bytes + resp_bytes) * len(log)
         log.clear()
+
+    @property
+    def transfers(self) -> int:
+        self._replay_probes()
+        return self._transfers
+
+    @property
+    def byte_hops(self) -> int:
+        self._replay_probes()
+        return self._byte_hops
+
+    @property
+    def total_bytes(self) -> int:
+        self._replay_probes()
+        return self._bytes
+
+    @property
+    def energy_pj(self) -> float:
+        self._replay_probes()
+        return self._energy_pj

@@ -19,6 +19,10 @@ class BarrierManager(Component):
         self.release_latency = release_latency
         self._waiting: Dict[int, List[Callable[[], None]]] = {}
         self._arrived: Dict[int, int] = {}
+        self._n_arrivals = 0
+        self._n_releases = 0
+
+    COUNTERS = (("arrivals", "_n_arrivals"), ("releases", "_n_releases"))
 
     def arrive(self, barrier_id: int, participants: int, on_release: Callable[[], None]) -> None:
         """Register arrival of one thread; release everyone once all have arrived."""
@@ -26,12 +30,12 @@ class BarrierManager(Component):
             raise ValueError("participants must be at least 1")
         self._waiting.setdefault(barrier_id, []).append(on_release)
         self._arrived[barrier_id] = self._arrived.get(barrier_id, 0) + 1
-        self.count("arrivals")
+        self._n_arrivals += 1
         if self._arrived[barrier_id] < participants:
             return
         waiters = self._waiting.pop(barrier_id)
         del self._arrived[barrier_id]
-        self.count("releases")
+        self._n_releases += 1
         for callback in waiters:
             self.sim.schedule(self.release_latency, callback)
 

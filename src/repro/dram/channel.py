@@ -30,6 +30,16 @@ class DDRChannel(Component):
         self.bus = SharedResource(sim, f"{self.name}.bus")
         self.bus_bytes_per_cycle = bus_bytes_per_cycle
         self._banks: Dict[Tuple[int, int], DRAMBank] = {}
+        self._n_reads = 0
+        self._n_writes = 0
+        self._n_bytes = 0
+
+    COUNTERS = (("accesses", "accesses"), ("reads", "_n_reads"),
+                ("writes", "_n_writes"), ("bytes", "_n_bytes"))
+
+    @property
+    def accesses(self) -> int:
+        return self._n_reads + self._n_writes
 
     def _bank(self, rank: int, bank: int) -> DRAMBank:
         key = (rank, bank)
@@ -48,7 +58,9 @@ class DDRChannel(Component):
         _, bank_finish = bank.access(row, earliest=self.now + self.controller_latency)
         bus_occupancy = size / self.bus_bytes_per_cycle
         _, bus_finish = self.bus.reserve(bus_occupancy, earliest=bank_finish)
-        self.count("accesses")
-        self.count("writes" if is_write else "reads")
-        self.count("bytes", size)
+        if is_write:
+            self._n_writes += 1
+        else:
+            self._n_reads += 1
+        self._n_bytes += size
         return bus_finish

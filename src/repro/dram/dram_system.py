@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import List
+from typing import Dict, List
 
 from ..mem import DRAMAddressMapping, MemoryRequest
 from ..sim import Component, Simulator
@@ -34,6 +34,17 @@ class DRAMSystem(Component):
                        controller_latency=controller_latency)
             for ch in range(self.mapping.num_channels)
         ]
+        self._n_requests = 0
+        self._n_bytes = 0
+        #: Bytes per access type, in first-access order.
+        self.bytes_by_type: Dict[str, int] = {}
+        self.energy_pj = 0.0
+        self._latency_count = 0
+        self._latency_total = 0.0
+
+    COUNTERS = (("requests", "_n_requests"), ("bytes", "_n_bytes"),
+                ("bytes.", "bytes_by_type"), ("energy_pj", "energy_pj"))
+    HISTOGRAMS = (("latency", "_latency_count", "_latency_total"),)
 
     @property
     def is_network_memory(self) -> bool:
@@ -44,11 +55,15 @@ class DRAMSystem(Component):
         request.issue_time = request.issue_time or self.now
         channel = self.channels[self.mapping.channel_of(request.addr)]
         finish = channel.access(request.addr, request.size, request.is_write)
-        self.count("requests")
-        self.count("bytes", request.size)
-        self.count(f"bytes.{request.access_type.value}", request.size)
-        self.count("energy_pj", request.size * 8 * self.ENERGY_PJ_PER_BIT)
-        self.observe("latency", finish - self.now)
+        size = request.size
+        self._n_requests += 1
+        self._n_bytes += size
+        by_type = self.bytes_by_type
+        access_type = request.access_type.value
+        by_type[access_type] = by_type.get(access_type, 0) + size
+        self.energy_pj += size * 8 * self.ENERGY_PJ_PER_BIT
+        self._latency_count += 1
+        self._latency_total += finish - self.now
         self.sim.schedule_at(finish, partial(request.complete, finish))
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:

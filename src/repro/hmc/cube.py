@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush
-from typing import List, Mapping, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from ..mem import HMCAddressMapping
 from ..network.packet import MemRespPacket, Packet, PacketType
@@ -44,8 +44,7 @@ class HMCCube(Component):
         self._crossbar_latency = self.config.crossbar_latency
         # receive_passive() runs once per passive request: it decodes the
         # vault itself (HMCAddressMapping.vault_of) and pushes its response
-        # event straight onto the simulator's heap.  It and local_access()
-        # count on plain accumulators drained by the flush() protocol.
+        # event straight onto the simulator's heap.
         self._block_size = mapping.block_size
         self._num_vaults = mapping.num_vaults
         self._event_heap = sim._heap
@@ -53,10 +52,10 @@ class HMCCube(Component):
         self._n_local_accesses = 0
         self._n_served_reads = 0
         self._n_served_writes = 0
-        self._register_batched_counters(
-            ("_n_local_accesses", self.counter_handle("local_accesses")),
-            ("_n_served_reads", self.counter_handle("served_reads")),
-            ("_n_served_writes", self.counter_handle("served_writes")))
+
+    COUNTERS = (("local_accesses", "_n_local_accesses"),
+                ("served_reads", "_n_served_reads"),
+                ("served_writes", "_n_served_writes"))
 
     # -- wiring ---------------------------------------------------------------
     def connect(self, network: "MemoryNetwork") -> None:
@@ -138,12 +137,6 @@ class HMCCube(Component):
         self.network.inject_passive(response, self.node_id)
 
     # -- statistics -----------------------------------------------------------
-    def total_vault_accesses(self, counters: Optional[Mapping[str, float]] = None) -> float:
-        """Accesses served by this cube's vaults, summed in vault order.
-
-        ``counters`` is a registry read the caller already made; without one
-        the registry is read (and flushed) once.
-        """
-        if counters is None:
-            counters = self.sim.stats.counters(f"{self.name}.vault")
-        return sum(counters.get(f"{vault.name}.accesses", 0.0) for vault in self.vaults)
+    def total_vault_accesses(self) -> float:
+        """Accesses served by this cube's vaults."""
+        return float(sum([vault.accesses for vault in self.vaults]))

@@ -39,44 +39,28 @@ class HMCController(Component):
         self.network: Optional["MemoryNetwork"] = None
         self._outstanding: Dict[int, MemoryRequest] = {}
         self._gather_listener: Optional[GatherListener] = None
-        # access()/inject()/receive_packet() run once per miss/offload; the
-        # counts batch into plain accumulators (``requests`` is derived as
-        # reads + writes at flush time).
-        self._h_requests = self.counter_handle("requests")
-        self._h_reads = self.counter_handle("reads")
-        self._h_writes = self.counter_handle("writes")
-        self._h_active_injected = self.counter_handle("active_injected")
-        self._h_responses = self.counter_handle("responses")
+        # access()/inject()/receive_packet() run once per miss/offload and
+        # count on plain attributes (``requests`` is derived as reads +
+        # writes when read).  Round trips are a running count and total.
         self._n_reads = 0
         self._n_writes = 0
         self._n_active_injected = 0
         self._n_responses = 0
-        # Round trips are a running count and total that the registry's
-        # ``roundtrip`` histogram reads.
         self._roundtrip_count = 0
         self._roundtrip_total = 0.0
-        sim.stats.folded_histogram(f"{self.name}.roundtrip").attach(
-            self, "_roundtrip_count", "_roundtrip_total")
         # access() pushes its injection event straight onto the heap.
         self._event_heap = sim._heap
         self._next_seq = sim._next_seq
         self._controller_latency = self.config.controller_latency
-        sim.stats.register_flushable(self)
 
-    def flush(self) -> None:
-        reads, writes = self._n_reads, self._n_writes
-        if reads or writes:
-            self._h_requests.value += reads + writes
-            self._h_reads.value += reads
-            self._h_writes.value += writes
-            self._n_reads = 0
-            self._n_writes = 0
-        if self._n_active_injected:
-            self._h_active_injected.value += self._n_active_injected
-            self._n_active_injected = 0
-        if self._n_responses:
-            self._h_responses.value += self._n_responses
-            self._n_responses = 0
+    COUNTERS = (("requests", "requests"), ("reads", "_n_reads"),
+                ("writes", "_n_writes"), ("active_injected", "_n_active_injected"),
+                ("responses", "_n_responses"))
+    HISTOGRAMS = (("roundtrip", "_roundtrip_count", "_roundtrip_total"),)
+
+    @property
+    def requests(self) -> int:
+        return self._n_reads + self._n_writes
 
     # -- wiring ---------------------------------------------------------------
     def connect(self, network: "MemoryNetwork") -> None:

@@ -8,7 +8,7 @@ memory system sits below it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..mem import AccessType, HMCAddressMapping, MemoryRequest
 from ..network.faults import FaultInjector
@@ -64,24 +64,23 @@ class HMCMemorySystem(Component):
             self.controllers.append(controller)
         self._interleave = self.net_config.controller_interleave
         # access() runs once per miss: count requests and bytes per access
-        # type on plain accumulators that flush() folds into the registry.
-        # The byte column is a list indexed by ``AccessType._index``.
+        # type on plain attributes.  The byte column is a list indexed by
+        # ``AccessType._index``.
         self._n_requests = 0
-        self._pending_bytes = [0] * len(AccessType)
-        sim.stats.register_flushable(self)
+        self._bytes_by_type = [0] * len(AccessType)
 
-    def flush(self) -> None:
-        if not self._n_requests:
-            return
-        pending = self._pending_bytes
-        self.count("requests", self._n_requests)
-        self.count("bytes", sum(pending))
-        for access_type in AccessType:
-            size = pending[access_type._index]
-            if size:
-                self.count(f"bytes.{access_type.value}", size)
-                pending[access_type._index] = 0
-        self._n_requests = 0
+    COUNTERS = (("requests", "_n_requests"), ("bytes", "total_bytes"),
+                ("bytes.", "bytes_by_type"))
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(self._bytes_by_type)
+
+    @property
+    def bytes_by_type(self) -> Dict[str, int]:
+        """Bytes requested per access type, in :class:`AccessType` order."""
+        return {access_type.value: self._bytes_by_type[access_type._index]
+                for access_type in AccessType}
 
     def _build_topology(self) -> Topology:
         """Build the configured topology with *exactly* ``num_cubes`` cubes.
@@ -122,7 +121,7 @@ class HMCMemorySystem(Component):
         """Route one cache-miss request through the controller nearest by interleave."""
         controllers = self.controllers
         self._n_requests += 1
-        self._pending_bytes[request.access_type._index] += request.size
+        self._bytes_by_type[request.access_type._index] += request.size
         controllers[(request.addr // self._interleave) % len(controllers)].access(request)
 
     # -- helpers -----------------------------------------------------------------

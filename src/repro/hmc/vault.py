@@ -5,17 +5,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..mem import HMCAddressMapping
-from ..sim import Simulator
+from ..sim import Publisher, Simulator
 from ..dram.bank import DRAMBank
 from .config import HMCConfig
 
-#: Registry stats of a vault, in the order of its ``counter_totals``.  The
-#: TSV data path keeps its ``<vault>.tsv.*`` names.
-VAULT_STATS = ("accesses", "reads", "writes", "bytes", "energy_pj",
-               "tsv.busy_cycles", "tsv.queue_wait_cycles")
-
-
-class VaultController:
+class VaultController(Publisher):
     """One of the 32 vaults on a cube's logic layer.
 
     The vault controller serializes accesses to its banks (open-row policy)
@@ -24,18 +18,20 @@ class VaultController:
     Plain slotted state rather than a :class:`~repro.sim.Component`: every
     HMC build creates hundreds of vaults and most of them are never accessed.
     The TSV is an inlined ``tsv_busy_until`` reservation, banks are created
-    on first access, and the counters (accesses and energy derived from the
-    batched bytes) are one list of totals, published as a registry counter
-    group the first time :meth:`flush` has anything to fold.
+    (and registered) on first access, and accesses and energy are derived
+    from the read, write and byte counts when read.
     """
 
-    counter_stats = VAULT_STATS
+    COUNTERS = (("accesses", "accesses"), ("reads", "_n_reads"),
+                ("writes", "_n_writes"), ("bytes", "_n_bytes"),
+                ("energy_pj", "energy_pj"), ("tsv.busy_cycles", "_n_tsv_busy"),
+                ("tsv.queue_wait_cycles", "_n_tsv_wait"))
 
     __slots__ = ("sim", "name", "cube_id", "vault_id", "tsv_busy_until",
                  "_banks", "_timing", "_bank_stride", "_banks_per_vault",
                  "_row_stride", "_blocks_per_row", "_bytes_per_cycle",
                  "_controller_latency", "_energy_pj_per_bit", "_n_reads",
-                 "_n_writes", "_n_bytes", "_n_tsv_busy", "_n_tsv_wait", "counter_totals")
+                 "_n_writes", "_n_bytes", "_n_tsv_busy", "_n_tsv_wait")
 
     def __init__(self, sim: Simulator, cube_id: int, vault_id: int,
                  mapping: HMCAddressMapping, config: HMCConfig) -> None:
@@ -60,31 +56,15 @@ class VaultController:
         self._n_bytes = 0
         self._n_tsv_busy = 0.0
         self._n_tsv_wait = 0.0
-        self.counter_totals = None
-        sim.stats.register_flushable(self)
+        sim.stats.register(self)
 
-    def flush(self) -> None:
-        """Fold the pending accumulators into the counter-group totals."""
-        reads, writes = self._n_reads, self._n_writes
-        if not (reads or writes):
-            return
-        totals = self.counter_totals
-        if totals is None:
-            totals = self.counter_totals = [0.0] * len(VAULT_STATS)
-            self.sim.stats.register_counter_group(self)
-        pending_bytes = self._n_bytes
-        totals[0] += reads + writes
-        totals[1] += reads
-        totals[2] += writes
-        totals[3] += pending_bytes
-        totals[4] += pending_bytes * 8 * self._energy_pj_per_bit
-        totals[5] += self._n_tsv_busy
-        totals[6] += self._n_tsv_wait
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_bytes = 0
-        self._n_tsv_busy = 0.0
-        self._n_tsv_wait = 0.0
+    @property
+    def accesses(self) -> int:
+        return self._n_reads + self._n_writes
+
+    @property
+    def energy_pj(self) -> float:
+        return self._n_bytes * 8 * self._energy_pj_per_bit
 
     def service(self, addr: int, size: int, is_write: bool) -> float:
         """Reserve bank + TSV for one access starting now; returns finish time."""

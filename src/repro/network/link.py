@@ -56,69 +56,35 @@ class Link(SharedResource):
         #: The far end's ``receive_packet``, which MemoryNetwork._hop
         #: schedules each arrival on; the network binds it.
         self._rx = None
-        # transmit() runs once per hop; hoist the config scalars and bind every
-        # counter up front so the hot path is pure arithmetic + cell updates.
+        # transmit() runs once per hop; hoist the config scalars.  The hot
+        # path counts on plain attributes: packets, bytes per category
+        # (indexed by Packet._cat_index) and the inherited busy and
+        # queue-wait cycles.  Bytes and energy are derived from the
+        # per-category slots when read (energy is linear in bytes).
         self._bandwidth = self.config.bandwidth_bytes_per_cycle
         self._latency = self.config.latency_cycles
         self._energy_pj_per_bit = self.config.energy_pj_per_bit
-        self._h_packets = self.counter_handle("packets")
-        self._h_bytes = self.counter_handle("bytes")
-        self._h_energy_pj = self.counter_handle("energy_pj")
-        self._h_bytes_by_category = {
-            category: self.counter_handle(f"bytes.{category}")
-            for category in MOVEMENT_CATEGORIES
-        }
-        # Per-hop statistics are epoch-batched: the hot path bumps plain
-        # accumulators (bytes per category, indexed by Packet._cat_index;
-        # packets; busy cycles; queue-wait cycles) and flush() folds them
-        # into the bound cells whenever a registry reader asks.  Bytes,
-        # energy and packet totals are all derived from the per-category
-        # slots at flush time (energy is linear in bytes).  An attribute
-        # ``+=`` executes three fewer bytecodes than a list-slot ``+=``.
-        self._cat_bytes = [0, 0, 0, 0]
         self._n_packets = 0
-        self._n_busy = 0.0
-        self._n_wait = 0.0
-        self._cat_handles = [self._h_bytes_by_category[c] for c in MOVEMENT_CATEGORIES]
-        sim.stats.register_flushable(self)
+        self._cat_bytes = [0, 0, 0, 0]
 
-    def flush(self) -> None:
-        """Fold the batched per-hop accumulators into the counter cells."""
-        packets = self._n_packets
-        if packets:
-            by_category = self._cat_bytes
-            total = by_category[0] + by_category[1] + by_category[2] + by_category[3]
-            self._h_packets.value += packets
-            self._h_bytes.value += total
-            self._h_energy_pj.value += total * 8 * self._energy_pj_per_bit
-            handles = self._cat_handles
-            for index in range(4):
-                if by_category[index]:
-                    handles[index].value += by_category[index]
-                    by_category[index] = 0
-            self._n_packets = 0
-        if self._n_busy:
-            self._busy_cycles.value += self._n_busy
-            self._n_busy = 0.0
-        if self._n_wait:
-            self._queue_wait_cycles.value += self._n_wait
-            self._n_wait = 0.0
+    COUNTERS = SharedResource.COUNTERS + (
+        ("packets", "_n_packets"), ("bytes", "total_bytes"),
+        ("energy_pj", "energy_pj"), ("bytes.", "bytes_by_category"))
 
-    # -- aggregation-friendly readers ----------------------------------------
-    # Network-wide aggregations (off-chip traffic, per-node load) read these
-    # instead of the string-keyed registry API: folding this one link's
-    # accumulators and reading its bound cells avoids a full registry flush
-    # per counter lookup (links x categories of them per aggregation).
-    def total_bytes(self) -> float:
+    @property
+    def total_bytes(self) -> int:
         """Bytes that crossed this link so far."""
-        self.flush()
-        return self._h_bytes.value
+        by_category = self._cat_bytes
+        return by_category[0] + by_category[1] + by_category[2] + by_category[3]
 
-    def bytes_by_category(self) -> Dict[str, float]:
+    @property
+    def energy_pj(self) -> float:
+        return self.total_bytes * 8 * self._energy_pj_per_bit
+
+    @property
+    def bytes_by_category(self) -> Dict[str, int]:
         """Bytes that crossed this link, keyed by movement category."""
-        self.flush()
-        return {category: self._h_bytes_by_category[category].value
-                for category in MOVEMENT_CATEGORIES}
+        return dict(zip(MOVEMENT_CATEGORIES, self._cat_bytes))
 
     def transmit(self, packet: Packet, earliest: float | None = None) -> Tuple[float, float]:
         """Send ``packet`` over the link.
@@ -138,8 +104,8 @@ class Link(SharedResource):
         self.busy_until = finish
         queue_delay = start - earliest
         if queue_delay > 0:
-            self._n_wait += queue_delay
-        self._n_busy += serialization
+            self.queue_wait_cycles += queue_delay
+        self.busy_cycles += serialization
         self._n_packets += 1
         self._cat_bytes[packet._cat_index] += size
         return finish + self._latency, queue_delay

@@ -111,55 +111,51 @@ class MemoryNetwork(Component):
              else hop_on[link]
              for dst, link in enumerate(row)]
             for current, row in enumerate(self._route_links)]
-        self._h_injected = self.counter_handle("injected")
-        self._h_hops = self.counter_handle("hops")
-        self._h_bytes = self.counter_handle("bytes")
-        self._h_bit_hops = self.counter_handle("bit_hops")
-        self._h_queue_delay = self.counter_handle("queue_delay_cycles")
-        self._cat_handles = [self.counter_handle(f"bytes.{category}")
-                             for category in MOVEMENT_CATEGORIES]
         # inject() counts on a plain integer; every per-hop total is derived
-        # from the per-link cells by flush().
-        self._n_injected = 0
+        # from the links when read.
+        self.injected = 0
         # Fault machinery.  The default configuration never pays for it: the
         # network starts on the original _hop() fast path and only swaps in
-        # the fault-aware variant when a link actually changes state.  The
-        # dropped counter is created lazily in _enable_fault_mode() — an
-        # eager zero-valued cell would perturb the golden stats digests of
-        # failure-free runs.
-        self._h_dropped = None
+        # the fault-aware variant when a link actually changes state.
+        self.dropped = 0
         self._fault_mode = False
-        sim.stats.register_flushable(self)
 
-    def flush(self) -> None:
-        """Fold the injected count in and derive the per-hop totals.
+    COUNTERS = (("injected", "injected"), ("hops", "hops"), ("bytes", "total_bytes"),
+                ("bit_hops", "bit_hops"), ("queue_delay_cycles", "queue_delay_cycles"),
+                ("bytes.", "bytes_by_category"), ("dropped", "dropped"))
 
-        Hops, bytes, bit-hops and bytes per category are sums of the per-link
-        cells, which hold integers, so the derived totals are exact.  The
-        queue-delay total is a float fold over the links in ``self.links``
-        insertion order; the golden digests were captured under that
-        summation order (adding each hop's delay to one network-wide cell as
-        it happens can round differently).  Each link is flushed first, so
-        the totals are current even when this runs on its own.
-        """
-        if self._n_injected:
-            self._h_injected.value += self._n_injected
-            self._n_injected = 0
-        hops = total_delay = 0.0
-        by_category = [0.0, 0.0, 0.0, 0.0]
+    # -- derived totals -------------------------------------------------------
+    # Sums over the links in ``self.links`` insertion order.  Hops and bytes
+    # are integers, so they are exact; the queue-delay total is a float fold
+    # in link order, the summation order the golden digests were captured
+    # under (adding each hop's delay to one network-wide total as it happens
+    # can round differently).
+    @property
+    def hops(self) -> int:
+        return sum([link._n_packets for link in self._link_list])
+
+    @property
+    def bytes_by_category(self) -> Dict[str, int]:
+        by_category = [0, 0, 0, 0]
         for link in self._link_list:
-            link.flush()
-            hops += link._h_packets.value
-            total_delay += link._queue_wait_cycles.value
-            for index, cell in enumerate(link._cat_handles):
-                by_category[index] += cell.value
-        total = by_category[0] + by_category[1] + by_category[2] + by_category[3]
-        self._h_hops.value = hops
-        self._h_bytes.value = total
-        self._h_bit_hops.value = total * 8
-        for cell, value in zip(self._cat_handles, by_category):
-            cell.value = value
-        self._h_queue_delay.value = total_delay
+            for index, size in enumerate(link._cat_bytes):
+                by_category[index] += size
+        return dict(zip(MOVEMENT_CATEGORIES, by_category))
+
+    @property
+    def total_bytes(self) -> int:
+        return sum([link.total_bytes for link in self._link_list])
+
+    @property
+    def bit_hops(self) -> int:
+        return self.total_bytes * 8
+
+    @property
+    def queue_delay_cycles(self) -> float:
+        total = 0.0
+        for link in self._link_list:
+            total += link.queue_wait_cycles
+        return total
 
     # -- construction ---------------------------------------------------------
     def register_endpoint(self, node_id: int, endpoint: NetworkEndpoint) -> None:
@@ -185,7 +181,7 @@ class MemoryNetwork(Component):
             # First time this packet enters the fabric; intermediate cubes that
             # re-inject it must not re-stamp (0.0 is a legitimate creation time).
             packet.created_at = self.sim.now
-        self._n_injected += 1
+        self.injected += 1
         if packet.dst == at_node:
             # Local delivery (e.g. operand request for data in the same cube).
             self.schedule(0.0, partial(self._deliver, packet, at_node, at_node))
@@ -200,7 +196,7 @@ class MemoryNetwork(Component):
         hops on through :meth:`_hop_passive`.
         """
         packet.created_at = self.sim.now
-        self._n_injected += 1
+        self.injected += 1
         self._hop_passive(packet, at_node)
 
     def forward(self, packet: Packet, from_node: int) -> None:
@@ -212,20 +208,20 @@ class MemoryNetwork(Component):
     def _hop(self, packet: Packet, current: int) -> None:
         link = self._route_links[current][packet.dst]
         # Inlined Link.transmit(): one hop is the innermost simulator loop and
-        # the extra call frame + result tuple are measurable.  Stats go into
-        # the link's epoch-batched accumulators, as transmit() feeds them; the
-        # queue delay is only computed when the link is still busy.
+        # the extra call frame + result tuple are measurable.  Stats go onto
+        # the link's plain attributes, as transmit() counts them; the queue
+        # delay is only computed when the link is still busy.
         size = packet.size
         serialization = size / link._bandwidth
         now = self.sim.now
         start = link.busy_until
         if start > now:
-            link._n_wait += start - now
+            link.queue_wait_cycles += start - now
         else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        link._n_busy += serialization
+        link.busy_cycles += serialization
         link._n_packets += 1
         link._cat_bytes[packet._cat_index] += size
         # The delivery is scheduled as a direct call of the far end's bound
@@ -250,12 +246,12 @@ class MemoryNetwork(Component):
         now = self.sim.now
         start = link.busy_until
         if start > now:
-            link._n_wait += start - now
+            link.queue_wait_cycles += start - now
         else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        link._n_busy += serialization
+        link.busy_cycles += serialization
         link._n_packets += 1
         link._cat_bytes[packet._cat_index] += size
         packet.hops += 1
@@ -324,9 +320,6 @@ class MemoryNetwork(Component):
     def _enable_fault_mode(self) -> None:
         if not self._fault_mode:
             self._fault_mode = True
-            # Drops are rare events: they bump this bound cell directly
-            # instead of joining the epoch-batched accumulators.
-            self._h_dropped = self.counter_handle("dropped")
             # Shadow the class methods on the instance: inject()/forward()
             # and inject_passive() look their hop up through self, so every
             # later hop takes the fault-aware variant without a per-hop mode
@@ -378,7 +371,7 @@ class MemoryNetwork(Component):
             # Submitting onto a down link (only pinned tree traffic can get
             # here — live routes avoid dead links): park in submission order,
             # no transmission happens.  Drained at recovery.
-            self._h_dropped.value += 1
+            self.dropped += 1
             link._park_blocked.append((packet, current))
             return
         size = packet.size
@@ -386,12 +379,12 @@ class MemoryNetwork(Component):
         now = self.sim.now
         start = link.busy_until
         if start > now:
-            link._n_wait += start - now
+            link.queue_wait_cycles += start - now
         else:
             start = now
         finish = start + serialization
         link.busy_until = finish
-        link._n_busy += serialization
+        link.busy_cycles += serialization
         link._n_packets += 1
         link._cat_bytes[packet._cat_index] += size
         packet.hops += 1
@@ -423,7 +416,7 @@ class MemoryNetwork(Component):
         if link.up:
             self._receivers[nxt](packet, current)
             return
-        self._h_dropped.value += 1
+        self.dropped += 1
         link._park_inflight.append((packet, current))
 
     def _deliver(self, packet: Packet, node: int, from_node: int) -> None:
@@ -435,12 +428,6 @@ class MemoryNetwork(Component):
                            f"which has no registered endpoint")
 
     # -- statistics -----------------------------------------------------------
-    def bytes_moved(self, category: Optional[str] = None) -> float:
-        """Total bytes that crossed any link, optionally filtered by category."""
-        if category is None:
-            return self.stat("bytes")
-        return self.stat(f"bytes.{category}")
-
     def offchip_bytes(self) -> Dict[str, float]:
         """Bytes that crossed the processor/memory-network boundary, by category.
 
@@ -448,16 +435,12 @@ class MemoryNetwork(Component):
         traffic of Figure 5.4, as opposed to traffic staying inside the memory
         network (operand fetches between cubes, tree reductions, ...).
 
-        Reads go through each link's own flushed counter cells: the
-        string-keyed registry path would trigger a full flush of *every*
-        epoch-batched component per lookup, links x categories times per call.
         The controller-adjacent links were precomputed at construction from
-        the dense controller-node mask, in ``self.links`` insertion order so
-        the float sums match the old dict walk bit for bit.
+        the dense controller-node mask, in ``self.links`` insertion order.
         """
         totals = {cat: 0.0 for cat in MOVEMENT_CATEGORIES}
         for link in self._offchip_links:
-            for cat, value in link.bytes_by_category().items():
+            for cat, value in link.bytes_by_category.items():
                 totals[cat] += value
         return totals
 
@@ -467,5 +450,5 @@ class MemoryNetwork(Component):
         # topology's node ids (which may be a sparse subset of the range).
         column = [0.0] * self._num_nodes
         for link in self._link_list:
-            column[link.src] += link.total_bytes()
+            column[link.src] += link.total_bytes
         return {n: column[n] for n in self.topology.adjacency}

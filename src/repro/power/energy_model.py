@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..sim import Simulator, StatsRegistry
+from ..sim import StatsRegistry
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,13 @@ class EnergyModel:
     def __init__(self, stats: StatsRegistry) -> None:
         self.stats = stats
 
-    @classmethod
-    def from_simulator(cls, sim: Simulator) -> "EnergyModel":
-        return cls(sim.stats)
-
     def energy_j(self, counters: Optional[Mapping[str, float]] = None
                  ) -> Tuple[float, float, float]:
         """``(cache, memory, network)`` joules in one pass over the counters.
 
-        ``counters`` is a registry read the caller already made; without one
-        the registry is read (and flushed) once.  Each group sums its
-        ``*.energy_pj`` cells in registry order.
+        ``counters`` maps names to values in the order to sum them in;
+        without one the registry is read.  Each group sums its
+        ``*.energy_pj`` values in that order.
         """
         if counters is None:
             counters = self.stats.counters()
@@ -105,15 +101,6 @@ class EnergyModel:
             elif name.startswith(self.NETWORK_PREFIXES):
                 network += value
         return cache * PICO, memory * PICO, network * PICO
-
-    def cache_energy_j(self) -> float:
-        return self.energy_j()[0]
-
-    def memory_energy_j(self) -> float:
-        return self.energy_j()[1]
-
-    def network_energy_j(self) -> float:
-        return self.energy_j()[2]
 
     def breakdown(self, runtime_cycles: float, cpu_freq_ghz: float = 2.0,
                   counters: Optional[Mapping[str, float]] = None) -> EnergyBreakdown:

@@ -2,15 +2,15 @@
 
 from .component import Component, SharedResource
 from .simulator import SimulationError, Simulator
-from .stats import CounterHandle, Histogram, StatsRegistry, geometric_mean
+from .stats import Histogram, Publisher, StatsRegistry, geometric_mean
 
 __all__ = [
     "Component",
     "SharedResource",
-    "CounterHandle",
     "SimulationError",
     "Simulator",
     "Histogram",
+    "Publisher",
     "StatsRegistry",
     "geometric_mean",
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..core.engine import LATENCY_PARTS
 from ..isa import ProgramTrace
 from ..power.energy_model import EnergyBreakdown, EnergyModel
 from .builder import BuiltSystem
@@ -84,30 +85,32 @@ class RunResult:
         return out
 
 
-def _collect_data_movement(system: BuiltSystem,
-                           counters: Dict[str, float]) -> Dict[str, float]:
+def _collect_data_movement(system: BuiltSystem) -> Dict[str, float]:
+    memory = system.memory
     if system.config.kind.uses_hmc:
-        offchip = system.memory.network.offchip_bytes()  # type: ignore[union-attr]
-        offchip["network_total"] = counters.get("network.bytes", 0.0)
+        network = memory.network  # type: ignore[union-attr]
+        offchip = network.offchip_bytes()
+        offchip["network_total"] = float(network.total_bytes)
         return offchip
     # The DDR baseline has no memory network; classify channel traffic instead.
-    reads = counters.get("dram.bytes.normal_read", 0.0)
-    writes = counters.get("dram.bytes.normal_write", 0.0)
+    by_type = memory.bytes_by_type  # type: ignore[union-attr]
+    reads = float(by_type.get("normal_read", 0))
+    writes = float(by_type.get("normal_write", 0))
     return {"norm_req": writes, "norm_resp": reads, "active_req": 0.0, "active_resp": 0.0,
             "network_total": reads + writes}
 
 
-def _collect_network(system: BuiltSystem,
-                     counters: Dict[str, float]) -> Dict[str, float]:
+def _collect_network(system: BuiltSystem) -> Dict[str, float]:
     if not system.config.kind.uses_hmc:
         return {}
-    hops = counters.get("network.hops", 0.0)
-    queue_delay = counters.get("network.queue_delay_cycles", 0.0)
-    dropped = counters.get("network.dropped", 0.0)
+    network = system.memory.network  # type: ignore[union-attr]
+    hops = float(network.hops)
+    queue_delay = network.queue_delay_cycles
+    dropped = float(network.dropped)
     return {
         "hops": hops,
-        "injected": counters.get("network.injected", 0.0),
-        "bytes": counters.get("network.bytes", 0.0),
+        "injected": float(network.injected),
+        "bytes": float(network.total_bytes),
         "queue_delay_cycles": queue_delay,
         "queue_delay_per_hop": queue_delay / hops if hops else 0.0,
         # Fault-injection view: hops interrupted by a dead link (the packet
@@ -121,29 +124,44 @@ def _collect_network(system: BuiltSystem,
 
 
 def _collect_update_latency(system: BuiltSystem) -> Dict[str, float]:
-    """Mean Update latency per component, 0.0 where no summary exists (runs
-    without Active-Routing engines); reads the already-flushed summaries and
-    creates none."""
-    histograms = system.sim.stats._histograms
+    """Mean Update latency per component, 0.0 where no histogram exists
+    (runs without Active-Routing engines)."""
+    stats = system.sim.stats
     out = {}
-    for component in ("request", "stall", "response", "total"):
-        hist = histograms.get(f"ar.update_latency.{component}")
+    for component in LATENCY_PARTS:
+        hist = stats.histogram(f"ar.update_latency.{component}")
         out[component] = hist.mean if hist is not None else 0.0
     return out
 
 
-def _collect_per_cube(system: BuiltSystem,
-                      counters: Dict[str, float]) -> Dict[str, Dict[int, float]]:
+def _collect_per_cube(system: BuiltSystem) -> Dict[str, Dict[int, float]]:
     if not system.config.kind.uses_hmc:
         return {}
     cubes = system.memory.cubes  # type: ignore[union-attr]
     per_cube: Dict[str, Dict[int, float]] = {
-        key: {cube.node_id: counters.get(f"are{cube.node_id}.{key}", 0.0)
+        key: {cube.node_id: float(getattr(cube.are, "_n_" + key))
+              if cube.are is not None else 0.0
               for cube in cubes}
         for key in ("updates_received", "operand_buffer_stalls", "operand_reads_served")}
-    per_cube["vault_accesses"] = {cube.node_id: cube.total_vault_accesses(counters)
+    per_cube["vault_accesses"] = {cube.node_id: cube.total_vault_accesses()
                                   for cube in cubes}
     return per_cube
+
+
+def _energy_counters(system: BuiltSystem) -> Dict[str, float]:
+    """Every ``*.energy_pj`` total, named as the components publish it and,
+    within each energy group, in the order they registered: the NoC before
+    the caches, vaults in cube then vault order, links in ``network.links``
+    order.  Each group's float sum keeps that order."""
+    cmp = system.cmp
+    memory = system.memory
+    parts: list = [cmp.noc, cmp.hierarchy]
+    if system.config.kind.uses_hmc:
+        parts += [vault for cube in memory.cubes for vault in cube.vaults]  # type: ignore[union-attr]
+        parts += memory.network.links.values()  # type: ignore[union-attr]
+    else:
+        parts.append(memory)
+    return {f"{part.name}.energy_pj": part.energy_pj for part in parts}
 
 
 def _verify_flows(system: BuiltSystem, program: ProgramTrace) -> Tuple[int, int]:
@@ -166,24 +184,21 @@ def _verify_flows(system: BuiltSystem, program: ProgramTrace) -> Tuple[int, int]
 def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
     """Harvest every metric of interest from a finished simulation.
 
-    The registry is read exactly once: one flush and one copy of the
-    counters, which the energy model, the stall breakdown, the cache hit
-    rates and every per-name lookup below share.  Every other registry
-    reader (``stats.counter()``, ``stats.histogram()``, ...) flushes every
-    batched component per call, so nothing below calls one.
+    Every total is read straight from the component that keeps it; the only
+    registry read is the Update-latency histograms.
     """
     sim = system.sim
     cycles = system.cmp.finish_time() or sim.now
-    counters = sim.stats.counters()
     hierarchy = system.cmp.hierarchy
     energy = EnergyModel(sim.stats).breakdown(
-        cycles, cpu_freq_ghz=system.config.cpu_freq_ghz, counters=counters)
+        cycles, cpu_freq_ghz=system.config.cpu_freq_ghz,
+        counters=_energy_counters(system))
     cache_stats = {
-        "l1_hit_rate": hierarchy.l1_hit_rate(counters),
-        "l2_hit_rate": hierarchy.l2_hit_rate(counters),
-        "l1_accesses": counters.get("cache.l1_accesses", 0.0),
-        "l2_accesses": counters.get("cache.l2_accesses", 0.0),
-        "invalidations": counters.get("cache.invalidations", 0.0),
+        "l1_hit_rate": hierarchy.l1_hit_rate(),
+        "l2_hit_rate": hierarchy.l2_hit_rate(),
+        "l1_accesses": float(hierarchy.l1_accesses),
+        "l2_accesses": float(hierarchy.l1_misses),
+        "invalidations": float(hierarchy.invalidations),
     }
     return RunResult(
         workload=program.name,
@@ -192,12 +207,12 @@ def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
         cycles=cycles,
         instructions=system.cmp.total_instructions(),
         energy=energy,
-        data_movement=_collect_data_movement(system, counters),
-        network_stats=_collect_network(system, counters),
+        data_movement=_collect_data_movement(system),
+        network_stats=_collect_network(system),
         update_latency=_collect_update_latency(system),
-        stall_breakdown=system.cmp.stall_breakdown(counters),
+        stall_breakdown=system.cmp.stall_breakdown(),
         cache_stats=cache_stats,
-        per_cube=_collect_per_cube(system, counters),
+        per_cube=_collect_per_cube(system),
         flow_checks=_verify_flows(system, program),
         ipc_samples=[(cycle, instrs) for cycle, instrs in system.cmp.aggregate_ipc_samples()],
         metadata=dict(program.metadata),

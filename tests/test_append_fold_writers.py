@@ -1,12 +1,13 @@
-"""The simulator's batched writers read exactly like eager ones.
+"""The simulator's streaming writers read exactly like eager ones.
 
 Per completed miss, ``core<i>.mem_latency`` and ``hmcctrl<i>.roundtrip``
 are a running count and total on the writer, and each Active-Routing engine
-keeps one count and four latency totals per Update round trip; the registry
-folds them in on every read.  The cache counts L1 accesses, L1 hits and L2
-hits on plain integers and derives the rest, and the mesh NoC logs one hop
-count per L2 probe and replays the log into its counters.  Each is checked
-here against an eager reference, mid-run and at the end.
+keeps one count and four latency totals per Update round trip, which the
+``ar.update_latency.*`` histograms fold in engine order when read.  The
+cache counts L1 accesses, L1 hits and L2 hits on plain integers and derives
+the rest, and the mesh NoC logs one hop count per L2 probe and replays the
+log into its totals when read.  Each is checked here against an eager
+reference, mid-run and at the end.
 """
 
 from functools import partial
@@ -17,7 +18,7 @@ from repro.core.engine import ActiveRoutingEngine
 from repro.cpu.core import Core
 from repro.hmc.hmc_controller import HMCController
 from repro.network import MemReadPacket, MemoryNetwork, build_dragonfly
-from repro.sim import Histogram, Simulator
+from repro.sim import Simulator
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
 from repro.workloads import WorkloadConfig, make_workload
@@ -83,33 +84,34 @@ def _record_writer_samples(monkeypatch):
 
 
 def _replay(values):
-    reference = Histogram()
+    """``(count, total)`` of one eager add per sample."""
+    count, total = 0, 0.0
     for value in values:
-        reference.add(value)
-    return reference
+        count += 1
+        total += value
+    return count, total
 
 
 def _check_against_per_sample_replay(system, seen, engines):
-    histograms = system.sim.stats.histograms()
+    stats = system.sim.stats
     for name, values in seen.items():
         if isinstance(name, str):
-            reference = _replay(values)
-            hist = histograms[name]
-            assert (hist.count, hist.total) == (reference.count, reference.total), name
+            hist = stats.histogram(name)
+            assert (hist.count, hist.total) == _replay(values), name
     for index, component in enumerate(LATENCY_COMPONENTS):
         # Per engine, then summed in engine order, as the aggregate folds.
         count, total = 0, 0.0
         for engine in engines:
-            part = _replay(sample[index] for sample in seen.get(engine, ()))
-            count += part.count
-            total += part.total
-        hist = histograms.get(f"ar.update_latency.{component}")
+            part_count, part_total = _replay(sample[index] for sample in seen.get(engine, ()))
+            count += part_count
+            total += part_total
+        hist = stats.histogram(f"ar.update_latency.{component}")
         if engines:
             assert (hist.count, hist.total) == (count, total), component
 
 
 def test_streaming_writers_equal_a_per_sample_replay(monkeypatch):
-    """Every writer's count and total equal one ``add()`` per sample, at a
+    """Every writer's count and total equal one eager add per sample, at a
     registry read every 10 cycles and at the end of a run, on the HMC
     baseline (cores, controllers) and on ARF-tid (engines)."""
     seen = _record_writer_samples(monkeypatch)

@@ -1,11 +1,10 @@
-"""Batched per-request counters read the same mid-run as at the end.
+"""Per-request counters read the same mid-run as at the end.
 
 The per-load/store, per-Update and per-miss counts (``core<i>.mem_hits``,
 ``core<i>.mem_misses_issued``, ``core<i>.updates_issued``, ``hmcmem.*``)
-accumulate in plain integers
-that the registry folds in on every read.  Reading part-way through a run
-checks that every accumulator is registered as flushable: a missing one
-would read low against the identities below.
+are plain integers that the registry reads by name.  Reading part-way
+through a run checks that each is published: a missing one would read low
+against the identities below.
 """
 
 import pytest
@@ -68,8 +67,8 @@ def test_batched_counts_hold_mid_run_and_at_the_end(kind):
     assert counters[f"core0.{counted}"] > 0
     if kind is SystemKind.HMC:
         assert counters["hmcmem.requests"] > 0
-    # Reading flushed the accumulators; finishing the run must not count
-    # anything twice.
+    # Reading changed nothing; finishing the run must not count anything
+    # twice.
     system.sim.run_until_idle()
     assert system.cmp.all_done
     _check_identities(system)

@@ -10,15 +10,34 @@ def test_component_requires_name(sim):
         Component(sim, "")
 
 
+class _Widget(Component):
+    COUNTERS = (("hits", "_n_hits"),)
+    GAUGES = (("level", "level"),)
+    HISTOGRAMS = (("lat", "_lat_count", "_lat_total"),)
+
+    def __init__(self, sim):
+        super().__init__(sim, "widget")
+        self._n_hits = 0
+        self.level = 0.0
+        self._lat_count = 0
+        self._lat_total = 0.0
+
+
 def test_component_stats_shortcuts(sim):
-    comp = Component(sim, "widget")
-    comp.count("hits")
-    comp.count("hits", 2)
-    comp.observe("lat", 5.0)
-    comp.gauge("level", 3.0)
-    assert comp.stat("hits") == 3
+    """A component registers at construction and publishes the attributes
+    its class declares under ``<name>.<stat>``."""
+    comp = _Widget(sim)
+    comp._n_hits += 1
+    comp._n_hits += 2
+    comp._lat_count += 1
+    comp._lat_total += 5.0
+    comp.level = 3.0
+    assert sim.stats.counter("widget.hits") == 3
     assert sim.stats.histogram("widget.lat").mean == 5.0
-    assert sim.stats.gauge("widget.level") == 3.0
+    assert sim.stats.snapshot() == {"widget.hits": 3.0, "widget.level": 3.0,
+                                    "widget.lat.mean": 5.0, "widget.lat.count": 1.0}
+    with pytest.raises(ValueError, match="widget"):
+        Component(sim, "widget")
 
 
 def test_shared_resource_serializes_requests(sim):
@@ -50,4 +69,4 @@ def test_utilization_is_bounded(sim):
     res.reserve(10)
     sim.schedule(20, lambda: None)
     sim.run_until_idle()
-    assert 0.0 <= res.utilization() <= 1.0
+    assert 0.0 <= sim.stats.counter("bus.busy_cycles") / sim.now <= 1.0

@@ -1,12 +1,11 @@
 """Conservation identities between independently kept counts.
 
-The network derives its hop and byte totals from the per-link cells, the
-Active-Routing engines append latency samples that the registry folds on
-read, and the cubes and vaults count the same accesses separately.  Each
-identity below ties two of those bookkeepings together.  They are checked
-part-way through a run (``sim.run(until=...)``), where an unfolded or
-unflushed accumulator would read low, and again at the end, where every
-offloaded Update must have committed.
+The network derives its hop and byte totals from the per-link counts, the
+Active-Routing engines keep latency totals that the ``ar.update_latency.*``
+histograms fold on read, and the cubes and vaults count the same accesses
+separately.  Each identity below ties two of those bookkeepings together.
+They are checked part-way through a run (``sim.run(until=...)``) and again
+at the end, where every offloaded Update must have committed.
 """
 
 import pytest
@@ -50,11 +49,11 @@ def _check_identities(system):
     engines = [cube.are.name for cube in system.memory.cubes if cube.are is not None]
     commits = sum(get(f"{are}.updates_committed", 0.0) + get(f"{are}.stores_committed", 0.0)
                   for are in engines)
-    latency = stats.histograms("ar.update_latency.total").get("ar.update_latency.total")
+    latency = stats.histogram("ar.update_latency.total")
     assert (latency.count if latency is not None else 0) == commits
 
     for cube in system.memory.cubes:
-        assert cube.total_vault_accesses(counters) == get(f"{cube.name}.local_accesses", 0.0)
+        assert cube.total_vault_accesses() == get(f"{cube.name}.local_accesses", 0.0)
     return counters
 
 

@@ -95,7 +95,7 @@ def test_memory_window_limits_outstanding_misses():
     assert core.done
     # 8 misses, 2 at a time, 100 cycles each -> at least 4 serial batches.
     assert core.finish_time >= 400
-    assert core.stall_breakdown().get("mem_window", 0) > 0
+    assert sim.stats.counter(f"{core.name}.stall.mem_window") > 0
 
 
 def test_hits_do_not_block():
@@ -121,7 +121,7 @@ def test_update_offload_and_gather_block():
     assert core.done
     assert len(backend.updates) == 10
     assert len(backend.gathers) == 1
-    assert core.stall_breakdown().get("gather", 0) > 0
+    assert sim.stats.counter(f"{core.name}.stall.gather") > 0
     assert mi.outstanding_updates == 0
 
 
@@ -134,7 +134,7 @@ def test_mi_window_backpressure():
     core.start()
     sim.run_until_idle()
     assert core.done
-    assert core.stall_breakdown().get("mi_window", 0) > 0
+    assert sim.stats.counter(f"{core.name}.stall.mi_window") > 0
     # Four batches of four updates, each batch waiting ~500 cycles.
     assert core.finish_time >= 1500
 
@@ -155,7 +155,7 @@ def test_atomic_blocks_and_completes():
     sim.run_until_idle()
     assert core.done
     assert hierarchy.atomics == 1
-    assert core.stall_breakdown().get("atomic", 0) >= 50
+    assert sim.stats.counter(f"{core.name}.stall.atomic") >= 50
 
 
 def test_barrier_synchronizes_two_cores():
@@ -174,7 +174,7 @@ def test_barrier_synchronizes_two_cores():
     assert all(c.done for c in cores)
     # The fast core waits for the slow one at the barrier.
     assert cores[0].finish_time >= 500 / cores[1].config.issue_width
-    assert cores[0].stall_breakdown().get("barrier", 0) > 0
+    assert sim.stats.counter(f"{cores[0].name}.stall.barrier") > 0
 
 
 def test_phase_markers_and_ipc_samples():
@@ -196,7 +196,7 @@ def test_message_interface_errors():
     with pytest.raises(RuntimeError):
         mi.offload_update(UpdateOp("add", 0, None, 1))
     backend = FakeBackend(sim)
-    mi2 = MessageInterface(sim, 0, backend, max_outstanding_updates=1)
+    mi2 = MessageInterface(sim, 1, backend, max_outstanding_updates=1)
     mi2.offload_update(UpdateOp("add", 0, None, 1))
     with pytest.raises(RuntimeError):
         mi2.offload_update(UpdateOp("add", 8, None, 1))

@@ -86,7 +86,7 @@ def test_down_link_parks_pinned_submission_until_recovery():
     sim.run_until_idle()
     # Down at the submission instant: parked, not transmitted, not delivered.
     assert sinks[3].received == []
-    assert net.stat("dropped") == 1
+    assert sim.stats.counter("network.dropped") == 1
     net.set_link_state(0, pinned, True)
     sim.run_until_idle()
     delivered, _ = sinks[3].received[0]
@@ -102,7 +102,7 @@ def test_free_routed_packets_reroute_over_live_links():
     sim.run_until_idle()
     # The live tables route around the dead link: delivered, nothing dropped.
     assert len(sinks[3].received) == 1
-    assert net.stat("dropped") == 0
+    assert sim.stats.counter("network.dropped") == 0
     assert packet.hops == 2  # the detour is still a shortest live path
 
 
@@ -118,7 +118,7 @@ def test_in_flight_packet_parks_at_arrival_instant():
     net.inject(packet, 0)
     sim.run_until_idle()
     assert len(sinks[3].received) == 1
-    assert net.stat("dropped") == 1  # the arrival-instant interruption
+    assert sim.stats.counter("network.dropped") == 1  # the arrival-instant interruption
     assert sim.now > 50.0            # delivery had to wait for the recovery
 
 
@@ -135,7 +135,7 @@ def test_outage_preserves_per_link_fifo_order():
     sim.run_until_idle()
     received = [p.pkt_id for p, _ in sinks[1].received]
     assert received == [p.pkt_id for p in packets]
-    assert net.stat("dropped") > 0  # the outage did interrupt something
+    assert sim.stats.counter("network.dropped") > 0  # the outage did interrupt something
 
 
 def test_cube_failure_keeps_one_degraded_attachment():

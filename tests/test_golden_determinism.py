@@ -21,6 +21,7 @@ import hashlib
 
 import pytest
 
+from repro.sim import Simulator, StatsRegistry
 from repro.system import CONFIG_ORDER, collect_results, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
@@ -184,3 +185,103 @@ def test_run_suite_parallel_matches_serial():
     assert list(serial.keys()) == list(parallel.keys())
     for key in serial:
         assert _result_fingerprint(serial[key]) == _result_fingerprint(parallel[key]), key
+
+
+# -- fold orders and read timing ------------------------------------------------
+#
+# The golden digests above hash the snapshot by sorted name, so they see each
+# value but not the order a reader walks the names in.  Three readers fold
+# floats in that order: the energy groups (``EnergyModel.energy_j``), the
+# per-core stall reasons (``ChipMultiprocessor.stall_breakdown`` and the
+# perfbench stall total) and any ``counters()`` consumer.  The digests below
+# pin those orders on pagerank/tiny.
+
+#: Energy groups of ``EnergyModel`` by name prefix, in classification order.
+ENERGY_GROUPS = (("cache", "noc"), ("dram", "hmc.cube"), ("link.", "network"))
+
+#: sha256 of every ``*.energy_pj`` name and value, grouped by energy group and
+#: in reader order within each group; and of every ``core<i>.stall.<reason>``
+#: name and value, core by core and in reader order within each core.  Both
+#: were captured when every counter had its own bound cell.
+FOLD_ORDER_GOLDEN = {
+    "DRAM": ("ea89a8e2c10361b6669339d963e8c70a2bcc371fb029911d30dc1f79e8651774",
+             "6bde1c70daa40d91aad538f908261c5fd975b1823586ffdc82ff63810ad9b288"),
+    "HMC": ("9b8b9225c74f8a8dad4bb7d36fd72cebb41bffa874be6f9b535947f190320e7c",
+            "5d8b907772234f127490f3db995f25f42971928ae42d24037ba3f6c5ab00f1e0"),
+    "ART": ("5bb71988975c821e39f1b611c26107c595ad1603f883875150d514750b870b44",
+            "dbaed322f298bea321762cb1b149718ea260e509d0b5e718dbe477e67748848b"),
+    "ARF-tid": ("494e47ede817dbab33229eea4fb5b808fbf0c4babc8112c6dd1c7cd93073c9f1",
+                "8fdf444fa5998822f34018112aa32c559b4cff63d160d7e9e7c44126790ce742"),
+    "ARF-addr": ("5bb71988975c821e39f1b611c26107c595ad1603f883875150d514750b870b44",
+                 "dbaed322f298bea321762cb1b149718ea260e509d0b5e718dbe477e67748848b"),
+}
+
+#: sha256 of ``list(counters().items())`` in iteration order: publishers in
+#: registration order, each publisher's stats in declaration order.  Captured
+#: when the registry became a list of publishers; with one bound cell per
+#: counter the walk followed each cell's first increment, interleaving
+#: components by run time.
+COUNTER_ORDER_GOLDEN = {
+    "DRAM": "3c2c8deafbaf4a52848a21b5607a2ad1b70cc7d850a210d3289f1b1e29bf78ec",
+    "HMC": "64fcc2548026f786979b38229aab435e2e99dfdb17ba6df240a9b39f62b4f6ea",
+    "ART": "5cc89b4d0bf22a140efdb9c267b6c5b3059b41cf21a946f518ded1ca0068a9d5",
+    "ARF-tid": "e08075e30b6412d64a5e979ff7fb9fa24e2ca590b3ac35104b4251a782b96a5e",
+    "ARF-addr": "5cc89b4d0bf22a140efdb9c267b6c5b3059b41cf21a946f518ded1ca0068a9d5",
+}
+
+
+def _ordered_digest(items) -> str:
+    hasher = hashlib.sha256()
+    for key, value in items:
+        hasher.update(f"{key}={value!r}\n".encode())
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
+def test_fold_orders_are_pinned(kind):
+    system = run_tiny_pagerank(kind)
+    items = list(system.sim.stats.counters().items())
+    energy = [item for prefixes in ENERGY_GROUPS for item in items
+              if item[0].endswith(".energy_pj") and item[0].startswith(prefixes)]
+    assert len(energy) == len([name for name, _ in items if name.endswith(".energy_pj")])
+    stalls = [item for core in system.cmp.cores for item in items
+              if item[0].startswith(f"{core.name}.stall.")]
+    assert stalls
+    assert (_ordered_digest(energy), _ordered_digest(stalls)) == FOLD_ORDER_GOLDEN[kind.value]
+    assert _ordered_digest(items) == COUNTER_ORDER_GOLDEN[kind.value]
+
+
+def test_golden_runs_read_no_stats_mid_run(monkeypatch):
+    """No registry read happens inside ``run_until_idle`` on the golden runs,
+    so a total derived when read (link and vault ``energy_pj``, the
+    network's ``bit_hops`` and queue-delay fold) equals the one the
+    per-read partial sums of earlier designs produced on them."""
+    running = []
+    reads = []
+    run_until_idle = Simulator.run_until_idle
+
+    def marked_run(sim, *args, **kwargs):
+        running.append(sim)
+        try:
+            return run_until_idle(sim, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def recording(reader):
+        def read(registry, *args):
+            reads.append((reader.__name__, bool(running)))
+            return reader(registry, *args)
+        return read
+
+    monkeypatch.setattr(Simulator, "run_until_idle", marked_run)
+    for reader in (StatsRegistry._iter_counters, StatsRegistry.counter,
+                   StatsRegistry.histogram):
+        monkeypatch.setattr(StatsRegistry, reader.__name__, recording(reader))
+    for kind in CONFIG_ORDER:
+        program = tiny_pagerank_program(make_system_config(kind))
+        collect_results(run_tiny_pagerank(kind, program=program), program)
+    program = tiny_pagerank_program(make_system_config("ARF-tid"))
+    degraded = run_tiny_pagerank("ARF-tid", net=dict(failure_rate=10.0, failure_seed=7),
+                                 program=program)
+    collect_results(degraded, program)
+    assert reads and not [read for read in reads if read[1]]

@@ -80,7 +80,7 @@ def test_network_delivers_to_destination_endpoint():
     delivered, _ = sinks[3].received[0]
     assert delivered is packet
     assert packet.hops >= 1
-    assert net.bytes_moved() > 0
+    assert sim.stats.counter("network.bytes") > 0
 
 
 def test_network_local_delivery_without_links():
@@ -89,7 +89,7 @@ def test_network_local_delivery_without_links():
     net.inject(packet, 0)
     sim.run_until_idle()
     assert len(sinks[0].received) == 1
-    assert net.stat("hops") == 0
+    assert sim.stats.counter("network.hops") == 0
 
 
 def test_network_requires_registered_endpoint():
@@ -175,27 +175,27 @@ def test_network_hop_matches_link_transmit():
 
 
 def test_offchip_aggregation_avoids_full_registry_flushes():
-    """offchip_bytes()/link_load_by_node() must fold only the links they read,
-    not trigger a full registry flush per string-keyed counter lookup."""
+    """offchip_bytes()/link_load_by_node() must read only the links they
+    sum, not the registry's every-counter walk."""
     sim, topo, net, sinks = _build_network()
     ctrl = topo.controller_nodes[0]
     net.inject(MemReadPacket(src=ctrl, dst=3, addr=0x40), ctrl)
     sim.run_until_idle()
 
-    calls = {"flush": 0}
-    original = type(sim.stats).flush
+    calls = {"walk": 0}
+    original = type(sim.stats)._iter_counters
 
-    def counting_flush(registry):
-        calls["flush"] += 1
+    def counting_walk(registry):
+        calls["walk"] += 1
         return original(registry)
 
-    type(sim.stats).flush = counting_flush
+    type(sim.stats)._iter_counters = counting_walk
     try:
         offchip = net.offchip_bytes()
         load = net.link_load_by_node()
     finally:
-        type(sim.stats).flush = original
-    assert calls["flush"] == 0
+        type(sim.stats)._iter_counters = original
+    assert calls["walk"] == 0
 
     # The per-link reads agree exactly with the string-keyed registry API.
     assert offchip == {cat: sum(sim.stats.counter(f"{link.name}.bytes.{cat}")

@@ -22,7 +22,7 @@ def test_corner_tiles_and_mc_placement(sim):
     assert noc.corner_tiles() == [0, 3, 12, 15]
     assert noc.mc_tile(0) == 0
     assert noc.mc_tile(3) == 15
-    small = MeshNoC(sim, rows=1, cols=1)
+    small = MeshNoC(Simulator(), rows=1, cols=1)
     assert small.corner_tiles() == [0]
 
 

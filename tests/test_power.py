@@ -3,21 +3,33 @@
 import pytest
 
 from repro.power import EnergyBreakdown, EnergyModel
-from repro.sim import Simulator, StatsRegistry
+from repro.sim import Publisher, Simulator, StatsRegistry
+
+
+class _Energy(Publisher):
+    """A minimal publisher: one ``energy_pj`` total and one other counter."""
+
+    COUNTERS = (("energy_pj", "energy_pj"), ("unrelated_counter", "other"))
+
+    def __init__(self, stats, name, energy_pj=0.0, other=0.0):
+        self.name = name
+        self.energy_pj = energy_pj
+        self.other = other
+        stats.register(self)
 
 
 def test_energy_classification_by_prefix():
     stats = StatsRegistry()
-    stats.add("cache.energy_pj", 1000.0)
-    stats.add("noc.energy_pj", 500.0)
-    stats.add("dram.energy_pj", 2000.0)
-    stats.add("hmc.cube3.vault1.energy_pj", 700.0)
-    stats.add("link.0->1.energy_pj", 300.0)
-    stats.add("network.unrelated_counter", 99.0)      # not energy, ignored
-    model = EnergyModel(stats)
-    assert model.cache_energy_j() == pytest.approx(1500e-12)
-    assert model.memory_energy_j() == pytest.approx(2700e-12)
-    assert model.network_energy_j() == pytest.approx(300e-12)
+    _Energy(stats, "cache", 1000.0)
+    _Energy(stats, "noc", 500.0)
+    _Energy(stats, "dram", 2000.0)
+    _Energy(stats, "hmc.cube3.vault1", 700.0)
+    _Energy(stats, "link.0->1", 300.0)
+    _Energy(stats, "network", other=99.0)      # not energy, ignored
+    cache_j, memory_j, network_j = EnergyModel(stats).energy_j()
+    assert cache_j == pytest.approx(1500e-12)
+    assert memory_j == pytest.approx(2700e-12)
+    assert network_j == pytest.approx(300e-12)
 
 
 def test_breakdown_power_and_edp():
@@ -40,8 +52,8 @@ def test_normalization_to_baseline():
 
 def test_from_simulator_and_runtime_conversion():
     sim = Simulator(cpu_freq_ghz=2.0)
-    sim.stats.add("dram.energy_pj", 1e6)
-    model = EnergyModel.from_simulator(sim)
+    _Energy(sim.stats, "dram", 1e6)
+    model = EnergyModel(sim.stats)
     breakdown = model.breakdown(runtime_cycles=2e9, cpu_freq_ghz=2.0)
     assert breakdown.runtime_s == pytest.approx(1.0)
     assert breakdown.memory_j == pytest.approx(1e-6)

@@ -187,23 +187,31 @@ def _finished_pagerank(kind):
 
 @pytest.mark.parametrize("kind", ["DRAM", "HMC", "ARF-tid"])
 def test_collect_results_reads_the_registry_once(kind, monkeypatch):
+    """Collection reads its totals straight from the components: the
+    registry's every-counter walk never runs, and its one read is the four
+    Update-latency histograms (absent without Active-Routing engines)."""
     system, program = _finished_pagerank(kind)
-    stats = system.sim.stats
-    histograms = dict(stats._histograms)
-    flushes = []
-    flush = StatsRegistry.flush
+    walks = []
+    reads = []
+    iter_counters = StatsRegistry._iter_counters
+    histogram = StatsRegistry.histogram
 
-    def counting_flush(registry):
-        flushes.append(registry)
-        flush(registry)
+    def counting_walk(registry):
+        walks.append(registry)
+        return iter_counters(registry)
 
-    monkeypatch.setattr(StatsRegistry, "flush", counting_flush)
+    def recording_histogram(registry, name):
+        hist = histogram(registry, name)
+        reads.append((name, hist is not None))
+        return hist
+
+    monkeypatch.setattr(StatsRegistry, "_iter_counters", counting_walk)
+    monkeypatch.setattr(StatsRegistry, "histogram", recording_histogram)
     collect_results(system, program)
-    assert flushes == [stats]
-    # Collection creates no summaries (runs without Active-Routing engines
-    # have no ar.update_latency.* and must not grow empty ones).
-    assert stats._histograms.keys() == histograms.keys()
-    assert all(stats._histograms[name] is hist for name, hist in histograms.items())
+    assert walks == []
+    engines = system.ar_host is not None
+    assert reads == [(f"ar.update_latency.{part}", engines)
+                     for part in ("request", "stall", "response", "total")]
 
 
 def test_per_cube_vault_accesses_counts_only_vault_accesses():
