@@ -270,10 +270,6 @@ def _cmd_prefetch(args: argparse.Namespace, spec: ExperimentSpec) -> int:
         print(f"pruned {suite.cache.root}: removed {pruned['tmp_removed']} orphaned "
               f"tmp files and {pruned['stale_removed']} stale entries "
               f"({pruned['kept']} kept)")
-        if pruned["cost_other_machines"]:
-            print(f"  cost sidecar: kept {pruned['cost_other_machines']} "
-                  f"wall-time estimates recorded by other machines (shared "
-                  f"cache dir; they never feed this machine's cost model)")
     stats = suite.prefetch(figures=args.figures)
     print(f"prefetch: {stats['pairs']} (workload x configuration) pairs "
           f"at scale {suite.scale.name!r}")

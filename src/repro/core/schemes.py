@@ -13,7 +13,7 @@ therefore its tree) enters through:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from ..isa import UpdateOp
 

@@ -10,11 +10,10 @@ from . import (
     fig_speedup,
     fig_topology,
 )
-from .registry import FIGURE_REGISTRY, FigureSpec
+from .registry import FIGURE_REGISTRY
 from .report import full_report
 from .run_cache import RunCache, code_digest, default_cache_dir
-from .suite import (SCALES, EvaluationSuite, ExperimentScale, estimated_cost,
-                    scale_from_env)
+from .suite import SCALES, EvaluationSuite, ExperimentScale, scale_from_env
 from .tables import render_table_3_1, render_table_4_1, table_3_1
 
 __all__ = [
@@ -28,14 +27,12 @@ __all__ = [
     "fig_topology",
     "full_report",
     "FIGURE_REGISTRY",
-    "FigureSpec",
     "RunCache",
     "code_digest",
     "default_cache_dir",
     "SCALES",
     "EvaluationSuite",
     "ExperimentScale",
-    "estimated_cost",
     "scale_from_env",
     "render_table_3_1",
     "render_table_4_1",

@@ -8,23 +8,23 @@ same workload.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from ..analysis import format_table
 from ..system import SystemKind
-from .suite import EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
 
 CATEGORIES = ("norm_req", "norm_resp", "active_req", "active_resp")
 #: Configurations shown in the figure (DRAM has no memory network).
 SHOWN = (SystemKind.HMC, SystemKind.ART, SystemKind.ARF_TID, SystemKind.ARF_ADDR)
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
+def jobs(suite: EvaluationSuite) -> List[Job]:
     """The shown configurations plus the HMC baseline every row normalizes to."""
     names = suite.benchmark_names() + suite.micro_names()
     shown = [kind for kind in suite.kinds if kind in SHOWN]
-    return ({(workload, kind) for workload in names for kind in shown}
-            | {(workload, SystemKind.HMC) for workload in names})
+    return [suite.job(workload, kind) for workload in names
+            for kind in [*shown, SystemKind.HMC]]
 
 
 def compute(suite: EvaluationSuite) -> Dict[str, Dict[str, Dict[str, float]]]:

@@ -14,20 +14,20 @@ The zero-failure row is deliberately the plain shape config: it is
 byte-identical to the corresponding topology-sweep cell, so the two figures
 share those runs — and their cache entries — by construction.
 Like every other figure the degraded cells are declared to the registry as
-``extra_jobs``, so prefetch executes them in one parallel batch and a warm
+:func:`jobs`, so prefetch executes them in one parallel batch and a warm
 ``repro report --figures degraded`` simulates nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import format_table, geomean_speedup
 from ..hmc.config import HMCNetworkConfig
 from ..system import SystemKind
 from ..system.config import make_network_config
 from .fig_topology import sweep_workloads
-from .suite import EvaluationSuite, ExtraJob, Pair
+from .suite import EvaluationSuite, Job
 
 #: Network shapes swept by default (Table 4.1 cube/controller counts, so the
 #: zero-failure dragonfly row shares its runs with the default matrix).
@@ -74,20 +74,16 @@ def sweep_networks(topologies: Optional[Sequence[str]] = None,
     return list(cells.values())
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
-    """The DRAM baselines every degraded speedup divides by."""
-    return {(workload, SystemKind.DRAM) for workload in sweep_workloads(suite)}
-
-
-def extra_jobs(suite: EvaluationSuite) -> List[ExtraJob]:
-    """Every (workload, degraded network-variant config) cell of the sweep."""
-    jobs: List[ExtraJob] = []
+def jobs(suite: EvaluationSuite) -> List[Job]:
+    """Every (workload, degraded network-variant config) cell of the sweep,
+    plus the DRAM baselines every degraded speedup divides by."""
+    names = sweep_workloads(suite)
+    batch = [suite.job(workload, SystemKind.DRAM) for workload in names]
     for _, _, net in sweep_networks():
         for kind in SWEEP_KINDS:
             config = suite.config_for(kind, net=net)
-            for workload in sweep_workloads(suite):
-                jobs.append((workload, config))
-    return jobs
+            batch.extend(suite.job(workload, config) for workload in names)
+    return batch
 
 
 def compute(suite: EvaluationSuite,
@@ -120,7 +116,7 @@ def compute(suite: EvaluationSuite,
             detail: Dict[str, float] = {}
             fractions: List[float] = []
             for workload in names:
-                result = suite.result_for_config(workload, config)
+                result = suite.result(workload, config)
                 baseline = suite.result(workload, SystemKind.DRAM)
                 detail[workload] = result.speedup_over(baseline)
                 fractions.append(

@@ -16,42 +16,37 @@ the crossover point where offloading starts to win.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis import crossover_index, format_table, windowed_rates
 from ..core.offload import DynamicOffloadPolicy
 from ..system import RunResult, SystemKind
 from ..workloads import WorkloadConfig
 from ..workloads.lud import LUDWorkload
-from .suite import BespokeJob, EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
+
+#: The three runs, in :func:`jobs` order.
+RUNS = ("HMC", "ARF-tid", "ARF-tid-adaptive")
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
-    """No matrix pairs: the three LUD phase runs replay bespoke traces and are
-    declared through :func:`bespoke_jobs` instead."""
-    return set()
+def jobs(suite: EvaluationSuite, workload: str = "lud") -> List[Job]:
+    """The three LUD phase runs (:data:`RUNS` order) as bespoke jobs.
 
-
-def _configs(suite: EvaluationSuite):
-    # Through config_for so a suite-wide network override applies here too:
-    # a mesh-suite report must replay the Figure 5.8 traces on the mesh, and
-    # run_cached keys on config.label, which keeps the variants apart.
-    return suite.config_for(SystemKind.HMC), suite.config_for(SystemKind.ARF_TID)
-
-
-def bespoke_jobs(suite: EvaluationSuite, workload: str = "lud") -> List[BespokeJob]:
-    """The three LUD phase runs, in prefetch-batch form.
-
-    Tags and cache params must match :func:`compute`'s ``run_cached`` calls so
-    a prefetched batch satisfies the figure without re-simulating.
+    Each replays a ready-built LUD trace, keyed ``bespoke:<workload>-<run>``.
+    The configs come from ``config_for``, so a suite-wide network override
+    applies here too: a mesh-suite report replays the traces on the mesh,
+    and the config label keeps the variants apart.
     """
     params = suite.scale.params_for(workload)
     threads = suite.scale.num_threads
-    hmc, arf = _configs(suite)
+    hmc = suite.config_for(SystemKind.HMC)
+    arf = suite.config_for(SystemKind.ARF_TID)
     return [
-        (f"{workload}-baseline", hmc, _lud(params, threads), params),
-        (f"{workload}-offload", arf, _lud(params, threads), params),
-        (f"{workload}-adaptive", arf,
+        ((f"bespoke:{workload}-baseline", hmc.label), hmc,
+         _lud(params, threads), params),
+        ((f"bespoke:{workload}-offload", arf.label), arf,
+         _lud(params, threads), params),
+        ((f"bespoke:{workload}-adaptive", arf.label), arf,
          _lud(params, threads, policy=DynamicOffloadPolicy()), params),
     ]
 
@@ -63,22 +58,9 @@ def _lud(scale_params: Dict[str, object], num_threads: int,
 
 
 def compute(suite: EvaluationSuite, workload: str = "lud") -> Dict[str, object]:
-    params = suite.scale.params_for(workload)
-    threads = suite.scale.num_threads
-    policy = DynamicOffloadPolicy()
-
-    hmc_config, arf_config = _configs(suite)
     runs: Dict[str, RunResult] = {
-        "HMC": suite.run_cached(
-            f"{workload}-baseline", hmc_config,
-            lambda: _lud(params, threads).generate("baseline"), params),
-        "ARF-tid": suite.run_cached(
-            f"{workload}-offload", arf_config,
-            lambda: _lud(params, threads).generate("active"), params),
-        "ARF-tid-adaptive": suite.run_cached(
-            f"{workload}-adaptive", arf_config,
-            lambda: _lud(params, threads, policy=policy).generate("active"), params),
-    }
+        label: suite.job_result(job)
+        for label, job in zip(RUNS, jobs(suite, workload))}
 
     ipc_curves: Dict[str, List[Tuple[float, float]]] = {
         label: windowed_rates(result.ipc_samples) for label, result in runs.items()
@@ -93,7 +75,7 @@ def compute(suite: EvaluationSuite, workload: str = "lud") -> Dict[str, object]:
             "speedups": speedups,
             "ipc_curves": ipc_curves,
             "crossover_window": crossover,
-            "threshold": policy.updates_threshold(8, 8 * 64)}
+            "threshold": DynamicOffloadPolicy().updates_threshold(8, 8 * 64)}
 
 
 def render(data: Dict[str, object]) -> str:
@@ -101,7 +83,7 @@ def render(data: Dict[str, object]) -> str:
     lines.append("")
     lines.append("Runtime (cycles) and speedup over HMC:")
     rows = [[label, data["runs"][label], data["speedups"][label]]
-            for label in ("HMC", "ARF-tid", "ARF-tid-adaptive")]
+            for label in RUNS]
     lines.append(format_table(["config", "cycles", "speedup"], rows, float_format="{:.2f}"))
     crossover = data["crossover_window"]
     lines.append("")

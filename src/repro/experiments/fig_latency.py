@@ -8,20 +8,20 @@ the same three components the paper plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from ..analysis import format_table
 from ..system import AR_CONFIGS
-from .suite import EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
 
 COMPONENTS = ("request", "stall", "response")
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
+def jobs(suite: EvaluationSuite) -> List[Job]:
     """Every workload on the Active-Routing configurations only."""
     names = suite.benchmark_names() + suite.micro_names()
     ar_kinds = [kind for kind in suite.kinds if kind in AR_CONFIGS]
-    return {(workload, kind) for workload in names for kind in ar_kinds}
+    return [suite.job(workload, kind) for workload in names for kind in ar_kinds]
 
 
 def compute(suite: EvaluationSuite) -> Dict[str, Dict[str, Dict[str, float]]]:

@@ -9,19 +9,19 @@ that ARF-tid distributes Updates more evenly than ARF-addr).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List
 
 from ..analysis import heatmap_summary, render_heatmap
 from ..system import SystemKind
-from .suite import EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
 
 METRICS = ("operand_buffer_stalls", "updates_received", "operand_reads_served")
 SCHEMES = (SystemKind.ARF_TID, SystemKind.ARF_ADDR)
 
 
-def required_pairs(suite: EvaluationSuite, workload: str = "lud") -> Set[Pair]:
+def jobs(suite: EvaluationSuite, workload: str = "lud") -> List[Job]:
     """LUD under both forest schemes, regardless of the suite's workload list."""
-    return {(workload, kind) for kind in SCHEMES}
+    return [suite.job(workload, kind) for kind in SCHEMES]
 
 
 def compute(suite: EvaluationSuite, workload: str = "lud") -> Dict[str, Dict[str, object]]:

@@ -8,21 +8,21 @@ the ARF schemes relative to the HMC baseline (the paper's 75% / 88% claim).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set
+from typing import Dict, List
 
 from ..analysis import format_table, geomean_speedup
 from ..power.energy_model import EnergyBreakdown
 from ..system import SystemKind
-from .suite import EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
 
 COMPONENTS = ("cache", "memory", "network")
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
+def jobs(suite: EvaluationSuite) -> List[Job]:
     """Every suite pair plus the DRAM baseline (shared by figures 5.5-5.7)."""
     names = suite.benchmark_names() + suite.micro_names()
-    kinds = set(suite.kinds) | {SystemKind.DRAM}
-    return {(workload, kind) for workload in names for kind in kinds}
+    return [suite.job(workload, kind) for workload in names
+            for kind in [*suite.kinds, SystemKind.DRAM]]
 
 
 def _breakdown_metric(breakdown: EnergyBreakdown, metric: str) -> Dict[str, float]:

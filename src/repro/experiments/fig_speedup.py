@@ -7,18 +7,18 @@ the HMC baseline).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from ..analysis import format_grouped_bars, format_table, geomean_speedup
 from ..system import SystemKind
-from .suite import EvaluationSuite, Pair
+from .suite import EvaluationSuite, Job
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
+def jobs(suite: EvaluationSuite) -> List[Job]:
     """Every suite pair plus the DRAM baseline each speedup divides by."""
     names = suite.benchmark_names() + suite.micro_names()
-    kinds = set(suite.kinds) | {SystemKind.DRAM}
-    return {(workload, kind) for workload in names for kind in kinds}
+    return [suite.job(workload, kind) for workload in names
+            for kind in [*suite.kinds, SystemKind.DRAM]]
 
 
 def compute(suite: EvaluationSuite) -> Dict[str, object]:

@@ -8,21 +8,22 @@ the same workloads on the same scheme but a different network
 (topology x cube count), reporting the geomean runtime speedup over the DRAM
 baseline and the average link queue delay per hop (the hotspot signal).
 
-Like every other figure it declares its runs to the registry, so
-:meth:`~repro.experiments.suite.EvaluationSuite.prefetch` executes them in one
-parallel batch and the persistent run cache — whose keys embed the network
-fingerprint via ``SystemConfig.label`` — makes a warm sweep simulate nothing.
+Like every other figure it declares its runs to the registry as
+:func:`jobs`, so :meth:`~repro.experiments.suite.EvaluationSuite.prefetch`
+executes them in one parallel batch and the persistent run cache — whose keys
+embed the network fingerprint via ``SystemConfig.label`` — makes a warm sweep
+simulate nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import format_table, geomean_speedup
 from ..hmc.config import HMCNetworkConfig
 from ..system import SystemKind
 from ..system.config import make_network_config
-from .suite import EvaluationSuite, ExtraJob, Pair
+from .suite import EvaluationSuite, Job
 
 #: Network shapes swept by default (all at the Table 4.1 cube/controller
 #: counts, so the dragonfly column is exactly the paper's default network and
@@ -107,27 +108,6 @@ def sweep_workloads(suite: EvaluationSuite,
     return selected or list(suite.workloads)
 
 
-def required_pairs(suite: EvaluationSuite) -> Set[Pair]:
-    """The DRAM baselines every sweep speedup divides by.
-
-    The sweep cells themselves are declared as :func:`extra_jobs` because they
-    run on network-variant configurations, which plain (workload, kind) pairs
-    cannot express.
-    """
-    return {(workload, SystemKind.DRAM) for workload in sweep_workloads(suite)}
-
-
-def extra_jobs(suite: EvaluationSuite) -> List[ExtraJob]:
-    """Every (workload, network-variant config) cell of the default sweep."""
-    jobs: List[ExtraJob] = []
-    for net in sweep_networks():
-        for kind in SWEEP_KINDS:
-            config = suite.config_for(kind, net=net)
-            for workload in sweep_workloads(suite):
-                jobs.append((workload, config))
-    return jobs
-
-
 def compute(suite: EvaluationSuite,
             topologies: Optional[Sequence[str]] = None,
             cube_counts: Optional[Sequence[int]] = None,
@@ -161,7 +141,7 @@ def compute(suite: EvaluationSuite,
             cells: Dict[str, float] = {}
             delays: List[float] = []
             for workload in names:
-                result = suite.result_for_config(workload, config)
+                result = suite.result(workload, config)
                 baseline = suite.result(workload, SystemKind.DRAM)
                 cells[workload] = result.speedup_over(baseline)
                 delays.append(result.network_stats.get("queue_delay_per_hop", 0.0))
@@ -220,27 +200,28 @@ def run(suite: EvaluationSuite) -> str:
     return render(compute(suite))
 
 
-def sweep_extras(suite: EvaluationSuite,
-                 topologies: Optional[Sequence[str]] = None,
-                 cube_counts: Optional[Sequence[int]] = None,
-                 kinds: Optional[Sequence[SystemKind]] = None,
-                 workloads: Optional[Sequence[str]] = None,
-                 num_controllers: Optional[int] = None,
-                 net_overrides: Optional[Dict[str, object]] = None,
-                 controller_counts: Optional[Sequence[int]] = None,
-                 link_bandwidths: Optional[Sequence[float]] = None) -> List[ExtraJob]:
-    """Every run a custom sweep needs, DRAM baselines included, as extra jobs."""
+def jobs(suite: EvaluationSuite,
+         topologies: Optional[Sequence[str]] = None,
+         cube_counts: Optional[Sequence[int]] = None,
+         kinds: Optional[Sequence[SystemKind]] = None,
+         workloads: Optional[Sequence[str]] = None,
+         num_controllers: Optional[int] = None,
+         net_overrides: Optional[Dict[str, object]] = None,
+         controller_counts: Optional[Sequence[int]] = None,
+         link_bandwidths: Optional[Sequence[float]] = None) -> List[Job]:
+    """Every run a sweep needs (the default sweep unless overridden): each
+    (workload, network-variant config) cell plus the DRAM baselines every
+    speedup divides by."""
     kinds = list(kinds) if kinds is not None else list(SWEEP_KINDS)
     names = sweep_workloads(suite, workloads)
-    jobs: List[ExtraJob] = [(workload, suite.config_for(SystemKind.DRAM))
-                            for workload in names]
+    batch = [suite.job(workload, SystemKind.DRAM) for workload in names]
     for net in sweep_networks(topologies, cube_counts, num_controllers,
                               net_overrides, controller_counts,
                               link_bandwidths):
         for kind in kinds:
             config = suite.config_for(kind, net=net)
-            jobs.extend((workload, config) for workload in names)
-    return jobs
+            batch.extend(suite.job(workload, config) for workload in names)
+    return batch
 
 
 def run_sweep(suite: EvaluationSuite,
@@ -259,10 +240,10 @@ def run_sweep(suite: EvaluationSuite,
     Returns ``(figure text, prefetch summary)``; the summary's ``simulated``
     count is zero on a warm cache, which the CI smoke job asserts.
     """
-    extras = sweep_extras(suite, topologies, cube_counts, kinds, workloads,
-                          num_controllers, net_overrides, controller_counts,
-                          link_bandwidths)
-    stats = suite.prefetch_extra(extras, workers=workers)
+    stats = suite.resolve(jobs(suite, topologies, cube_counts, kinds, workloads,
+                               num_controllers, net_overrides,
+                               controller_counts, link_bandwidths),
+                          workers=workers)
     text = render(compute(suite, topologies, cube_counts, kinds, workloads,
                           num_controllers, net_overrides, controller_counts,
                           link_bandwidths))

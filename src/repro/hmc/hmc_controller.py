@@ -11,7 +11,6 @@ from ..mem import HMCAddressMapping, MemoryRequest
 from ..network.packet import (
     GatherResponsePacket,
     MemReadPacket,
-    MemRespPacket,
     MemWritePacket,
     Packet,
     PacketType,

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional
 
 from ..mem import AccessType, HMCAddressMapping, MemoryRequest
 from ..network.faults import FaultInjector
-from ..network.link import LinkConfig
 from ..network.network import MemoryNetwork
 from ..network.topology import Topology, build_network_topology
 from ..sim import Component, Simulator

@@ -8,7 +8,7 @@ over the whole memory network exactly like the paper's workloads do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -59,7 +59,6 @@ class MemoryNetwork(Component):
             self.links[(b, a)] = Link(sim, b, a, self.link_config)
         # Node ids are contiguous ints, so per-node state is dense lists.
         num_nodes = max(topology.adjacency) + 1
-        self._num_nodes = num_nodes
         # Each endpoint's receive_packet, bound once at registration: _hop()
         # schedules deliveries as partial(receiver, packet, from_node).  A
         # node without an endpoint holds a receiver that raises, so no hop
@@ -69,8 +68,8 @@ class MemoryNetwork(Component):
         # Dense per-node columns for the aggregation paths: a bytearray mask
         # of controller-attached nodes and flat link lists in the exact
         # insertion order of ``self.links`` (the per-category float sums in
-        # offchip_bytes()/link_load_by_node() must visit links in the same
-        # order as the old dict walks to stay bit-identical).
+        # offchip_bytes() must visit links in the same order as the old dict
+        # walks to stay bit-identical).
         self._is_controller_node = bytearray(num_nodes)
         for node in topology.controller_nodes:
             self._is_controller_node[node] = 1
@@ -443,12 +442,3 @@ class MemoryNetwork(Component):
             for cat, value in link.bytes_by_category.items():
                 totals[cat] += value
         return totals
-
-    def link_load_by_node(self) -> Dict[int, float]:
-        """Bytes forwarded out of each node (used for the Figure 5.3 heat maps)."""
-        # Accumulate into a dense per-node column, then key the result by the
-        # topology's node ids (which may be a sparse subset of the range).
-        column = [0.0] * self._num_nodes
-        for link in self._link_list:
-            column[link.src] += link.total_bytes
-        return {n: column[n] for n in self.topology.adjacency}

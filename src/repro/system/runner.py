@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..isa import ProgramTrace
 from ..sim import SimulationError
@@ -25,6 +25,9 @@ from .results import RunResult, collect_results
 
 #: Safety bound on event count for a single run.
 DEFAULT_MAX_EVENTS = 80_000_000
+
+#: One simulation: ``(key, config, workload, params)``.
+Job = Tuple[Tuple[str, str], SystemConfig, Union[Workload, str], Dict[str, object]]
 
 
 def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTrace,
@@ -48,10 +51,9 @@ def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTr
             f"run of {program.name!r} on {system.config.label} ended with unfinished cores"
         )
     result = collect_results(system, program)
-    # Measured wall time (build + simulate + collect) feeds the evaluation
-    # suite's cost model: the run cache persists it so later prefetch batches
-    # can schedule longest-measured-first instead of trusting the static
-    # KIND_COST heuristic.  Not part of any determinism fingerprint.
+    # Measured wall time (build + simulate + collect), for profiling a batch
+    # (per-job time and pool utilization).  Not part of any determinism
+    # fingerprint.
     result.metadata["wall_s"] = round(time.perf_counter() - start, 6)
     return result
 
@@ -130,36 +132,57 @@ def _run_suite_job(config: SystemConfig, workload: Union[Workload, str],
                         max_events=max_events, **params)
 
 
-def run_jobs(jobs: List[Tuple[Tuple[str, str], SystemConfig,
-                              Union[Workload, str], Dict[str, int]]],
-             num_threads: int = 4,
-             max_events: int = DEFAULT_MAX_EVENTS,
-             workers: int = 1) -> Dict[Tuple[str, str], RunResult]:
-    """Execute independent simulation jobs, optionally across processes.
+def iter_jobs(jobs: List[Job], num_threads: int = 4,
+              max_events: int = DEFAULT_MAX_EVENTS,
+              workers: int = 1,
+              ) -> Iterator[Tuple[Tuple[str, str], Union[RunResult, Exception]]]:
+    """Execute independent simulation jobs, yielding ``(key, outcome)`` as each ends.
 
     ``jobs`` is a list of ``(key, config, workload, params)`` where
     ``workload`` is a registered name or a ready-built (picklable)
-    :class:`Workload` instance; the result dict is keyed and ordered by ``key``
-    in job order regardless of which worker finishes first, so parallel runs
-    merge deterministically.  ``workers=1`` runs everything serially in-process
-    (no executor).
+    :class:`Workload` instance.  ``outcome`` is the job's :class:`RunResult`,
+    or the exception it raised: a failing job never stops the others.
+    ``workers=1`` runs everything serially in-process (no executor), in job
+    order; a process pool yields in completion order.
     """
     workers = normalize_workers(workers)
-    results: Dict[Tuple[str, str], RunResult] = {}
     if workers <= 1 or len(jobs) <= 1:
         for key, config, workload, params in jobs:
-            results[key] = _run_suite_job(config, workload, num_threads,
-                                          max_events, params)
-        return results
-    from concurrent.futures import ProcessPoolExecutor
+            try:
+                outcome = _run_suite_job(config, workload, num_threads,
+                                         max_events, params)
+            except Exception as error:
+                outcome = error
+            yield key, outcome
+        return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [(key, pool.submit(_run_suite_job, config, workload,
-                                     num_threads, max_events, params))
-                   for key, config, workload, params in jobs]
-        # Collect in submission (key) order, not completion order.
-        for key, future in futures:
-            results[key] = future.result()
+        futures = {pool.submit(_run_suite_job, config, workload, num_threads,
+                               max_events, params): key
+                   for key, config, workload, params in jobs}
+        for future in as_completed(futures):
+            error = future.exception()
+            yield futures[future], future.result() if error is None else error
+
+
+def run_jobs(jobs: List[Job], num_threads: int = 4,
+             max_events: int = DEFAULT_MAX_EVENTS,
+             workers: int = 1) -> Dict[Tuple[str, str], RunResult]:
+    """Execute independent simulation jobs (see :func:`iter_jobs`).
+
+    The result dict is keyed and ordered by ``key`` in job order regardless of
+    which worker finishes first, so parallel runs merge deterministically.
+    If any job raises, every other job still runs, then the first failure in
+    job order is re-raised.
+    """
+    outcomes = dict(iter_jobs(jobs, num_threads, max_events, workers))
+    results: Dict[Tuple[str, str], RunResult] = {}
+    for key, _config, _workload, _params in jobs:
+        outcome = outcomes[key]
+        if isinstance(outcome, Exception):
+            raise outcome
+        results[key] = outcome
     return results
 
 
@@ -181,7 +204,7 @@ def run_suite(workload_names: Iterable[str],
     """
     kinds = list(kinds) if kinds is not None else list(CONFIG_ORDER)
     workload_params = workload_params or {}
-    jobs: List[Tuple[Tuple[str, str], SystemConfig, str, Dict[str, int]]] = []
+    jobs: List[Job] = []
     for name in workload_names:
         params = workload_params.get(name, {})
         for kind in kinds:

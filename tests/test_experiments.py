@@ -197,10 +197,10 @@ def test_dynamic_offload_respects_suite_network():
     from repro.hmc import HMCNetworkConfig
 
     suite = EvaluationSuite("tiny", net=HMCNetworkConfig(topology="mesh"))
-    jobs = fig_dynamic_offload.bespoke_jobs(suite)
+    jobs = fig_dynamic_offload.jobs(suite)
     # The bespoke LUD replays must run on the suite's network, with the
     # variant label keeping their cache entries apart from the default's.
-    assert {config.label for _tag, config, _w, _p in jobs} == \
+    assert {config.label for _key, config, _w, _p in jobs} == \
         {"HMC@mesh16c4", "ARF-tid@mesh16c4"}
 
 

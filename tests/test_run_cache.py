@@ -9,12 +9,11 @@ from repro.experiments import (
     EvaluationSuite,
     RunCache,
     code_digest,
-    estimated_cost,
     full_report,
 )
-from repro.experiments.run_cache import (COST_EWMA_ALPHA, default_cache_dir,
-                                         machine_fingerprint)
-from repro.system import AR_CONFIGS, CONFIG_ORDER, SystemKind, normalize_workers
+from repro.experiments.run_cache import default_cache_dir
+from repro.system import (AR_CONFIGS, CONFIG_ORDER, SystemKind, normalize_workers,
+                          run_jobs)
 
 
 def _key(digest=None, workload="mac"):
@@ -91,233 +90,16 @@ def test_prune_drops_orphaned_tmp_and_stale_entries(tmp_path):
     live.write_bytes(b"in flight")
 
     summary = cache.prune()
-    assert summary == {"tmp_removed": 2, "stale_removed": 2, "kept": 1,
-                       "cost_other_machines": 0}
+    assert summary == {"tmp_removed": 2, "stale_removed": 2, "kept": 1}
     assert cache.get(_key()) == "fresh"      # the current-digest entry survives
     assert live.exists()                     # a live writer's tmp file is left alone
     assert sorted(p.name for p in tmp_path.glob("*.tmp*")) == [live.name]
-    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 1,
-                             "cost_other_machines": 0}
+    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 1}
 
 
 def test_prune_on_missing_directory_is_a_noop(tmp_path):
     cache = RunCache(tmp_path / "never-created")
-    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 0,
-                             "cost_other_machines": 0}
-
-
-def test_prune_reports_foreign_cost_sections_but_keeps_them(tmp_path):
-    """Wall-time estimates recorded by other machine fingerprints are counted
-    in the prune summary yet left on disk: a shared cache directory is
-    legitimate, and foreign sections never feed this machine's cost model."""
-    import json
-
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 2.5)
-    data = json.loads((tmp_path / "costs.json").read_text())
-    data["feedfacefeedface0"] = {"job-a": 9.0, "job-b": 1.0}
-    data["deadbeefdeadbeef0"] = {"job-c": 4.0}
-    (tmp_path / "costs.json").write_text(json.dumps(data))
-
-    summary = cache.prune()
-    assert summary["cost_other_machines"] == 3
-    after = json.loads((tmp_path / "costs.json").read_text())
-    assert after == data                     # reported, not removed
-    assert RunCache(tmp_path).measured_cost(_key()) == 2.5
-
-
-# -- measured-cost sidecar -------------------------------------------------------
-
-def test_cost_sidecar_roundtrip_and_digest_independence(tmp_path):
-    cache = RunCache(tmp_path)
-    key = _key()
-    assert cache.measured_cost(key) is None
-    cache.record_cost(key, 2.5)
-    assert cache.measured_cost(key) == 2.5
-    # Costs survive a code-digest change: same job, different digest.
-    assert cache.measured_cost(_key(digest="0" * 64)) == 2.5
-    # A fresh handle re-reads the sidecar from disk.
-    assert RunCache(tmp_path).measured_cost(key) == 2.5
-    # Different jobs have independent costs.
-    assert cache.measured_cost(_key(workload="lud")) is None
-    cache.record_cost(key, 4.0)              # EWMA merge, not last-write-wins
-    expected = 2.5 + COST_EWMA_ALPHA * (4.0 - 2.5)
-    assert RunCache(tmp_path).measured_cost(key) == pytest.approx(expected)
-
-
-def test_cost_sidecar_is_keyed_by_machine_fingerprint(tmp_path):
-    """The sidecar nests every EWMA under the recording machine's fingerprint,
-    so cost tables from different machines sharing one cache directory never
-    blend into a single estimate."""
-    import json
-
-    cache = RunCache(tmp_path)
-    key = _key()
-    cache.record_cost(key, 2.5)
-    data = json.loads((tmp_path / "costs.json").read_text())
-    assert list(data) == [machine_fingerprint()]
-    assert cache.cost_key_for(key) in data[machine_fingerprint()]
-    # Another machine's section is invisible to this machine's lookups.
-    data["feedfacefeedface0"] = {cache.cost_key_for(_key(workload="lud")): 9.0}
-    (tmp_path / "costs.json").write_text(json.dumps(data))
-    fresh = RunCache(tmp_path)
-    assert fresh.measured_cost(key) == 2.5
-    assert fresh.measured_cost(_key(workload="lud")) is None
-    # And a write from this machine preserves the foreign section on disk.
-    fresh.record_cost(_key(workload="lud"), 3.0)
-    merged = json.loads((tmp_path / "costs.json").read_text())
-    assert merged["feedfacefeedface0"] == data["feedfacefeedface0"]
-    assert fresh.measured_cost(_key(workload="lud")) == 3.0
-
-
-def test_cost_sidecar_migrates_legacy_flat_entries(tmp_path):
-    """A pre-fingerprint flat ``{job: ewma}`` sidecar is attributed to the
-    current machine on read and persisted in the keyed shape on first write."""
-    import json
-
-    cache = RunCache(tmp_path)
-    key = _key()
-    legacy = {cache.cost_key_for(key): 2.0}
-    (tmp_path / "costs.json").write_text(json.dumps(legacy))
-    assert cache.measured_cost(key) == 2.0          # readable before migration
-    cache.record_cost(key, 2.0)                     # first write migrates
-    data = json.loads((tmp_path / "costs.json").read_text())
-    assert list(data) == [machine_fingerprint()]
-    assert data[machine_fingerprint()][cache.cost_key_for(key)] == 2.0
-    assert RunCache(tmp_path).measured_cost(key) == 2.0
-
-
-def test_cost_sidecar_ewma_absorbs_one_outlier(tmp_path):
-    """One slow outlier run must nudge, not replace, the cost estimate, so
-    prefetch scheduling keeps a sane ordering afterwards."""
-    cache = RunCache(tmp_path)
-    key = _key()
-    for _ in range(4):
-        cache.record_cost(key, 2.0)
-    assert cache.measured_cost(key) == pytest.approx(2.0)
-    cache.record_cost(key, 100.0)            # a loaded-machine outlier
-    outlier_view = cache.measured_cost(key)
-    assert outlier_view == pytest.approx(2.0 + COST_EWMA_ALPHA * 98.0)
-    assert outlier_view < 100.0 / 2          # far closer to truth than the outlier
-    cache.record_cost(key, 2.0)              # one normal run pulls it back down
-    assert cache.measured_cost(key) < outlier_view
-
-
-def _record_batch(root, start, count):
-    """Worker for the concurrency test: record ``count`` distinct job costs."""
-    cache = RunCache(root)
-    for index in range(start, start + count):
-        cache.record_cost(_key(workload=f"w{index}"), float(index + 1))
-
-
-def test_concurrent_record_cost_never_clobbers_entries(tmp_path):
-    """Regression for the read-modify-write race: sessions recording costs in
-    parallel must all land in costs.json (the fcntl lock serializes the whole
-    cycle; before it, one session's write could erase another's wholesale)."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    per_worker = 8
-    workers = [ctx.Process(target=_record_batch, args=(tmp_path, n * per_worker, per_worker))
-               for n in range(3)]
-    for proc in workers:
-        proc.start()
-    for proc in workers:
-        proc.join(timeout=60)
-        assert proc.exitcode == 0
-    cache = RunCache(tmp_path)
-    for index in range(3 * per_worker):
-        assert cache.measured_cost(_key(workload=f"w{index}")) == float(index + 1)
-
-
-def test_record_cost_failure_leaves_no_tmp_litter(tmp_path, monkeypatch):
-    """A write failure inside record_cost must unlink costs.json.tmp<pid>
-    (the sidecar twin of the RunCache.put fix) and stay advisory."""
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 2.0)
-
-    def broken_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", broken_replace)
-    cache.record_cost(_key(workload="lud"), 5.0)  # swallowed, sidecar advisory
-    monkeypatch.undo()
-    assert list(tmp_path.glob("*.tmp*")) == []
-    fresh = RunCache(tmp_path)
-    assert fresh.measured_cost(_key()) == 2.0     # old contents intact
-    assert fresh.measured_cost(_key(workload="lud")) is None
-
-
-def test_prune_sweeps_cost_sidecar_tmp_litter(tmp_path):
-    """prune() collects costs.json.tmp<pid> files of dead writers but leaves
-    the sidecar itself and its lock file alone."""
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 3.0)
-    dead = tmp_path / f"costs.json.tmp{2**22 - 1}"   # above default pid_max
-    dead.write_text("{}")
-    live = tmp_path / f"costs.json.tmp{os.getpid()}"
-    live.write_text("{}")
-    summary = cache.prune()
-    assert summary["tmp_removed"] == 1
-    assert not dead.exists()
-    assert live.exists()                      # a live writer's tmp is kept
-    assert (tmp_path / "costs.json").exists()
-    assert (tmp_path / "costs.json.lock").exists()
-    assert RunCache(tmp_path).measured_cost(_key()) == 3.0
-
-
-def test_cost_sidecar_ignores_garbage(tmp_path):
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 0.0)           # non-positive costs are dropped
-    cache.record_cost(_key(), -1.0)
-    assert cache.measured_cost(_key()) is None
-    (tmp_path / "costs.json").write_text("[1, 2, 3]")
-    assert RunCache(tmp_path).measured_cost(_key()) is None
-    (tmp_path / "costs.json").write_text("{garbage")
-    assert RunCache(tmp_path).measured_cost(_key()) is None
-
-
-def test_suite_records_costs_and_orders_by_measured_time(tmp_path):
-    kinds = [SystemKind.DRAM, SystemKind.HMC]
-    suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                            cache_dir=tmp_path)
-    suite.prefetch(figures=["speedup"])
-    # Every simulated pair fed the sidecar a positive measured wall time.
-    for kind in kinds:
-        key = suite._cache_key("mac", kind.value, suite.scale.params_for("mac"))
-        assert suite.cache.measured_cost(key) > 0
-
-    # A fresh suite (results evicted, costs kept) orders pending jobs by the
-    # measured times, even where they contradict the static heuristic: make
-    # the DRAM run look 100x more expensive than HMC.
-    for path in tmp_path.glob("*.pkl"):
-        path.unlink()
-    params = suite.scale.params_for("mac")
-    cold = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                           cache_dir=tmp_path)
-    cold.cache.record_cost(cold._cache_key("mac", "DRAM", params), 100.0)
-    cold.cache.record_cost(cold._cache_key("mac", "HMC", params), 1.0)
-    jobs = cold.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["DRAM", "HMC"]
-    # A dominating EWMA-merged measurement on the other job flips the order.
-    cold.cache.record_cost(cold._cache_key("mac", "HMC", params), 500.0)
-    jobs = cold.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["HMC", "DRAM"]
-
-
-def test_unmeasured_jobs_fall_back_to_calibrated_heuristic(tmp_path):
-    """Jobs without a measurement rank by the static heuristic scaled into
-    seconds, so one measured cheap run cannot leapfrog an unmeasured
-    Active-Routing straggler."""
-    kinds = [SystemKind.DRAM, SystemKind.ARF_TID]
-    suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                            cache_dir=tmp_path)
-    params = suite.scale.params_for("mac")
-    # Only DRAM was ever measured (0.1s); ARF-tid's static cost is 30x DRAM's,
-    # so its calibrated estimate (~3s) must still schedule it first.
-    suite.cache.record_cost(suite._cache_key("mac", "DRAM", params), 0.1)
-    jobs = suite.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["ARF-tid", "DRAM"]
+    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 0}
 
 
 def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
@@ -351,36 +133,87 @@ def test_registry_covers_every_figure():
                                     "dynamic_offload", "topology", "degraded"}
 
 
-def test_required_pairs_per_figure():
+def _keys(suite, figure):
+    return {job[0] for job in FIGURE_REGISTRY[figure](suite)}
+
+
+def _record_batches(monkeypatch):
+    """Stub out simulation; returns the keys each batch would have run."""
+    from repro.experiments import suite as suite_module
+
+    seen = []
+
+    def record(jobs, **_kwargs):
+        seen.extend(job[0] for job in jobs)
+        return iter(())
+
+    monkeypatch.setattr(suite_module, "iter_jobs", record)
+    return seen
+
+
+def test_required_pairs_per_figure(monkeypatch):
     suite = EvaluationSuite("tiny", workloads=["mac", "pagerank"])
-    full = {(w, k) for w in ("mac", "pagerank") for k in CONFIG_ORDER}
-    assert suite.required_pairs(["speedup"]) == full
-    assert suite.required_pairs(["latency"]) == {
-        (w, k) for w in ("mac", "pagerank") for k in AR_CONFIGS}
-    assert suite.required_pairs(["lud_heatmap"]) == {
-        ("lud", SystemKind.ARF_TID), ("lud", SystemKind.ARF_ADDR)}
-    movement = suite.required_pairs(["data_movement"])
-    assert ("mac", SystemKind.HMC) in movement
-    assert ("mac", SystemKind.DRAM) not in movement
-    assert suite.required_pairs(["dynamic_offload"]) == set()
-    # The union is a plain set union, and unknown figures are rejected.
-    union = suite.required_pairs(["speedup", "lud_heatmap"])
-    assert union == full | suite.required_pairs(["lud_heatmap"])
+    full = {(w, k.value) for w in ("mac", "pagerank") for k in CONFIG_ORDER}
+    assert _keys(suite, "speedup") == full
+    assert _keys(suite, "latency") == {
+        (w, k.value) for w in ("mac", "pagerank") for k in AR_CONFIGS}
+    assert _keys(suite, "lud_heatmap") == {("lud", "ARF-tid"), ("lud", "ARF-addr")}
+    movement = _keys(suite, "data_movement")
+    assert ("mac", "HMC") in movement
+    assert ("mac", "DRAM") not in movement
+    # Figure 5.8 replays three bespoke LUD traces.
+    assert _keys(suite, "dynamic_offload") == {
+        ("bespoke:lud-baseline", "HMC"), ("bespoke:lud-offload", "ARF-tid"),
+        ("bespoke:lud-adaptive", "ARF-tid")}
+    # A prefetch resolves the union of the figures' keys, each once, and
+    # unknown figures are rejected before anything runs.
+    union = _keys(suite, "speedup") | _keys(suite, "dynamic_offload")
+    assert len(union) == len(full) + 3
+    seen = _record_batches(monkeypatch)
+    stats = suite.prefetch(["speedup", "dynamic_offload", "speedup"])
+    assert set(seen) == union and len(seen) == len(union)
+    assert stats["pairs"] == stats["simulated"] == len(union)
     with pytest.raises(ValueError):
-        suite.required_pairs(["figure-9000"])
+        suite.prefetch(["figure-9000"])
 
 
-def test_pending_jobs_are_cost_ordered():
+def test_batches_run_in_key_order(monkeypatch):
+    """The misses of a batch run sorted by key, whatever order the figures
+    declared them in; every declared key is simulated exactly once."""
+    seen = _record_batches(monkeypatch)
     suite = EvaluationSuite("tiny")
-    jobs = suite.pending_jobs(suite.required_pairs(["speedup"]))
-    assert len(jobs) == len(suite.workloads) * len(CONFIG_ORDER)
-    costs = [estimated_cost(workload, params, config.kind)
-             for _key, config, workload, params in jobs]
-    assert costs == sorted(costs, reverse=True)
-    # Stragglers first: the batch starts on an Active-Routing scheme and ends
-    # on a cheap baseline.
-    assert jobs[0][1].kind in AR_CONFIGS
-    assert jobs[-1][1].kind in (SystemKind.DRAM, SystemKind.HMC)
+    jobs = list(reversed(FIGURE_REGISTRY["speedup"](suite)))
+    stats = suite.resolve(jobs + jobs[:3])
+    assert len(seen) == len(suite.workloads) * len(CONFIG_ORDER)
+    assert seen == sorted(seen)
+    assert stats == {"pairs": len(seen), "reused": 0, "disk_hits": 0,
+                     "simulated": len(seen)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_job_keeps_every_finished_run(tmp_path, workers):
+    """One job that raises fails the batch, but every other job still runs
+    and is cached, so a re-run simulates only the failed one."""
+    kinds = [SystemKind.DRAM, SystemKind.HMC]
+    suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
+                            workers=workers, cache_dir=tmp_path)
+    good = [suite.job("mac", kind) for kind in kinds]
+    config = suite.config_for(SystemKind.DRAM)
+    bad = (("bad:mac", config.label), config, "mac", {"array_elements": -1})
+    with pytest.raises(ValueError):
+        suite.resolve([bad] + good)
+    assert suite.simulations_run == 2
+    assert len(suite.cache) == 2
+    assert all(job[0] in suite._results for job in good)
+
+    rerun = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
+                            workers=workers, cache_dir=tmp_path)
+    with pytest.raises(ValueError):
+        rerun.resolve(good + [bad])
+    assert rerun.simulations_run == 0 and rerun.disk_hits == 2
+    # run_jobs consumes the same generator and still surfaces the failure.
+    with pytest.raises(ValueError):
+        run_jobs([bad] + good, workers=workers)
 
 
 # -- cached runs vs fresh runs ---------------------------------------------------
