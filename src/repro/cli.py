@@ -14,16 +14,15 @@ sessions perform zero simulations; ``sweep`` runs the scheme x topology
 cross product and renders the network-shape figure.  ``--workers 0`` means one
 worker per CPU core.
 
-Every experiment-axis flag the four subcommands share — network shape,
-fault injection, link bandwidth — is *generated* from the declarative
-registry in :mod:`repro.core.spec` (``add_axis_flags``), which is also where
-each axis's default and label-folding rule are declared; run
-``python -m repro.core.spec --table`` for the full table.
-``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
-``--link-bandwidth``) for value-list spellings that become sweep dimensions,
-and owns plural ``--topologies``/``--num-cubes`` flags of its own.  The
-parsed flags land in one immutable :class:`~repro.core.spec.ExperimentSpec`,
-which every subcommand threads through config construction.
+The six memory-network flags the four subcommands share — shape
+(``--topology``, ``--num-cubes``, ``--num-controllers``), fault injection
+(``--failure-rate``, ``--failure-seed``) and ``--link-bandwidth`` — are
+declared once, in :func:`_add_network_flags`.  Their dests are
+:func:`~repro.system.config.make_network_config`'s keywords, so the flags
+that were set pass straight through as one plain dict; an unset flag keeps
+the Table 4.1 default.  ``sweep`` takes ``--num-controllers`` and
+``--link-bandwidth`` as value lists that become sweep dimensions, and owns
+plural ``--topologies``/``--num-cubes`` flags of its own.
 """
 
 from __future__ import annotations
@@ -34,13 +33,19 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import format_table
-from .core.spec import ExperimentSpec, add_axis_flags
 from .experiments import (FIGURE_REGISTRY, SCALES, EvaluationSuite,
                           default_cache_dir, fig_topology, full_report)
 from .network.topology import TOPOLOGY_BUILDERS
 from .system import (CONFIG_ORDER, SystemKind, generate_program, make_system_config,
                      run_program)
+from .system.config import make_network_config
 from .workloads import ALL_WORKLOADS
+
+
+#: Dests of the memory-network flags, which are also the keywords of
+#: :func:`~repro.system.config.make_network_config`.
+NETWORK_FLAGS = ("topology", "num_cubes", "num_controllers", "failure_rate",
+                 "failure_seed", "link_bandwidth")
 
 
 def _parse_workload_params(pairs: Sequence[str]) -> dict:
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threads", type=int, default=4, help="number of worker threads")
     run_p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="workload size override (repeatable), e.g. array_elements=4096")
-    add_axis_flags(run_p, "run")
+    _add_network_flags(run_p)
 
     report_p = sub.add_parser("report", help="regenerate every evaluation table and figure")
     report_p.add_argument("--scale", default="small", choices=sorted(SCALES),
@@ -106,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                                f"{', '.join(sorted(FIGURE_REGISTRY))}")
     report_p.add_argument("--skip-dynamic-offload", action="store_true",
                           help="skip the Figure 5.8 case study (extra simulations)")
-    _add_suite_options(report_p, "report")
+    _add_network_flags(report_p)
+    _add_suite_options(report_p)
 
     pre_p = sub.add_parser(
         "prefetch",
@@ -124,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="garbage-collect the run cache first: drop orphaned "
                             ".tmp files and entries recorded under a stale code "
                             "digest, then prefetch as usual")
-    _add_suite_options(pre_p, "prefetch")
+    _add_network_flags(pre_p)
+    _add_suite_options(pre_p)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -141,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--num-cubes", dest="cube_counts", nargs="+", type=int,
                          default=list(fig_topology.SWEEP_CUBE_COUNTS), metavar="N",
                          help="cube counts to sweep (default: 16)")
-    add_axis_flags(sweep_p, "sweep")
+    _add_network_flags(sweep_p, sweep=True)
     sweep_p.add_argument("--configs", nargs="+", type=_config_name,
                          default=["HMC", "ART", "ARF-tid", "ARF-addr"],
                          metavar="CONFIG",
@@ -157,16 +164,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_suite_options(parser: argparse.ArgumentParser,
-                       command: Optional[str] = None) -> None:
-    """Shared suite knobs; ``command`` adds that subcommand's axis flags.
+def _add_network_flags(parser: argparse.ArgumentParser,
+                       sweep: bool = False) -> None:
+    """The memory-network flags, all defaulting to ``None`` (= unset).
 
-    The sweep subcommand passes ``command=None`` and adds its axis flags
-    before its own plural network options, so its ``--help`` groups the swept
-    dimensions together.
+    ``sweep`` has its own plural topology and cube-count flags, and takes
+    the controller count and link bandwidth as value lists
+    (``controller_counts``/``link_bandwidths``) that become sweep dimensions.
     """
-    if command is not None:
-        add_axis_flags(parser, command)
+    if not sweep:
+        parser.add_argument(
+            "--topology", default=None, choices=sorted(TOPOLOGY_BUILDERS),
+            help="memory-network topology for every HMC-backed scheme "
+                 "(default: Table 4.1 dragonfly); variant networks get their "
+                 "own run-cache entries")
+        parser.add_argument(
+            "--num-cubes", default=None, type=int, metavar="N",
+            help="memory-network cube count (default: 16); the topology is "
+                 "built with exactly this many cubes or the request is "
+                 "rejected up front")
+        parser.add_argument(
+            "--num-controllers", default=None, type=int, metavar="N",
+            help="host-side memory-controller count (default: Table 4.1's 4)")
+    else:
+        parser.add_argument(
+            "--num-controllers", dest="controller_counts", nargs="+",
+            default=None, type=int, metavar="N",
+            help="host-side memory-controller counts to sweep "
+                 "(default: Table 4.1's 4)")
+    parser.add_argument(
+        "--failure-rate", default=None, type=float, metavar="RATE",
+        help="expected random link failures per 10,000 cycles (default: "
+             "0 = failure-free); routes recompute around failed links")
+    parser.add_argument(
+        "--failure-seed", default=None, type=int, metavar="SEED",
+        help="seed of the deterministic failure timeline (default: 0); a "
+             "fixed seed reproduces the exact same failures — and results "
+             "— on every run")
+    if not sweep:
+        parser.add_argument(
+            "--link-bandwidth", default=None, type=float,
+            metavar="BYTES_PER_CYCLE",
+            help="memory-network link bandwidth in bytes per CPU cycle "
+                 "(default: Table 4.1's 12.5, i.e. 25 GB/s per direction)")
+    else:
+        parser.add_argument(
+            "--link-bandwidth", dest="link_bandwidths", nargs="+",
+            default=None, type=float, metavar="BYTES_PER_CYCLE",
+            help="memory-network link bandwidths to sweep, in bytes per CPU "
+                 "cycle (default: Table 4.1's 12.5, i.e. 25 GB/s per "
+                 "direction)")
+
+
+def _add_suite_options(parser: argparse.ArgumentParser) -> None:
+    """Suite knobs shared by ``report``, ``prefetch`` and ``sweep``."""
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the (workload x config) suite; "
                              "0 means one per CPU core (each pair is an "
@@ -178,16 +229,14 @@ def _add_suite_options(parser: argparse.ArgumentParser,
                         help="disable the persistent run cache entirely")
 
 
-def _make_suite(args: argparse.Namespace, spec: ExperimentSpec,
-                workloads: Optional[Sequence[str]] = None,
-                suite_network: bool = True) -> EvaluationSuite:
+def _make_suite(args: argparse.Namespace, network: dict,
+                workloads: Optional[Sequence[str]] = None) -> EvaluationSuite:
+    """The suite for one subcommand; ``network`` is the set network flags."""
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     net = None
-    # The sweep subcommand has no suite-wide network (its options apply per
-    # swept cell instead), so it passes suite_network=False.
-    if suite_network and spec.explicit("network"):
+    if network:
         with _usage_errors():
-            net = spec.network_config()
+            net = make_network_config(**network)
     return EvaluationSuite(args.scale, workloads=workloads, workers=args.workers,
                            cache_dir=cache_dir, net=net)
 
@@ -207,17 +256,16 @@ def _usage_errors():
         raise SystemExit(f"repro: {exc}")
 
 
-def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
+def _cmd_run(args: argparse.Namespace, network: dict) -> int:
     params = _parse_workload_params(args.param)
-    overrides = spec.network_overrides()
-    if args.config == "DRAM" and spec.explicit("network"):
+    if args.config == "DRAM" and network:
         raise SystemExit("repro: network options (--topology, --num-cubes, "
                          "--num-controllers, --link-bandwidth, "
                          "--failure-rate, --failure-seed) have no effect on "
                          "the DRAM baseline (it has no memory network); pick "
                          "an HMC-backed configuration")
     with _usage_errors():
-        config = make_system_config(args.config, **overrides)
+        config = make_system_config(args.config, **network)
     cores = config.cmp.num_cores
     if not 1 <= args.threads <= cores:
         raise SystemExit(f"repro: --threads must be between 1 and the {cores} "
@@ -248,8 +296,8 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     return 0 if result.flows_verified else 1
 
 
-def _cmd_report(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    suite = _make_suite(args, spec)
+def _cmd_report(args: argparse.Namespace, network: dict) -> int:
+    suite = _make_suite(args, network)
     # full_report prefetches every required pair in one parallel batch; the
     # report itself goes to stdout only, so cold and warm runs are identical.
     report = full_report(suite, include_dynamic_offload=not args.skip_dynamic_offload,
@@ -261,8 +309,8 @@ def _cmd_report(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     return 0 if suite.verified() else 1
 
 
-def _cmd_prefetch(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    suite = _make_suite(args, spec, workloads=args.workloads)
+def _cmd_prefetch(args: argparse.Namespace, network: dict) -> int:
+    suite = _make_suite(args, network, workloads=args.workloads)
     if args.prune:
         if suite.cache is None:
             raise SystemExit("--prune needs the persistent run cache; drop --no-cache")
@@ -282,7 +330,7 @@ def _cmd_prefetch(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     return 0 if suite.verified() else 1
 
 
-def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
+def _cmd_sweep(args: argparse.Namespace, network: dict) -> int:
     kinds = []
     for name in args.configs:
         kind = SystemKind.from_name(name)
@@ -292,22 +340,20 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
                              f"once as the speedup denominator)")
         if kind not in kinds:
             kinds.append(kind)
-    suite = _make_suite(args, spec, workloads=args.workloads, suite_network=False)
-    # --num-controllers/--link-bandwidth are swept value lists; the remaining
-    # network axes ride along to make_network_config uniformly per cell.
-    detail = {name: value for name, value in spec.explicit("network").items()
-              if name not in ("topology", "num_cubes", "num_controllers",
-                              "link_bandwidth")}
+    # The sweep has no suite-wide network: its shape, controller and
+    # bandwidth flags are swept value lists, and the failure flags (all that
+    # ``network`` holds here) ride along to every swept cell.
+    suite = _make_suite(args, {}, workloads=args.workloads)
     with _usage_errors():
         # Planning-time shape validation only; simulation/rendering errors
         # below keep their tracebacks.
         fig_topology.sweep_networks(args.topologies, args.cube_counts,
-                                    net_overrides=detail,
+                                    net_overrides=network,
                                     controller_counts=args.controller_counts,
                                     link_bandwidths=args.link_bandwidths)
     text, stats = fig_topology.run_sweep(
         suite, topologies=args.topologies, cube_counts=args.cube_counts,
-        kinds=kinds, workloads=args.workloads, net_overrides=detail,
+        kinds=kinds, workloads=args.workloads, net_overrides=network,
         controller_counts=args.controller_counts,
         link_bandwidths=args.link_bandwidths)
     print(text)
@@ -329,16 +375,16 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    # One ExperimentSpec carries every axis from here on.
-    spec = ExperimentSpec.from_args(args)
+    network = {name: getattr(args, name) for name in NETWORK_FLAGS
+               if getattr(args, name, None) is not None}
     if args.command == "run":
-        return _cmd_run(args, spec)
+        return _cmd_run(args, network)
     if args.command == "report":
-        return _cmd_report(args, spec)
+        return _cmd_report(args, network)
     if args.command == "prefetch":
-        return _cmd_prefetch(args, spec)
+        return _cmd_prefetch(args, network)
     if args.command == "sweep":
-        return _cmd_sweep(args, spec)
+        return _cmd_sweep(args, network)
     raise SystemExit(f"unknown command {args.command!r}")
 
 

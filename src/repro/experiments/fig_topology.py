@@ -38,29 +38,8 @@ SWEEP_KINDS: Tuple[SystemKind, ...] = (SystemKind.HMC, SystemKind.ARF_TID)
 SWEEP_WORKLOADS: Tuple[str, ...] = ("mac", "pagerank")
 
 
-def sweep_network(topology: str, num_cubes: int = 16,
-                  num_controllers: Optional[int] = None,
-                  net_overrides: Optional[Dict[str, object]] = None) -> HMCNetworkConfig:
-    """The network config for one sweep cell (defaults elsewhere untouched).
-
-    Overrides default to the default network's values, so the default-shape
-    cell compares equal to :func:`default_network` and shares its labels/runs
-    with the plain evaluation matrix.  ``net_overrides`` carries any further
-    :func:`make_network_config` keywords (``link_bandwidth``,
-    ``failure_rate``, ``failure_seed``) that apply uniformly to every swept
-    cell.  Validated eagerly (inside :func:`make_network_config`): an
-    impossible shape — say, an 8-cube dragonfly — must fail while the sweep
-    is being planned, not mid-batch in a worker process after other cells
-    already simulated.
-    """
-    return make_network_config(topology=topology, num_cubes=num_cubes,
-                               num_controllers=num_controllers,
-                               **(net_overrides or {}))
-
-
 def sweep_networks(topologies: Optional[Sequence[str]] = None,
                    cube_counts: Optional[Sequence[int]] = None,
-                   num_controllers: Optional[int] = None,
                    net_overrides: Optional[Dict[str, object]] = None,
                    controller_counts: Optional[Sequence[int]] = None,
                    link_bandwidths: Optional[Sequence[float]] = None,
@@ -68,16 +47,21 @@ def sweep_networks(topologies: Optional[Sequence[str]] = None,
     """The swept networks: topology x cube count x controllers x bandwidth.
 
     Ordered topology-major, then by cube count, controller count and link
-    bandwidth.  ``controller_counts`` and ``link_bandwidths`` are full sweep
-    axes; the scalar ``num_controllers`` applies one count uniformly when no
-    controller axis is given (``None`` everywhere = the Table 4.1 defaults).
+    bandwidth.  Without a controller or bandwidth axis every cell keeps the
+    Table 4.1 value, so the default-shape cell compares equal to
+    :func:`~repro.hmc.config.default_network` and shares its labels and runs
+    with the plain evaluation matrix.  ``net_overrides`` carries further
+    :func:`make_network_config` keywords (``failure_rate``, ``failure_seed``)
+    that apply to every cell.  Each cell is validated as it is planned: an
+    impossible shape, say an 8-cube dragonfly, fails here rather than
+    mid-batch in a worker after other cells already simulated.
     Deduplicated by fingerprint, so repeated CLI operands cannot produce
     repeated figure rows or double-counted cells.
     """
     topologies = list(topologies) if topologies is not None else list(SWEEP_TOPOLOGIES)
     cube_counts = list(cube_counts) if cube_counts is not None else list(SWEEP_CUBE_COUNTS)
     controller_axis: List[Optional[int]] = (
-        list(controller_counts) if controller_counts else [num_controllers])
+        list(controller_counts) if controller_counts else [None])
     bandwidth_axis: List[Optional[float]] = (
         list(link_bandwidths) if link_bandwidths else [None])
     networks: Dict[str, HMCNetworkConfig] = {}
@@ -85,11 +69,12 @@ def sweep_networks(topologies: Optional[Sequence[str]] = None,
         for num_cubes in cube_counts:
             for controllers in controller_axis:
                 for bandwidth in bandwidth_axis:
-                    overrides = dict(net_overrides or {})
+                    overrides = dict(net_overrides or {}, topology=topology,
+                                     num_cubes=num_cubes,
+                                     num_controllers=controllers)
                     if bandwidth is not None:
                         overrides["link_bandwidth"] = bandwidth
-                    net = sweep_network(topology, num_cubes, controllers,
-                                        overrides)
+                    net = make_network_config(**overrides)
                     networks.setdefault(net.label, net)
     return list(networks.values())
 
@@ -113,7 +98,6 @@ def compute(suite: EvaluationSuite,
             cube_counts: Optional[Sequence[int]] = None,
             kinds: Optional[Sequence[SystemKind]] = None,
             workloads: Optional[Sequence[str]] = None,
-            num_controllers: Optional[int] = None,
             net_overrides: Optional[Dict[str, object]] = None,
             controller_counts: Optional[Sequence[int]] = None,
             link_bandwidths: Optional[Sequence[float]] = None) -> Dict[str, object]:
@@ -126,9 +110,8 @@ def compute(suite: EvaluationSuite,
     """
     kinds = list(kinds) if kinds is not None else list(SWEEP_KINDS)
     names = sweep_workloads(suite, workloads)
-    networks = sweep_networks(topologies, cube_counts, num_controllers,
-                              net_overrides, controller_counts,
-                              link_bandwidths)
+    networks = sweep_networks(topologies, cube_counts, net_overrides,
+                              controller_counts, link_bandwidths)
     speedup: Dict[str, Dict[str, float]] = {}
     queue_delay: Dict[str, Dict[str, float]] = {}
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -205,7 +188,6 @@ def jobs(suite: EvaluationSuite,
          cube_counts: Optional[Sequence[int]] = None,
          kinds: Optional[Sequence[SystemKind]] = None,
          workloads: Optional[Sequence[str]] = None,
-         num_controllers: Optional[int] = None,
          net_overrides: Optional[Dict[str, object]] = None,
          controller_counts: Optional[Sequence[int]] = None,
          link_bandwidths: Optional[Sequence[float]] = None) -> List[Job]:
@@ -215,9 +197,8 @@ def jobs(suite: EvaluationSuite,
     kinds = list(kinds) if kinds is not None else list(SWEEP_KINDS)
     names = sweep_workloads(suite, workloads)
     batch = [suite.job(workload, SystemKind.DRAM) for workload in names]
-    for net in sweep_networks(topologies, cube_counts, num_controllers,
-                              net_overrides, controller_counts,
-                              link_bandwidths):
+    for net in sweep_networks(topologies, cube_counts, net_overrides,
+                              controller_counts, link_bandwidths):
         for kind in kinds:
             config = suite.config_for(kind, net=net)
             batch.extend(suite.job(workload, config) for workload in names)
@@ -229,7 +210,6 @@ def run_sweep(suite: EvaluationSuite,
               cube_counts: Optional[Sequence[int]] = None,
               kinds: Optional[Sequence[SystemKind]] = None,
               workloads: Optional[Sequence[str]] = None,
-              num_controllers: Optional[int] = None,
               workers: Optional[int] = None,
               net_overrides: Optional[Dict[str, object]] = None,
               controller_counts: Optional[Sequence[int]] = None,
@@ -241,10 +221,9 @@ def run_sweep(suite: EvaluationSuite,
     count is zero on a warm cache, which the CI smoke job asserts.
     """
     stats = suite.resolve(jobs(suite, topologies, cube_counts, kinds, workloads,
-                               num_controllers, net_overrides,
-                               controller_counts, link_bandwidths),
+                               net_overrides, controller_counts,
+                               link_bandwidths),
                           workers=workers)
     text = render(compute(suite, topologies, cube_counts, kinds, workloads,
-                          num_controllers, net_overrides, controller_counts,
-                          link_bandwidths))
+                          net_overrides, controller_counts, link_bandwidths))
     return text, stats

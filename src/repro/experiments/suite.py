@@ -26,6 +26,7 @@ Problem sizes come in three scales:
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -190,10 +191,11 @@ class EvaluationSuite:
         simulated: the misses run as one batch sorted by key, across
         ``workers`` processes (default: the suite's).  Each finished run is
         cached as it lands, so a failing job costs only itself: once the batch
-        is done, the first failure in key order is re-raised and a re-run
-        simulates only what failed.  Returns a summary: ``pairs`` (distinct
-        keys), ``reused`` from memory, ``disk_hits`` loaded from the persistent
-        cache and ``simulated`` fresh.
+        is done, every failed key is reported on stderr in key order, the
+        first failure is re-raised, and a re-run simulates only what failed.
+        Returns a summary: ``pairs`` (distinct keys), ``reused`` from memory,
+        ``disk_hits`` loaded from the persistent cache and ``simulated``
+        fresh.
         """
         seen: Set[Key] = set()
         pending: Dict[Key, Job] = {}
@@ -228,6 +230,9 @@ class EvaluationSuite:
                 self.cache.put(self._cache_key(*key, pending[key][3]), outcome)
             self._results[key] = outcome
         if failures:
+            for (workload, label), exc in sorted(failures.items()):
+                print(f"job {workload} on {label} failed: "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
             raise failures[min(failures)]
         return {"pairs": len(seen), "reused": reused,
                 "disk_hits": disk_hits, "simulated": len(batch)}

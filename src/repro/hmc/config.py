@@ -1,4 +1,11 @@
-"""Configuration of a single Hybrid Memory Cube and of the cube network."""
+"""Configuration of a single Hybrid Memory Cube and of the cube network.
+
+:attr:`HMCNetworkConfig.label` is the network's fingerprint inside every
+config label and run-cache key.  Its format lives here alone: the shape
+(``mesh16c4``), the failure process when enabled (``-f10s7``), a
+non-default link bandwidth (``-bw25``), and a digest suffix for any other
+deviation from Table 4.1.
+"""
 
 from __future__ import annotations
 
@@ -65,23 +72,16 @@ class HMCNetworkConfig:
         bandwidth deviating on its own is likewise spelled out
         (``dragonfly16c4-bw25``) rather than hidden in the digest: bandwidth
         is a sweep axis and its rows should be readable in figure tables.
-
-        The per-axis fragments (what elides, how values render) are declared
-        in :data:`repro.core.spec.AXES`; this property only supplies the
-        values and the off-axis digest fallback, which the registry cannot
-        see.
+        The failure seed appears only inside the failure fragment.  These
+        bytes are pinned by the frozen corpus in ``tests/test_spec.py``.
         """
-        from ..core.spec import fold_network_label
         bandwidth = self.link.bandwidth_bytes_per_cycle
-        base = fold_network_label({
-            "topology": self.topology,
-            "num_cubes": self.num_cubes,
-            "num_controllers": self.num_controllers,
-            "failure_rate": self.failure_rate,
-            "failure_seed": self.failure_seed,
-            "link_bandwidth": bandwidth,
-        })
         default_link = default_network().link
+        base = f"{self.topology}{self.num_cubes}c{self.num_controllers}"
+        if self.failure_rate:
+            base += f"-f{self.failure_rate:g}s{self.failure_seed}"
+        if bandwidth != default_link.bandwidth_bytes_per_cycle:
+            base += f"-bw{bandwidth:g}"
         # Only the bandwidth field of the link is spelled out: any *other*
         # link deviation (latency, energy) must still fall through to the
         # digest below or two different networks could share a label.

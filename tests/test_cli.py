@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _parse_workload_params, build_parser, main
+
+HELP_SNAPSHOTS = Path(__file__).resolve().parent.parent / "docs" / "cli"
 
 
 def test_parse_workload_params():
@@ -325,3 +329,17 @@ def test_cli_sweep_carries_routing_details(capsys, tmp_path):
     assert main(argv) == 0
     warm = capsys.readouterr().out
     assert "simulated: 0" in warm
+
+
+@pytest.mark.parametrize("command", ["run", "report", "prefetch", "sweep"])
+def test_help_matches_the_committed_snapshot(command, capsys, monkeypatch):
+    # argparse wraps help to the terminal width; the snapshots pin 80 columns.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    snapshot = HELP_SNAPSHOTS / f"{command}-help.txt"
+    assert capsys.readouterr().out == snapshot.read_text(), (
+        f"`repro {command} --help` drifted from {snapshot.name}; regenerate "
+        f"with: COLUMNS=80 PYTHONPATH=src python -m repro {command} --help "
+        f"> docs/cli/{command}-help.txt")

@@ -22,7 +22,7 @@ import hashlib
 import pytest
 
 from repro.sim import Simulator, StatsRegistry
-from repro.system import CONFIG_ORDER, collect_results, run_suite
+from repro.system import CONFIG_ORDER, collect_results, run_suite, run_workload
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
 from repro.workloads import WorkloadConfig, make_workload
@@ -285,3 +285,21 @@ def test_golden_runs_read_no_stats_mid_run(monkeypatch):
                                  program=program)
     collect_results(degraded, program)
     assert reads and not [read for read in reads if read[1]]
+
+
+#: (workload, config, params, executed events, final cycle) at 4 threads:
+#: the seconds-scale smoke basket whose counts the former CI perf gate
+#: checked exactly.
+SMOKE_BASKET = [
+    ("pagerank", "ARF-tid", {"num_vertices": 192, "avg_degree": 4},
+     12027, 4246.800000000015),
+    ("mac", "ARF-tid", {"array_elements": 1024}, 8768, 909.9999999999955),
+    ("reduce", "HMC", {"array_elements": 1024}, 1280, 681.7799999999996),
+]
+
+
+def test_smoke_basket_events_and_cycles_are_exact():
+    for workload, config, params, events, cycles in SMOKE_BASKET:
+        result = run_workload(config, workload, num_threads=4, **params)
+        assert (result.events_executed, result.cycles) == (events, cycles), \
+            (workload, config)

@@ -191,17 +191,23 @@ def test_batches_run_in_key_order(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failing_job_keeps_every_finished_run(tmp_path, workers):
-    """One job that raises fails the batch, but every other job still runs
-    and is cached, so a re-run simulates only the failed one."""
+def test_failing_job_keeps_every_finished_run(tmp_path, workers, capsys):
+    """Jobs that raise fail the batch, but every other job still runs and is
+    cached, so a re-run simulates only the failed ones.  Every failure is
+    reported on stderr in key order, and the first one is re-raised."""
     kinds = [SystemKind.DRAM, SystemKind.HMC]
     suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
                             workers=workers, cache_dir=tmp_path)
     good = [suite.job("mac", kind) for kind in kinds]
     config = suite.config_for(SystemKind.DRAM)
     bad = (("bad:mac", config.label), config, "mac", {"array_elements": -1})
-    with pytest.raises(ValueError):
-        suite.resolve([bad] + good)
+    also_bad = (("bad:zmac", config.label), config, "mac", {"bogus": 3})
+    with pytest.raises(ValueError, match="must be positive"):
+        suite.resolve([also_bad, bad] + good)
+    assert capsys.readouterr().err.splitlines() == [
+        "job bad:mac on DRAM failed: ValueError: num_elements must be positive",
+        "job bad:zmac on DRAM failed: ValueError: unknown parameter(s) "
+        "'bogus' for workload 'mac'; valid parameters: array_elements"]
     assert suite.simulations_run == 2
     assert len(suite.cache) == 2
     assert all(job[0] in suite._results for job in good)

@@ -1,24 +1,31 @@
-"""The declarative experiment-axis layer (repro.core.spec).
+"""Network labels and the run-cache keys built from them.
 
-Two contracts are pinned here:
+Three contracts are pinned here:
 
-* **Byte-identity** — every label and cache key the pre-spec code produced is
-  reproduced byte-for-byte by the axis folds, against a corpus frozen from
-  the pre-refactor implementation (``tests/data/spec_corpus.json``).
-* **No aliasing** — distinct cache-participating axis choices always occupy
-  distinct cache entries.
+* **Byte-identity** — every label and cache key the earlier code produced is
+  reproduced byte-for-byte by :attr:`HMCNetworkConfig.label`, against a
+  frozen corpus (``tests/data/spec_corpus.json``) and against the label
+  rules of the retired axis registry, copied below as a reference.
+* **No aliasing** — distinct network-flag choices always occupy distinct
+  cache entries.
+* **Warm cache** — a cache written at the earlier key paths serves the
+  suite with zero simulations.
 """
 
 import json
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
-from repro.core.spec import (AXES, ExperimentSpec, axes_for,
-                             fold_network_label, render_axes_table)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
-from repro.hmc.config import HMCNetworkConfig, default_network
-from repro.system.config import SystemKind, make_system_config
+from repro.hmc.config import default_network
+from repro.network.topology import TOPOLOGY_BUILDERS
+from repro.system.config import (SystemKind, make_network_config,
+                                 make_system_config)
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
@@ -76,38 +83,77 @@ def test_frozen_corpus_labels_and_cache_keys_byte_identical():
         assert key == entry["cache_key_sans_digest"], entry["name"]
 
 
-# ------------------------------------------------------------- fold rules
-def test_network_fold_matches_config_label():
-    net = HMCNetworkConfig()
-    assert fold_network_label({
-        "topology": net.topology, "num_cubes": net.num_cubes,
-        "num_controllers": net.num_controllers,
-        "failure_rate": net.failure_rate, "failure_seed": net.failure_seed,
-        "link_bandwidth": net.link.bandwidth_bytes_per_cycle,
-    }) == "dragonfly16c4" == net.label
+# ------------------------------------------------------------- label rules
+# The label rules of the retired axis registry, verbatim; the registry's
+# ``link_bandwidth`` default was the literal 12.5.
+REGISTRY_BANDWIDTH_DEFAULT = 12.5
 
 
-def test_axis_defaults_match_authoritative_constructors():
-    """The registry's default literals agree with the objects they describe."""
-    net = HMCNetworkConfig()
-    assert AXES["topology"].default == net.topology
-    assert AXES["num_cubes"].default == net.num_cubes
-    assert AXES["num_controllers"].default == net.num_controllers
-    assert AXES["failure_rate"].default == net.failure_rate
-    assert AXES["failure_seed"].default == net.failure_seed
-    assert AXES["link_bandwidth"].default == net.link.bandwidth_bytes_per_cycle
+def _fold_topology(v: Mapping[str, object]) -> str:
+    return str(v["topology"])
 
 
-def test_every_axis_default_is_a_valid_choice():
-    for axis in AXES.values():
-        if axis.choices is not None:
-            assert axis.default in axis.choices(), axis.name
+def _fold_num_cubes(v: Mapping[str, object]) -> str:
+    return str(v["num_cubes"])
+
+
+def _fold_num_controllers(v: Mapping[str, object]) -> str:
+    return f"c{v['num_controllers']}"
+
+
+def _fold_failure(v: Mapping[str, object]) -> str:
+    rate = v["failure_rate"]
+    return f"-f{rate:g}s{v['failure_seed']}" if rate else ""
+
+
+def _fold_bandwidth(v: Mapping[str, object]) -> str:
+    bandwidth = v["link_bandwidth"]
+    if bandwidth == REGISTRY_BANDWIDTH_DEFAULT:
+        return ""
+    return f"-bw{bandwidth:g}"
+
+
+REFERENCE_FOLDS = (_fold_topology, _fold_num_cubes, _fold_num_controllers,
+                   _fold_failure, _fold_bandwidth)
+
+
+@st.composite
+def network_flags(draw):
+    """One valid choice of the six network flags."""
+    topology = draw(st.sampled_from(sorted(TOPOLOGY_BUILDERS)))
+    if topology == "dragonfly":
+        # Any groups x routers product with groups - 1 <= routers builds,
+        # with at most one controller per group.
+        groups = draw(st.integers(2, 6))
+        num_cubes = groups * draw(st.integers(groups - 1, 6))
+        num_controllers = draw(st.integers(1, groups))
+    else:
+        num_cubes = draw(st.integers(1, 36))
+        num_controllers = draw(st.integers(1, min(num_cubes, 8)))
+    rates = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+    bandwidths = st.floats(min_value=0.01, max_value=1e3, allow_nan=False)
+    return {
+        "topology": topology,
+        "num_cubes": num_cubes,
+        "num_controllers": num_controllers,
+        "failure_rate": draw(st.one_of(st.just(0.0), rates)),
+        "failure_seed": draw(st.integers(0, 2**31)),
+        "link_bandwidth": draw(st.one_of(st.just(12.5), bandwidths)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_flags())
+def test_network_label_matches_the_registry_rules(flags):
+    net = make_network_config(**flags)
+    assert net.label == "".join(fold(flags) for fold in REFERENCE_FOLDS)
 
 
 # ----------------------------------------------------------------- no aliasing
-def _cell_key(spec):
-    """The cache key of one (mac, HMC) suite cell under ``spec``."""
-    config = make_system_config("HMC", **spec.network_overrides())
+def _cell_key(network):
+    """The cache key of one (mac, HMC) suite cell under the set ``network``
+    flags."""
+    config = make_system_config("HMC", **network)
     return RunCache.make_key(scale="tiny", workload="mac",
                              params={"array_elements": 1024},
                              config_label=config.label, profile="scaled",
@@ -116,18 +162,19 @@ def _cell_key(spec):
 
 def test_distinct_cache_participating_specs_never_alias():
     variants = [
-        ExperimentSpec(),
-        ExperimentSpec(topology="mesh"),
-        ExperimentSpec(topology="torus"),
-        ExperimentSpec(num_controllers=2),
-        ExperimentSpec(link_bandwidth=25.0),
-        ExperimentSpec(failure_rate=10.0),
-        ExperimentSpec(failure_rate=10.0, failure_seed=7),
-        ExperimentSpec(topology="mesh", failure_rate=10.0, failure_seed=7),
-        ExperimentSpec(topology="mesh", failure_rate=10.0, failure_seed=7,
-                       link_bandwidth=25.0),
+        {},
+        {"topology": "mesh"},
+        {"topology": "torus"},
+        {"num_controllers": 2},
+        {"link_bandwidth": 25.0},
+        {"failure_rate": 10.0},
+        {"failure_rate": 10.0, "failure_seed": 7},
+        {"topology": "mesh", "failure_rate": 10.0, "failure_seed": 7},
+        {"topology": "mesh", "failure_rate": 10.0, "failure_seed": 7,
+         "link_bandwidth": 25.0},
     ]
-    keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
+    keys = [json.dumps(_cell_key(network), sort_keys=True)
+            for network in variants]
     assert len(set(keys)) == len(keys)
     # Failure cells carry the failure fragment alone: the labels that once
     # read ``mesh16c4-resilient-f10s7`` are new strings, so an old cache
@@ -183,20 +230,3 @@ def test_warm_pre_refactor_cache_serves_post_refactor_suite(tmp_path):
         warm.result("mac", kind)
     assert warm.simulations_run == 0
     assert warm.disk_hits == len(kinds)
-
-
-# ------------------------------------------------------------------ registry
-def test_axes_table_lists_every_axis():
-    table = render_axes_table()
-    for name, axis in AXES.items():
-        assert f"`{name}`" in table
-        assert f"`{axis.flag}`" in table
-
-
-def test_group_slices_cover_the_registry():
-    groups = ("network",)
-    names = [name for group in groups for name in axes_for(group)]
-    assert sorted(names) == sorted(AXES)
-    assert list(axes_for("network")) == ["topology", "num_cubes",
-                                         "num_controllers", "failure_rate",
-                                         "failure_seed", "link_bandwidth"]
