@@ -33,8 +33,8 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import format_table
-from .experiments import (FIGURE_REGISTRY, SCALES, EvaluationSuite,
-                          default_cache_dir, fig_topology, full_report)
+from .experiments import (FIGURES, SCALES, EvaluationSuite, default_cache_dir,
+                          fig_topology, full_report)
 from .network.topology import TOPOLOGY_BUILDERS
 from .system import (CONFIG_ORDER, SystemKind, generate_program, make_system_config,
                      run_program)
@@ -105,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--output", default=None,
                           help="optional path to also write the report to")
     report_p.add_argument("--figures", nargs="+", default=None,
-                          choices=sorted(FIGURE_REGISTRY), metavar="FIGURE",
+                          choices=sorted(FIGURES), metavar="FIGURE",
                           help="render only these figures, in canonical report "
                                "order (default: the full report); one of "
-                               f"{', '.join(sorted(FIGURE_REGISTRY))}")
+                               f"{', '.join(sorted(FIGURES))}")
     report_p.add_argument("--skip-dynamic-offload", action="store_true",
                           help="skip the Figure 5.8 case study (extra simulations)")
     _add_network_flags(report_p)
@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     pre_p.add_argument("--scale", default="small", choices=sorted(SCALES),
                        help="problem-size scale")
     pre_p.add_argument("--figures", nargs="+", default=None,
-                       choices=sorted(FIGURE_REGISTRY), metavar="FIGURE",
+                       choices=sorted(FIGURES), metavar="FIGURE",
                        help="restrict to these figures (default: all); one of "
-                            f"{', '.join(sorted(FIGURE_REGISTRY))}")
+                            f"{', '.join(sorted(FIGURES))}")
     pre_p.add_argument("--workloads", nargs="+", default=None,
                        choices=sorted(ALL_WORKLOADS), metavar="WORKLOAD",
                        help="restrict the suite to these workloads (default: all)")
@@ -313,7 +313,8 @@ def _cmd_prefetch(args: argparse.Namespace, network: dict) -> int:
     suite = _make_suite(args, network, workloads=args.workloads)
     if args.prune:
         if suite.cache is None:
-            raise SystemExit("--prune needs the persistent run cache; drop --no-cache")
+            raise SystemExit("repro: --prune needs the persistent run cache; "
+                             "drop --no-cache")
         pruned = suite.cache.prune()
         print(f"pruned {suite.cache.root}: removed {pruned['tmp_removed']} orphaned "
               f"tmp files and {pruned['stale_removed']} stale entries "
@@ -335,9 +336,9 @@ def _cmd_sweep(args: argparse.Namespace, network: dict) -> int:
     for name in args.configs:
         kind = SystemKind.from_name(name)
         if not kind.uses_hmc:
-            raise SystemExit(f"--configs {kind.value}: the DRAM baseline has no "
-                             f"memory network to sweep (it is still simulated "
-                             f"once as the speedup denominator)")
+            raise SystemExit(f"repro: --configs {kind.value}: the DRAM baseline "
+                             f"has no memory network to sweep (it is still "
+                             f"simulated once as the speedup denominator)")
         if kind not in kinds:
             kinds.append(kind)
     # The sweep has no suite-wide network: its shape, controller and
@@ -345,17 +346,14 @@ def _cmd_sweep(args: argparse.Namespace, network: dict) -> int:
     # ``network`` holds here) ride along to every swept cell.
     suite = _make_suite(args, {}, workloads=args.workloads)
     with _usage_errors():
-        # Planning-time shape validation only; simulation/rendering errors
-        # below keep their tracebacks.
-        fig_topology.sweep_networks(args.topologies, args.cube_counts,
-                                    net_overrides=network,
-                                    controller_counts=args.controller_counts,
-                                    link_bandwidths=args.link_bandwidths)
-    text, stats = fig_topology.run_sweep(
-        suite, topologies=args.topologies, cube_counts=args.cube_counts,
-        kinds=kinds, workloads=args.workloads, net_overrides=network,
-        controller_counts=args.controller_counts,
-        link_bandwidths=args.link_bandwidths)
+        # Planning builds every swept network, so an impossible shape fails
+        # here; simulation and rendering errors below keep their tracebacks.
+        sweep = fig_topology.plan(
+            suite, args.topologies, args.cube_counts, kinds, args.workloads,
+            net_overrides=network, controller_counts=args.controller_counts,
+            link_bandwidths=args.link_bandwidths)
+    stats = suite.resolve(sweep.jobs(suite))
+    text = fig_topology.FIGURE.render(sweep.compute(suite))
     print(text)
     print()
     print(f"sweep: {stats['pairs']} runs at scale {suite.scale.name!r} "

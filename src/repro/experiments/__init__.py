@@ -10,8 +10,7 @@ from . import (
     fig_speedup,
     fig_topology,
 )
-from .registry import FIGURE_REGISTRY
-from .report import full_report
+from .report import FIGURES, full_report
 from .run_cache import RunCache, code_digest, default_cache_dir
 from .suite import SCALES, EvaluationSuite, ExperimentScale, scale_from_env
 from .tables import render_table_3_1, render_table_4_1, table_3_1
@@ -26,7 +25,7 @@ __all__ = [
     "fig_speedup",
     "fig_topology",
     "full_report",
-    "FIGURE_REGISTRY",
+    "FIGURES",
     "RunCache",
     "code_digest",
     "default_cache_dir",

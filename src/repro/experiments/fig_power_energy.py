@@ -13,6 +13,8 @@ from typing import Dict, List
 from ..analysis import format_table, geomean_speedup
 from ..power.energy_model import EnergyBreakdown
 from ..system import SystemKind
+from .panels import (breakdown_rows, pair_jobs, panel_rows, panel_sections,
+                     render_breakdown)
 from .suite import EvaluationSuite, Job
 
 COMPONENTS = ("cache", "memory", "network")
@@ -20,9 +22,7 @@ COMPONENTS = ("cache", "memory", "network")
 
 def jobs(suite: EvaluationSuite) -> List[Job]:
     """Every suite pair plus the DRAM baseline (shared by figures 5.5-5.7)."""
-    names = suite.benchmark_names() + suite.micro_names()
-    return [suite.job(workload, kind) for workload in names
-            for kind in [*suite.kinds, SystemKind.DRAM]]
+    return pair_jobs(suite, [*suite.kinds, SystemKind.DRAM])
 
 
 def _breakdown_metric(breakdown: EnergyBreakdown, metric: str) -> Dict[str, float]:
@@ -41,20 +41,12 @@ def _breakdown_metric(breakdown: EnergyBreakdown, metric: str) -> Dict[str, floa
 
 
 def _compute_normalized(suite: EvaluationSuite, metric: str) -> Dict[str, Dict[str, Dict[str, float]]]:
-    panels: Dict[str, Dict[str, Dict[str, float]]] = {"benchmarks": {}, "microbenchmarks": {}}
-    for panel, names in (("benchmarks", suite.benchmark_names()),
-                         ("microbenchmarks", suite.micro_names())):
-        for workload in names:
-            dram = _breakdown_metric(suite.result(workload, SystemKind.DRAM).energy, metric)
-            base_total = dram["total"] or 1.0
-            row: Dict[str, float] = {}
-            for kind in suite.kinds:
-                breakdown = _breakdown_metric(suite.result(workload, kind).energy, metric)
-                for component in COMPONENTS:
-                    row[f"{kind.value}.{component}"] = breakdown[component] / base_total
-                row[f"{kind.value}.total"] = breakdown["total"] / base_total
-            panels[panel][workload] = row
-    return panels
+    def parts(workload: str, kind: SystemKind) -> Dict[str, float]:
+        dram = _breakdown_metric(suite.result(workload, SystemKind.DRAM).energy, metric)
+        base_total = dram["total"] or 1.0
+        values = _breakdown_metric(suite.result(workload, kind).energy, metric)
+        return {part: value / base_total for part, value in values.items()}
+    return breakdown_rows(suite, suite.kinds, parts)
 
 
 def compute_power(suite: EvaluationSuite) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -69,20 +61,16 @@ def compute_energy(suite: EvaluationSuite) -> Dict[str, Dict[str, Dict[str, floa
 
 def compute_edp(suite: EvaluationSuite) -> Dict[str, object]:
     """Figure 5.7: EDP normalized to DRAM, plus geomean reductions vs HMC."""
-    panels: Dict[str, Dict[str, Dict[str, float]]] = {"benchmarks": {}, "microbenchmarks": {}}
-    for panel, names in (("benchmarks", suite.benchmark_names()),
-                         ("microbenchmarks", suite.micro_names())):
-        for workload in names:
-            dram_edp = suite.result(workload, SystemKind.DRAM).energy.edp or 1.0
-            panels[panel][workload] = {
-                kind.value: suite.result(workload, kind).energy.edp / dram_edp
-                for kind in suite.kinds
-            }
+    def edp_row(workload: str) -> Dict[str, float]:
+        dram_edp = suite.result(workload, SystemKind.DRAM).energy.edp or 1.0
+        return {kind.value: suite.result(workload, kind).energy.edp / dram_edp
+                for kind in suite.kinds}
+    panels = panel_rows(suite, edp_row)
     reduction_vs_hmc: Dict[str, float] = {}
-    all_rows = {**panels["benchmarks"], **panels["microbenchmarks"]}
+    all_rows = [row for rows in panels.values() for row in rows.values()]
     for label in ("ARF-tid", "ARF-addr", "ART"):
         ratios = []
-        for row in all_rows.values():
+        for row in all_rows:
             hmc = row.get("HMC", 0.0)
             if hmc > 0 and label in row and row[label] > 0:
                 ratios.append(hmc / row[label])
@@ -92,42 +80,22 @@ def compute_edp(suite: EvaluationSuite) -> Dict[str, object]:
     return {"panels": panels, "edp_reduction_vs_hmc": reduction_vs_hmc}
 
 
-def _render_breakdown(title: str, data: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    lines: List[str] = [title]
-    for panel, rows in data.items():
-        if not rows:
-            continue
-        configs = sorted({key.split(".")[0] for row in rows.values() for key in row})
-        lines.append("")
-        lines.append(f"({'a' if panel == 'benchmarks' else 'b'}) {panel}")
-        headers = ["workload", "config"] + list(COMPONENTS) + ["total"]
-        table_rows = []
-        for workload, row in rows.items():
-            for config in configs:
-                table_rows.append([workload, config]
-                                  + [row.get(f"{config}.{c}", 0.0) for c in COMPONENTS]
-                                  + [row.get(f"{config}.total", 0.0)])
-        lines.append(format_table(headers, table_rows, float_format="{:.3f}"))
-    return "\n".join(lines)
-
-
 def render_power(data: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    return _render_breakdown("Figure 5.5: Power breakdown normalized to DRAM", data)
+    return render_breakdown("Figure 5.5: Power breakdown normalized to DRAM",
+                            data, COMPONENTS, "{:.3f}")
 
 
 def render_energy(data: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    return _render_breakdown("Figure 5.6: Energy breakdown normalized to DRAM", data)
+    return render_breakdown("Figure 5.6: Energy breakdown normalized to DRAM",
+                            data, COMPONENTS, "{:.3f}")
 
 
 def render_edp(data: Dict[str, object]) -> str:
-    panels = data["panels"]
     lines: List[str] = ["Figure 5.7: Energy-delay product normalized to DRAM"]
-    for panel, rows in panels.items():
-        if not rows:
-            continue
+    for _panel, heading, rows in panel_sections(data["panels"]):
         labels = list(next(iter(rows.values())).keys())
         lines.append("")
-        lines.append(f"({'a' if panel == 'benchmarks' else 'b'}) {panel}")
+        lines.append(heading)
         table_rows = [[w] + [rows[w][label] for label in labels] for w in rows]
         lines.append(format_table(["workload"] + labels, table_rows, float_format="{:.3f}"))
     lines.append("")

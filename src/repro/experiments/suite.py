@@ -12,8 +12,8 @@ Every read goes through one resolver, :meth:`EvaluationSuite.resolve`: it
 dedupes jobs by key, serves each from memory, else from the persistent cache,
 and simulates the rest in one batch sorted by key.  :meth:`~EvaluationSuite.prefetch`
 hands it the jobs the requested figures declare (see
-:data:`~repro.experiments.registry.FIGURE_REGISTRY`), so they run in one
-parallel batch; the figures' own reads then hit memory.
+:data:`~repro.experiments.report.FIGURES`), so they run in one parallel
+batch; the figures' own reads then hit memory.
 
 Problem sizes come in three scales:
 
@@ -35,7 +35,7 @@ from ..network.topology import build_network_topology
 from ..system import (CONFIG_ORDER, RunResult, SystemConfig, SystemKind,
                       make_system_config, normalize_workers)
 from ..system.runner import Job, iter_jobs
-from ..workloads import ALL_WORKLOADS, BENCHMARKS, MICROBENCHMARKS
+from ..workloads import ALL_WORKLOADS
 from .run_cache import RunCache
 
 #: A job's key: ``(workload name, config label)``.  A bespoke run (a
@@ -255,14 +255,14 @@ class EvaluationSuite:
         Returns the :meth:`resolve` summary over the union of those jobs.
         Unknown figure names fail before anything simulates.
         """
-        from .registry import FIGURE_REGISTRY  # deferred: figures import this module
-        names = list(FIGURE_REGISTRY) if figures is None else list(figures)
+        from .report import FIGURES  # deferred: figures import this module
+        names = list(FIGURES) if figures is None else list(figures)
         for name in names:
-            if name not in FIGURE_REGISTRY:
+            if name not in FIGURES:
                 raise ValueError(
-                    f"unknown figure {name!r}; choose from {sorted(FIGURE_REGISTRY)}")
+                    f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
         return self.resolve([job for name in names
-                             for job in FIGURE_REGISTRY[name](self)], workers)
+                             for job in FIGURES[name].jobs(self)], workers)
 
     def run_all(self, workers: Optional[int] = None) -> Dict[Key, RunResult]:
         """Force every (workload, configuration) pair to run; returns the cache.
@@ -279,16 +279,6 @@ class EvaluationSuite:
     def speedup(self, workload: str, kind: "SystemKind | str",
                 baseline: "SystemKind | str" = SystemKind.DRAM) -> float:
         return self.result(workload, kind).speedup_over(self.result(workload, baseline))
-
-    def benchmark_names(self) -> List[str]:
-        return [w for w in self.workloads if w in BENCHMARKS]
-
-    def micro_names(self) -> List[str]:
-        return [w for w in self.workloads if w in MICROBENCHMARKS]
-
-    @property
-    def config_labels(self) -> List[str]:
-        return [k.value for k in self.kinds]
 
     def verified(self) -> bool:
         """True when every cached Active-Routing run produced correct reductions."""

@@ -12,7 +12,7 @@ from .config import (
 )
 from .results import RunResult, collect_results
 from .runner import (generate_program, normalize_workers, run_jobs, run_program,
-                     run_suite, run_workload, speedups_over)
+                     run_suite, run_workload)
 
 __all__ = [
     "BuiltSystem",
@@ -32,5 +32,4 @@ __all__ = [
     "run_program",
     "run_suite",
     "run_workload",
-    "speedups_over",
 ]

@@ -214,14 +214,3 @@ def run_suite(workload_names: Iterable[str],
     return run_jobs(jobs, num_threads=num_threads, max_events=max_events,
                     workers=workers)
 
-
-def speedups_over(results: Dict[Tuple[str, str], RunResult],
-                  baseline_label: str = "DRAM") -> Dict[Tuple[str, str], float]:
-    """Runtime speedups of every run relative to the named baseline config."""
-    speedups: Dict[Tuple[str, str], float] = {}
-    for (workload, label), result in results.items():
-        baseline = results.get((workload, baseline_label))
-        if baseline is None:
-            continue
-        speedups[(workload, label)] = result.speedup_over(baseline)
-    return speedups

@@ -85,7 +85,7 @@ def test_cli_prefetch_prune_garbage_collects(capsys, tmp_path):
 
 
 def test_cli_prefetch_prune_requires_cache():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="^repro: --prune needs the persistent"):
         main(["prefetch", "--scale", "tiny", "--figures", "speedup",
               "--workloads", "mac", "--no-cache", "--prune"])
 
@@ -232,7 +232,7 @@ def test_cli_sweep_cold_then_warm(capsys, tmp_path):
 
 
 def test_cli_sweep_rejects_dram():
-    with pytest.raises(SystemExit, match="DRAM"):
+    with pytest.raises(SystemExit, match="^repro: --configs DRAM: "):
         main(["sweep", "--scale", "tiny", "--configs", "DRAM"])
 
 

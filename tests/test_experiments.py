@@ -1,10 +1,13 @@
 """Integration tests of the per-figure experiment harness at tiny scale."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (
     SCALES,
     EvaluationSuite,
+    full_report,
     fig_data_movement,
     fig_dynamic_offload,
     fig_latency,
@@ -24,6 +27,24 @@ def suite():
     """One shared tiny-scale suite; figures reuse its cached runs."""
     s = EvaluationSuite("tiny", workloads=["mac", "rand_mac", "lud", "pagerank"])
     return s
+
+
+#: sha256 of the report text on the module suite: the full report (both
+#: tables and every figure section) and a subset named out of canonical
+#: order (rendered in canonical order, without the tables).  The same under
+#: any PYTHONHASHSEED; a refactor of the figure layer must keep both.
+REPORT_SHA256 = "a2f0de12d7837e4ed5ea2bb64812f528da208e1fde3a58cf707513f955218ec9"
+SUBSET_REPORT_SHA256 = "43a1d55211677973fbb9cefbac30e2d03ae0459939546d620532a53a9726bcee"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_report_bytes_are_pinned(suite):
+    assert _sha256(full_report(suite)) == REPORT_SHA256
+    assert _sha256(full_report(suite, figures=["degraded", "speedup"])) == \
+        SUBSET_REPORT_SHA256
 
 
 def test_scales_registry(monkeypatch):
@@ -120,19 +141,19 @@ def test_fig_5_8_dynamic_offload(suite):
 def test_topology_sweep_figure(suite):
     from repro.experiments import fig_topology
 
-    data = fig_topology.compute(suite)
-    assert data["networks"] == ["dragonfly16c4", "mesh16c4", "torus16c4"]
+    data = fig_topology.plan(suite).compute(suite)
+    assert list(data["rows"]) == ["dragonfly16c4", "mesh16c4", "torus16c4"]
     assert data["kinds"] == ["HMC", "ARF-tid"]
     assert data["workloads"] == ["mac", "pagerank"]
-    for net in data["networks"]:
+    for net in data["rows"]:
         for kind in data["kinds"]:
             assert data["speedup"][net][kind] > 0
-            assert data["queue_delay"][net][kind] >= 0.0
+            assert data["queue_delay_per_hop"][net][kind] >= 0.0
     # The default-network column reuses the plain matrix runs: the dragonfly
     # cells must agree exactly with the headline speedup figure.
     assert data["per_workload"]["dragonfly16c4"]["ARF-tid"]["mac"] == \
         pytest.approx(suite.speedup("mac", "ARF-tid"))
-    text = fig_topology.render(data)
+    text = fig_topology.FIGURE.render(data)
     assert "Topology sweep" in text and "mesh16c4" in text
 
 
@@ -146,7 +167,7 @@ def test_topology_figure_prefetch_batches_variant_runs(tmp_path):
     # the default network, so they double as plain matrix runs).
     assert stats == {"pairs": 7, "reused": 0, "disk_hits": 0, "simulated": 7}
     before = cold.simulations_run
-    fig_topology.compute(cold)
+    fig_topology.run(cold)
     assert cold.simulations_run == before      # figure served from the batch
 
     warm = EvaluationSuite("tiny", workloads=["mac"], cache_dir=tmp_path)
@@ -222,11 +243,12 @@ def test_degraded_network_zero_rate_is_the_plain_topology_config():
 def test_degraded_sweep_networks_dedup_and_order():
     from repro.experiments import fig_degraded
 
-    cells = fig_degraded.sweep_networks(["mesh", "mesh"], [0.0, 2.0, 2.0])
-    assert [(topology, rate) for topology, rate, _net in cells] == \
+    suite = EvaluationSuite("tiny")
+    sweep = fig_degraded.plan(suite, ["mesh", "mesh"], [0.0, 2.0, 2.0])
+    assert [headings for headings, _net in sweep.rows.values()] == \
         [("mesh", 0.0), ("mesh", 2.0)]
-    default = fig_degraded.sweep_networks()
-    assert [(t, r) for t, r, _ in default] == \
+    default = fig_degraded.plan(suite)
+    assert [headings for headings, _net in default.rows.values()] == \
         [(t, r) for t in fig_degraded.SWEEP_TOPOLOGIES
          for r in fig_degraded.SWEEP_FAILURE_RATES]
 
@@ -234,18 +256,20 @@ def test_degraded_sweep_networks_dedup_and_order():
 def test_degraded_figure_structure(suite):
     from repro.experiments import fig_degraded
 
-    data = fig_degraded.compute(suite, topologies=["mesh"],
-                                failure_rates=[0.0, 2.0],
-                                kinds=[SystemKind.ARF_TID], workloads=["mac"])
-    assert [row["label"] for row in data["rows"]] == \
-        ["mesh16c4", "mesh16c4-f2s7"]
+    data = fig_degraded.plan(suite, topologies=["mesh"],
+                             failure_rates=[0.0, 2.0],
+                             kinds=[SystemKind.ARF_TID],
+                             workloads=["mac"]).compute(suite)
+    assert data["rows"] == {"mesh16c4": ("mesh", 0.0),
+                            "mesh16c4-f2s7": ("mesh", 2.0)}
     # The failure-free anchor delivers everything; the degraded cell still
     # runs to completion (parked hops retransmit) but records interruptions.
-    assert data["delivered"]["mesh16c4"]["ARF-tid"] == pytest.approx(1.0)
-    assert 0.0 < data["delivered"]["mesh16c4-f2s7"]["ARF-tid"] <= 1.0
-    for row in data["rows"]:
-        assert data["speedup"][row["label"]]["ARF-tid"] > 0
-    text = fig_degraded.render(data)
+    delivered = data["delivered_fraction"]
+    assert delivered["mesh16c4"]["ARF-tid"] == pytest.approx(1.0)
+    assert 0.0 < delivered["mesh16c4-f2s7"]["ARF-tid"] <= 1.0
+    for label in data["rows"]:
+        assert data["speedup"][label]["ARF-tid"] > 0
+    text = fig_degraded.FIGURE.render(data)
     assert "Degraded-mode sweep" in text
     assert "mesh16c4-f2s7" not in text  # tables key topology + rate
     assert "Delivered-traffic fraction" in text

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.experiments import (
-    FIGURE_REGISTRY,
+    FIGURES,
     EvaluationSuite,
     RunCache,
     code_digest,
@@ -125,16 +125,17 @@ def test_suite_normalizes_workers():
     assert EvaluationSuite("tiny", workers=0).workers == (os.cpu_count() or 1)
 
 
-# -- figure registry / prefetch planning -----------------------------------------
+# -- figure table / prefetch planning --------------------------------------------
 
 def test_registry_covers_every_figure():
-    assert set(FIGURE_REGISTRY) == {"speedup", "latency", "lud_heatmap",
-                                    "data_movement", "power", "energy", "edp",
-                                    "dynamic_offload", "topology", "degraded"}
+    # Every figure, in canonical report order.
+    assert list(FIGURES) == ["speedup", "latency", "lud_heatmap",
+                             "data_movement", "power", "energy", "edp",
+                             "topology", "degraded", "dynamic_offload"]
 
 
 def _keys(suite, figure):
-    return {job[0] for job in FIGURE_REGISTRY[figure](suite)}
+    return {job[0] for job in FIGURES[figure].jobs(suite)}
 
 
 def _record_batches(monkeypatch):
@@ -182,7 +183,7 @@ def test_batches_run_in_key_order(monkeypatch):
     declared them in; every declared key is simulated exactly once."""
     seen = _record_batches(monkeypatch)
     suite = EvaluationSuite("tiny")
-    jobs = list(reversed(FIGURE_REGISTRY["speedup"](suite)))
+    jobs = list(reversed(FIGURES["speedup"].jobs(suite)))
     stats = suite.resolve(jobs + jobs[:3])
     assert len(seen) == len(suite.workloads) * len(CONFIG_ORDER)
     assert seen == sorted(seen)
@@ -362,7 +363,7 @@ def test_prefetch_reuses_in_memory_extra_jobs():
     from repro.experiments import fig_topology
 
     suite = EvaluationSuite("tiny", workloads=["mac"])        # no cache
-    fig_topology.compute(suite)                               # lazy path first
+    fig_topology.run(suite)                                   # lazy path first
     before = suite.simulations_run
     stats = suite.prefetch(figures=["topology"])
     assert suite.simulations_run == before
